@@ -23,6 +23,9 @@ from .graph import Graph, _bits, _popcount, complement
 from .numkernel import LinearProgram, lp_solve, sdp_solve
 
 _STAB_MAX_VERTICES = 20
+# distinct (graph, weights, tol) programs memoized; the acceptance battery
+# alone solves about 570
+_THETA_CACHE_SIZE = 2048
 
 
 def _color_order(rows: tuple[int, ...], p: int) -> list[tuple[int, int]]:
@@ -117,19 +120,12 @@ def fractional_packing(g: Graph) -> float:
 
 
 def _theta_sdp(n: int, rows: tuple[int, ...], w: np.ndarray, tol: float):
-    cost = np.sqrt(np.outer(w, w))
-    cons = [np.eye(n)]
-    rhs = [1.0]
-    for i in range(n):
-        for j in _bits(rows[i] >> (i + 1)):
-            a = np.zeros((n, n))
-            a[i, i + 1 + j] = a[i + 1 + j, i] = 1.0
-            cons.append(a)
-            rhs.append(0.0)
-    return sdp_solve(cost, np.array(cons), np.array(rhs), tol=tol)
+    pairs = [(i, j) for i in range(n) for j in _bits(rows[i]) if j > i]
+    edges = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return sdp_solve(np.sqrt(np.outer(w, w)), edges, tol=tol)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_THETA_CACHE_SIZE)
 def _theta_cached(n: int, rows: tuple[int, ...], wkey: tuple[float, ...] | None, tol: float) -> float:
     w = np.ones(n) if wkey is None else np.asarray(wkey, dtype=float)
     return _theta_sdp(n, rows, w, tol).value

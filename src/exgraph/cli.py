@@ -512,12 +512,13 @@ def run(argv) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (SdpError, LpError, RuntimeError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so this clause comes first
+        print(f"computation failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, gr.GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SdpError, LpError, RuntimeError) as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -27,8 +27,6 @@ from .bounds import (
     th_membership,
 )
 
-_SUITE_MAX_VERTICES = 64
-
 
 def conormal_product(g: gr.Graph, h: gr.Graph) -> gr.Graph:
     """Pair-event graph: (u1,v1) ~ (u2,v2) iff u1 ~ u2 or v1 ~ v2."""
@@ -122,14 +120,13 @@ def duality_suite(g: gr.Graph, graph_id: str = "graph", tol: float = 5e-7) -> Du
     equality (hence the e-principle ceiling n/theta_complement) on
     vertex-transitive graphs, and theta = sqrt(n) on self-complementary
     vertex-transitive ones."""
-    if g.n > _SUITE_MAX_VERTICES:
-        raise ValueError(f"duality suite limited to {_SUITE_MAX_VERTICES} vertices")
     gbar = gr.complement(g)
+    # the symmetry tests carry size limits; hit them before the two solves
+    vt = gr.is_vertex_transitive(g)
+    self_comp = gr.is_isomorphic(g, gbar)
     theta_g = lovasz_theta(g, tol=tol)
     theta_c = lovasz_theta(gbar, tol=tol)
     product = theta_g * theta_c
-    vt = gr.is_vertex_transitive(g)
-    self_comp = gr.is_isomorphic(g, gbar)
 
     e_max = None
     product_ok = None

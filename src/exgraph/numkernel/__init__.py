@@ -1,19 +1,14 @@
-"""Dense numerical kernels: LP (two-phase simplex), SDP (splitting method with
-certified bound pairs), symmetric eigendecomposition, complex matrix helpers."""
+"""Dense numerical kernels: LP (two-phase simplex), the theta-program SDP
+(splitting method with certified bound pairs), complex matrix helpers."""
 
-from .cmat import adjoint, is_hermitian, is_projector, multiply, tensor_product, trace
-from .eig import eig_sym
+from .cmat import is_hermitian, is_projector, tensor_product
 from .lp import LinearProgram, LpError, LpResult, lp_solve
 from .sdp import SdpError, SdpResult, sdp_solve
 
 __all__ = [
-    "adjoint",
     "is_hermitian",
     "is_projector",
-    "multiply",
     "tensor_product",
-    "trace",
-    "eig_sym",
     "LinearProgram",
     "LpError",
     "LpResult",

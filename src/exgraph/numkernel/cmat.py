@@ -12,23 +12,8 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def multiply(a, b) -> np.ndarray:
-    a, b = _as_square(a), _as_square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return _as_square(a).conj().T
-
-
 def tensor_product(a, b) -> np.ndarray:
     return np.kron(_as_square(a), _as_square(b))
-
-
-def trace(a) -> complex:
-    return complex(np.trace(_as_square(a)))
 
 
 def is_hermitian(a, tol: float = 1e-9) -> bool:

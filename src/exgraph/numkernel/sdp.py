@@ -1,28 +1,32 @@
-"""Splitting solver (ADMM) for trace-normalized semidefinite programs.
+"""Splitting solver (ADMM) for the theta program.
 
-Problem form:  maximize <C, X>  over PSD X  subject to <A_k, X> = b_k.
+Problem form:  maximize <C, X>  over PSD X  subject to  tr X = 1  and
+X_ij = 0 for every listed edge (i, j), i != j.
 
-Constraint 0 must be the trace normalization (A_0 = I, b_0 = 1).  Two parts
-of the method rely on that:
+The constraints have disjoint supports (the diagonal, and one pair of
+off-diagonal entries per edge), so everything the method needs has a closed
+form:
 
-* the dual candidate is repaired into a feasible one by shifting y_0, which
-  turns a slightly indefinite slack matrix PSD at a cost of +delta on the
-  bound;
-* the primal candidate is repaired by mixing toward I/m, which must itself
-  satisfy the constraints (true for the trace/zero-entry constraint sets
-  generated in this package; checked at entry).
+* the affine projection zeroes the edge entries, then shifts the diagonal by
+  (1 - tr)/m;
+* the least-squares dual of a matrix M has y_0 = tr(M)/m and edge multipliers
+  (M_ij + M_ji)/2.
 
-Every `check_every` sweeps the solver extracts this certified primal/dual
-pair, so the returned interval [lower, upper] brackets the true optimum
-regardless of how far the iteration itself has converged.
+Every 50 sweeps the solver extracts a certified primal/dual pair: the primal
+candidate is made feasible by mixing toward I/m (which satisfies the
+constraints), and the dual candidate by shifting y_0 until the slack matrix is
+PSD, at a cost of +delta on the bound.  The returned interval [lower, upper]
+therefore brackets the true optimum regardless of how far the iteration
+itself has converged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+
+_CHECK_EVERY = 50
 
 
 class SdpError(RuntimeError):
@@ -53,43 +57,30 @@ def _psd_part(y: np.ndarray) -> np.ndarray:
     return (v * w) @ v.T
 
 
-def sdp_solve(
-    c: np.ndarray,
-    constraints: np.ndarray,
-    b: np.ndarray,
-    tol: float = 5e-7,
-    max_iter: int = 200_000,
-    check_every: int = 50,
-    early_stop: Callable[[float, float], bool] | None = None,
-) -> SdpResult:
-    """Solve max <c, X> s.t. <constraints[k], X> = b[k], X PSD.
+def sdp_solve(c: np.ndarray, edges, tol: float = 5e-7, max_iter: int = 200_000) -> SdpResult:
+    """Solve max <c, X> s.t. tr X = 1, X_ij = 0 on edges, X PSD.
 
-    Returns once the certified gap drops below tol, or once early_stop(lower,
-    upper) is truthy (converged=False in that case).  Raises SdpError at the
-    iteration cap with the best bounds attached.
+    `edges` is a pair of index arrays (i, j).  Returns once the certified gap
+    drops below tol; raises SdpError at the iteration cap with the best
+    bounds attached.
     """
-    cmat = np.asarray(c, dtype=float)
-    m = cmat.shape[0]
-    if cmat.shape != (m, m):
+    cost = np.asarray(c, dtype=float)
+    m = cost.shape[0]
+    if cost.shape != (m, m):
         raise ValueError("cost matrix must be square")
-    amats = np.asarray(constraints, dtype=float)
-    bvec = np.asarray(b, dtype=float)
-    k = amats.shape[0]
-    if amats.shape != (k, m, m) or bvec.shape != (k,):
-        raise ValueError("constraint stack must be (k, m, m) with k right-hand sides")
+    ii, jj = (np.asarray(a, dtype=np.intp) for a in edges)
+    if ii.shape != jj.shape or np.any(ii == jj) or np.any((ii < 0) | (ii >= m) | (jj < 0) | (jj >= m)):
+        raise ValueError("edges must pair distinct vertices in range")
+    keep = np.ones((m, m))
+    keep[ii, jj] = keep[jj, ii] = 0.0
+    edge = 1.0 - keep
     eye = np.eye(m)
-    if not np.allclose(amats[0], eye) or abs(bvec[0] - 1.0) > 1e-12:
-        raise ValueError("constraint 0 must fix the trace to 1")
-
-    aflat = amats.reshape(k, m * m)
-    gram = aflat @ aflat.T
-    gram_inv = np.linalg.inv(gram)  # k is small and gram is near-diagonal here
-    if np.max(np.abs(aflat @ (eye / m).ravel() - bvec)) > 1e-9:
-        raise ValueError("I/m must satisfy the constraints (primal repair relies on it)")
+    diag = np.diag_indices(m)
 
     def proj_affine(y: np.ndarray) -> np.ndarray:
-        resid = aflat @ y.ravel() - bvec
-        return y - (gram_inv @ resid @ aflat).reshape(m, m)
+        x = y * keep
+        x[diag] += (1.0 - np.trace(x)) / m
+        return x
 
     rho = 1.0
     relax = 1.6
@@ -101,13 +92,13 @@ def sdp_solve(
 
     it = 0
     while it < max_iter:
-        x = proj_affine(z - u + cmat / rho)
+        x = proj_affine(z - u + cost / rho)
         xh = relax * x + (1.0 - relax) * z
         z_old = z
         z = _psd_part(xh + u)
         u = u + xh - z
         it += 1
-        if it % check_every:
+        if it % _CHECK_EVERY:
             continue
 
         # certified primal: affine-exact, then mixed toward I/m until PSD
@@ -116,15 +107,16 @@ def sdp_solve(
         if lam < 0:
             s = m * (-lam) / (1.0 + m * (-lam))
             xf = (1.0 - s) * xf + (s / m) * eye
-        lb = float(np.sum(cmat * xf))
+        lb = float(np.sum(cost * xf))
 
-        # certified dual: least-squares y from the running multiplier (the
-        # slack converges to -rho*u), then shift y_0 to absorb any negative
-        # eigenvalue left in it
-        y = gram_inv @ (aflat @ (cmat - rho * u).ravel())
-        slack = (y @ aflat).reshape(m, m) - cmat
+        # certified dual: least-squares multipliers of the running estimate
+        # (the slack converges to -rho*u), then shift y_0 to absorb any
+        # negative eigenvalue left in the slack
+        mres = cost - rho * u
+        y0 = float(np.trace(mres)) / m
+        slack = y0 * eye + edge * (mres + mres.T) / 2 - cost
         delta = max(0.0, -float(np.linalg.eigvalsh((slack + slack.T) / 2)[0]))
-        ub = float(bvec @ y) + delta
+        ub = y0 + delta
 
         if lb > best_lb:
             best_lb = lb
@@ -132,8 +124,6 @@ def sdp_solve(
         best_ub = min(best_ub, ub)
         if best_ub - best_lb <= tol:
             return SdpResult(best_lb, best_ub, best_x, it, True)
-        if early_stop is not None and early_stop(best_lb, best_ub):
-            return SdpResult(best_lb, best_ub, best_x, it, False)
 
         # residual balancing keeps rho in a useful range
         rp = float(np.linalg.norm(x - z))

@@ -232,10 +232,6 @@ def ncycle_quantum_realization(n: int) -> QuantumRealization:
 # singlet CHSH
 
 
-def _singlet_correlator(a_obs: np.ndarray, b_obs: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.trace(rho @ tensor_product(a_obs, b_obs)).real)
-
-
 def singlet_box() -> Box:
     """The CHSH box of the singlet: Alice measures (sigma_x, sigma_z), Bob
     the two diagonal directions -(sigma_x + sigma_z)/sqrt2 and

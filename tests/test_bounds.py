@@ -126,6 +126,14 @@ def test_weight_validation():
         bd.lovasz_theta(g, weights=(1.0, 1.0))
 
 
+def test_theta_memo_is_bounded():
+    # membership sweeps key the memo by weight tuples, so it must not grow
+    # without limit; the acceptance battery memoizes about 570 programs
+    maxsize = bd._theta_cached.cache_info().maxsize
+    assert maxsize is not None
+    assert maxsize >= 1024
+
+
 def test_theta_matrix_is_a_valid_primal_point():
     g = gr.cycle_graph(5)
     value, x = bd.lovasz_theta_matrix(g)

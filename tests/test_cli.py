@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from exgraph import cli
+from exgraph import bounds, cli
 from exgraph.boxes import pr_box
 from exgraph.kscolor import ks8_vectors
 from exgraph.scenarios import pentagon_extremal_model, triangle_overlap_model
@@ -76,6 +77,16 @@ def test_malformed_json_reports_location(tmp_path, capsys):
 def test_unknown_family_is_an_input_error(capsys):
     assert cli.run(["bounds", "--family", "icosahedron", "--n", "5"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_numerical_breakdown_is_a_computation_failure(monkeypatch, capsys):
+    # LinAlgError subclasses ValueError but is not an input error
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(bounds, "lovasz_theta", broken)
+    assert cli.run(["bounds", "--family", "cycle", "--n", "5"]) == 1
+    assert "computation failed" in capsys.readouterr().err
 
 
 def test_duality_pentagon(capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from exgraph import cli, excl
 from exgraph import graph as gr
 from exgraph.bounds import independence_number, lovasz_theta, th_membership
 from exgraph.excl import (
@@ -120,6 +121,22 @@ def test_duality_suite_on_a_non_transitive_graph():
 def test_duality_suite_size_cap():
     with pytest.raises(ValueError):
         duality_suite(gr.empty_graph(65))
+
+
+def test_duality_suite_checks_symmetry_limits_before_solving(monkeypatch, capsys):
+    solves = []
+
+    def counting_theta(*args, **kwargs):
+        solves.append(args)
+        return lovasz_theta(*args, **kwargs)
+
+    monkeypatch.setattr(excl, "lovasz_theta", counting_theta)
+    with pytest.raises(gr.GraphError):
+        duality_suite(gr.prism_graph(9))
+    assert solves == []
+    assert cli.run(["duality", "--family", "prism", "--n", "9"]) == 2
+    assert "error" in capsys.readouterr().err
+    assert solves == []
 
 
 def test_op_propagation_rows_all_pass():

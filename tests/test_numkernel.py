@@ -1,5 +1,5 @@
-"""Numeric kernel checks: simplex LP, splitting-method SDP, eigensolver,
-complex matrix helpers.
+"""Numeric kernel checks: simplex LP, theta-program SDP, complex matrix
+helpers.
 
 The LP optimum is cross-checked against an independent vertex-enumeration
 oracle on small random instances, the SDP against hand-solvable programs
@@ -16,13 +16,11 @@ from exgraph.numkernel import (
     LinearProgram,
     LpError,
     SdpError,
-    eig_sym,
     is_hermitian,
     is_projector,
     lp_solve,
     sdp_solve,
     tensor_product,
-    trace,
 )
 
 
@@ -136,19 +134,8 @@ class TestSimplex(unittest.TestCase):
             self.assertTrue(np.all(res.x >= -1e-9) and np.all(res.x <= 10.0 + 1e-9))
 
 
-def _pentagon_theta_program():
-    """The pentagon value program: max <J, X>, Tr X = 1, X_ij = 0 on edges."""
-    n = 5
-    cost = np.ones((n, n))
-    cons = [np.eye(n)]
-    rhs = [1.0]
-    for i in range(n):
-        j = (i + 1) % n
-        e = np.zeros((n, n))
-        e[i, j] = e[j, i] = 0.5
-        cons.append(e)
-        rhs.append(0.0)
-    return cost, np.array(cons), np.array(rhs)
+PENTAGON_EDGES = (np.arange(5), (np.arange(5) + 1) % 5)
+NO_EDGES = ((), ())
 
 
 class TestSdp(unittest.TestCase):
@@ -156,14 +143,13 @@ class TestSdp(unittest.TestCase):
         # max <[[0,1],[1,0]], X> with Tr X = 1 is attained at the uniform
         # rank-one projector, value 1
         c = np.array([[0.0, 1.0], [1.0, 0.0]])
-        cons = np.array([np.eye(2)])
-        res = sdp_solve(c, cons, np.array([1.0]), tol=1e-8)
+        res = sdp_solve(c, NO_EDGES, tol=1e-8)
         self.assertTrue(res.converged)
         self.assertAlmostEqual(res.value, 1.0, places=6)
 
     def test_pentagon_value(self):
-        cost, cons, rhs = _pentagon_theta_program()
-        res = sdp_solve(cost, cons, rhs, tol=5e-7)
+        # max <J, X>, Tr X = 1, X_ij = 0 on the edges of C5
+        res = sdp_solve(np.ones((5, 5)), PENTAGON_EDGES, tol=5e-7)
         root5 = math.sqrt(5.0)
         self.assertTrue(res.converged)
         self.assertLessEqual(res.lower, root5 + 5e-7)
@@ -171,47 +157,45 @@ class TestSdp(unittest.TestCase):
         self.assertLess(abs(res.value - root5), 5e-7)
         # the primal iterate satisfies the constraints it claims to
         self.assertLess(abs(np.trace(res.x) - 1.0), 1e-5)
+        for i, j in zip(*PENTAGON_EDGES):
+            self.assertEqual(res.x[i, j], 0.0)
+            self.assertEqual(res.x[j, i], 0.0)
         evals = np.linalg.eigvalsh(res.x)
         self.assertGreater(evals[0], -1e-6)
+        self.assertIsInstance(res.lower, float)
+        self.assertIsInstance(res.upper, float)
+
+    def test_iteration_counts_are_frozen(self):
+        # frozen counts: any change to the iteration itself moves them
+        res = sdp_solve(np.ones((5, 5)), PENTAGON_EDGES)
+        self.assertEqual(res.iterations, 100)
+        # prism over C5 with weights 0.2 .. 1.0
+        w = np.linspace(0.2, 1.0, 10)
+        ring = np.arange(5)
+        ii = np.concatenate([ring, ring + 5, ring])
+        jj = np.concatenate([(ring + 1) % 5, (ring + 1) % 5 + 5, ring + 5])
+        res = sdp_solve(np.sqrt(np.outer(w, w)), (ii, jj))
+        self.assertEqual(res.iterations, 650)
+        self.assertAlmostEqual(res.value, 2.70563368, places=7)
 
     def test_certified_bounds_bracket(self):
-        cost, cons, rhs = _pentagon_theta_program()
-        res = sdp_solve(cost, cons, rhs, tol=1e-4)
+        res = sdp_solve(np.ones((5, 5)), PENTAGON_EDGES, tol=1e-4)
         self.assertLessEqual(res.lower, res.upper)
         self.assertLessEqual(res.upper - res.lower, 1e-4 + 1e-9)
 
-    def test_early_stop(self):
-        cost, cons, rhs = _pentagon_theta_program()
-        res = sdp_solve(cost, cons, rhs, early_stop=lambda lo, hi: True)
-        self.assertFalse(res.converged)
-
     def test_iteration_cap_raises_with_bounds(self):
-        cost, cons, rhs = _pentagon_theta_program()
         with self.assertRaises(SdpError) as ctx:
-            sdp_solve(cost, cons, rhs, tol=1e-12, max_iter=120, check_every=50)
+            sdp_solve(np.ones((5, 5)), PENTAGON_EDGES, tol=1e-12, max_iter=120)
         exc = ctx.exception
-        if exc.lower is not None and exc.upper is not None:
-            self.assertLessEqual(exc.lower, exc.upper)
+        self.assertLessEqual(exc.lower, exc.upper)
 
-
-class TestEig(unittest.TestCase):
-    def test_matches_numpy_and_residual(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            n = int(rng.integers(2, 9))
-            m = rng.normal(size=(n, n))
-            m = (m + m.T) / 2
-            w, v = eig_sym(m)
-            np.testing.assert_allclose(w, np.linalg.eigvalsh(m), atol=1e-10)
-            self.assertLess(np.max(np.abs(m @ v - v @ np.diag(w))), 1e-10)
-            np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-10)
-            self.assertTrue(np.all(np.diff(w) >= -1e-12))
-
-    def test_rejects_asymmetric(self):
+    def test_input_validation(self):
         with self.assertRaises(ValueError):
-            eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            sdp_solve(np.ones((2, 3)), NO_EDGES)
         with self.assertRaises(ValueError):
-            eig_sym(np.zeros((2, 3)))
+            sdp_solve(np.ones((3, 3)), ([1], [1]))
+        with self.assertRaises(ValueError):
+            sdp_solve(np.ones((3, 3)), ([0], [3]))
 
 
 class TestComplexHelpers(unittest.TestCase):
@@ -224,7 +208,7 @@ class TestComplexHelpers(unittest.TestCase):
         proj = (np.eye(2) + sx) / 2
         self.assertTrue(is_projector(proj))
         self.assertFalse(is_projector(sx))
-        self.assertAlmostEqual(trace(sx @ sx).real, 2.0)
+        self.assertAlmostEqual(np.trace(sx @ sx).real, 2.0)
         big = tensor_product(sx, sy)
         self.assertEqual(big.shape, (4, 4))
         np.testing.assert_allclose(big @ big, np.eye(4), atol=1e-12)
