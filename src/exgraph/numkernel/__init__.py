@@ -1,5 +1,6 @@
 """Dense numerical kernels: LP (two-phase simplex), the theta-program SDP
-(splitting method with certified bound pairs), complex matrix helpers."""
+(primal-dual interior point with certified bound pairs), complex matrix
+helpers."""
 
 from .cmat import is_hermitian, is_projector, tensor_product
 from .lp import LinearProgram, LpError, LpResult, lp_solve

@@ -11,8 +11,9 @@ import math
 import numpy as np
 
 
-def brute_independence(n, edges):
-    """Maximum independent set by enumerating all 2^n subsets (n <= 20)."""
+def brute_independence(n, edges, weights=None):
+    """Maximum (weight) independent set by enumerating all 2^n subsets
+    (n <= 20); without weights every vertex weighs 1."""
     if n > 20:
         raise ValueError("brute-force independence capped at 20 vertices")
     adj = [0] * n
@@ -29,8 +30,11 @@ def brute_independence(n, edges):
                 ok = False
                 break
             m &= m - 1
-        if ok and mask.bit_count() > best:
-            best = mask.bit_count()
+        if not ok:
+            continue
+        score = mask.bit_count() if weights is None else sum(weights[v] for v in range(n) if mask >> v & 1)
+        if score > best:
+            best = score
             best_mask = mask
     members = tuple(v for v in range(n) if best_mask >> v & 1)
     return best, members

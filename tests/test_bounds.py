@@ -95,6 +95,12 @@ def test_circulant_oracle_agrees_with_sdp():
         assert abs(lp_value - sdp_value) < 1e-6, (n, offs)
 
 
+def test_circulant_theta_at_the_size_cap():
+    n, offs = gr.MAX_VERTICES, (1, 2, 5)
+    sdp_value = bd.lovasz_theta(gr.circulant_graph(n, offs))
+    assert abs(sdp_value - bd.theta_circulant_oracle(n, offs)) < 1e-6
+
+
 def test_weighted_theta_scaling_and_special_cases():
     g = gr.cycle_graph(5)
     w = (0.3, 1.0, 0.7, 0.2, 0.9)

@@ -9,8 +9,11 @@ and the pentagon value sqrt(5).
 import itertools
 import math
 import unittest
+import unittest.mock
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exgraph.numkernel import (
     LinearProgram,
@@ -22,6 +25,7 @@ from exgraph.numkernel import (
     sdp_solve,
     tensor_product,
 )
+from oracles import brute_independence
 
 
 def _vertex_enumeration_max(c, a, b, hi):
@@ -144,14 +148,12 @@ class TestSdp(unittest.TestCase):
         # rank-one projector, value 1
         c = np.array([[0.0, 1.0], [1.0, 0.0]])
         res = sdp_solve(c, NO_EDGES, tol=1e-8)
-        self.assertTrue(res.converged)
         self.assertAlmostEqual(res.value, 1.0, places=6)
 
     def test_pentagon_value(self):
         # max <J, X>, Tr X = 1, X_ij = 0 on the edges of C5
         res = sdp_solve(np.ones((5, 5)), PENTAGON_EDGES, tol=5e-7)
         root5 = math.sqrt(5.0)
-        self.assertTrue(res.converged)
         self.assertLessEqual(res.lower, root5 + 5e-7)
         self.assertGreaterEqual(res.upper, root5 - 5e-7)
         self.assertLess(abs(res.value - root5), 5e-7)
@@ -168,26 +170,64 @@ class TestSdp(unittest.TestCase):
     def test_iteration_counts_are_frozen(self):
         # frozen counts: any change to the iteration itself moves them
         res = sdp_solve(np.ones((5, 5)), PENTAGON_EDGES)
-        self.assertEqual(res.iterations, 100)
-        # prism over C5 with weights 0.2 .. 1.0
+        self.assertEqual(res.iterations, 7)
+        # prism over C5 with weights 0.2 .. 1.0, optimum 2.7056337642
+        # (certified to 1e-10)
         w = np.linspace(0.2, 1.0, 10)
         ring = np.arange(5)
         ii = np.concatenate([ring, ring + 5, ring])
         jj = np.concatenate([(ring + 1) % 5, (ring + 1) % 5 + 5, ring + 5])
         res = sdp_solve(np.sqrt(np.outer(w, w)), (ii, jj))
-        self.assertEqual(res.iterations, 650)
-        self.assertAlmostEqual(res.value, 2.70563368, places=7)
+        self.assertEqual(res.iterations, 9)
+        self.assertLess(abs(res.value - 2.7056337642), 2.5e-7)
 
     def test_certified_bounds_bracket(self):
         res = sdp_solve(np.ones((5, 5)), PENTAGON_EDGES, tol=1e-4)
         self.assertLessEqual(res.lower, res.upper)
         self.assertLessEqual(res.upper - res.lower, 1e-4 + 1e-9)
 
+    def test_degenerate_program_with_large_weights(self):
+        # the cube is bipartite, so theta = alpha = 4 and the optimum is far
+        # from unique; weight 100 asks for a relative gap near 1e-9, past
+        # the point where its Schur complement turns numerically singular
+        ring = np.arange(4)
+        ii = np.concatenate([ring, ring + 4, ring])
+        jj = np.concatenate([(ring + 1) % 4, (ring + 1) % 4 + 4, ring + 4])
+        res = sdp_solve(np.full((8, 8), 100.0), (ii, jj))
+        self.assertLessEqual(res.upper - res.lower, 5e-7)
+        self.assertLess(abs(res.value - 400.0), 2.5e-7)
+
     def test_iteration_cap_raises_with_bounds(self):
         with self.assertRaises(SdpError) as ctx:
-            sdp_solve(np.ones((5, 5)), PENTAGON_EDGES, tol=1e-12, max_iter=120)
+            sdp_solve(np.ones((5, 5)), PENTAGON_EDGES, max_iter=3)
         exc = ctx.exception
+        self.assertIn("3 iterations", str(exc))
         self.assertLessEqual(exc.lower, exc.upper)
+
+    def test_breakdown_raises_with_bounds(self):
+        # a factorization that fails mid-iteration surfaces as SdpError
+        # carrying the certified pair of the starting point
+        real = np.linalg.cholesky
+        calls = []
+
+        def failing(a):
+            calls.append(1)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("injected")
+            return real(a)
+
+        with unittest.mock.patch.object(np.linalg, "cholesky", failing):
+            with self.assertRaises(SdpError) as ctx:
+                sdp_solve(np.ones((5, 5)), PENTAGON_EDGES)
+        exc = ctx.exception
+        self.assertIn("breakdown", str(exc))
+        self.assertTrue(math.isfinite(exc.lower) and math.isfinite(exc.upper))
+        self.assertLessEqual(exc.lower, exc.upper)
+
+    def test_duplicate_and_reversed_edges_are_merged(self):
+        ii, jj = PENTAGON_EDGES
+        res = sdp_solve(np.ones((5, 5)), (np.concatenate([ii, jj]), np.concatenate([jj, ii])))
+        self.assertLess(abs(res.value - math.sqrt(5.0)), 2.5e-7)
 
     def test_input_validation(self):
         with self.assertRaises(ValueError):
@@ -196,6 +236,45 @@ class TestSdp(unittest.TestCase):
             sdp_solve(np.ones((3, 3)), ([1], [1]))
         with self.assertRaises(ValueError):
             sdp_solve(np.ones((3, 3)), ([0], [3]))
+
+
+@st.composite
+def _weighted_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_subnormal=False))
+    unit = draw(st.booleans())
+    w = np.ones(n) if unit else np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    return n, [p for p, k in zip(pairs, keep) if k], w, unit
+
+
+def _edge_arrays(edges):
+    return tuple(np.array([e[k] for e in edges], dtype=np.intp) for k in (0, 1))
+
+
+class TestSdpProperties(unittest.TestCase):
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_weighted_graphs())
+    def test_random_theta_programs(self, case):
+        n, edges, w, unit = case
+        res = sdp_solve(np.sqrt(np.outer(w, w)), _edge_arrays(edges))
+        self.assertLessEqual(res.upper - res.lower, 5e-7)
+        alpha, _ = brute_independence(n, edges, w)
+        self.assertLessEqual(alpha, res.upper + 1e-9)
+        if unit:
+            # theta(G) theta(complement) >= n, on the certified upper bounds
+            co = sorted(set(itertools.combinations(range(n), 2)) - set(edges))
+            res_co = sdp_solve(np.ones((n, n)), _edge_arrays(co))
+            self.assertGreaterEqual(res.upper * res_co.upper, n - 1e-6)
+
+    def test_dense_program_at_the_size_cap(self):
+        # G(64, 0.3) with unit weights converges under the default max_iter
+        rng = np.random.default_rng(64)
+        ii, jj = np.triu_indices(64, 1)
+        pick = rng.random(ii.size) < 0.3
+        res = sdp_solve(np.ones((64, 64)), (ii[pick], jj[pick]))
+        self.assertLessEqual(res.upper - res.lower, 5e-7)
 
 
 class TestComplexHelpers(unittest.TestCase):
