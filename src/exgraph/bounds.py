@@ -22,7 +22,11 @@ import numpy as np
 from .graph import Graph, _bits, _popcount, complement
 from .numkernel import LinearProgram, lp_solve, sdp_solve
 
-_STAB_MAX_VERTICES = 20
+# largest column count of a hull LP: the dense Farkas tableau holds about
+# 8 k^2 bytes for k columns, 0.54 GB at this cap
+_HULL_MAX_COLUMNS = 8192
+# worst residual a hull answer may show when replayed in floating point
+_REPLAY_TOL = 1e-9
 # distinct (graph, weights, tol) programs memoized; the acceptance battery
 # alone solves about 570
 _THETA_CACHE_SIZE = 2048
@@ -197,11 +201,47 @@ def theta_circulant_oracle(n: int, offsets) -> float:
     return 1.0 + float(res.value)
 
 
+def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarray, float | None]:
+    """Is point a convex combination of the 0/1 columns of vertices (d x k)?
+
+    Returns (True, x, None) with x >= 0, sum(x) = 1 and vertices @ x = point,
+    or (False, y, margin) with y = (a, c) a Farkas functional: a.v + c <= 0
+    on every column v while a.point + c = margin > tol, normalised by
+    a in [-1, 1]^d and c in [-d, 1].  Either answer is replayed in floating
+    point before it is returned; a failed replay raises RuntimeError.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    d, k = vertices.shape
+    if k > _HULL_MAX_COLUMNS:
+        raise ValueError(f"{k} hull vertices exceed the supported limit of {_HULL_MAX_COLUMNS}")
+    rhs = np.append(np.asarray(point, dtype=float), 1.0)
+    if rhs.shape != (d + 1,):
+        raise ValueError("one point coordinate per vertex row required")
+    ext = np.vstack([vertices, np.ones(k)])
+    res = lp_solve(LinearProgram(
+        c=np.zeros(k), a=ext, senses=("=",) * (d + 1), b=rhs, bounds=((0.0, None),) * k, maximize=False,
+    ))
+    if res.status == "optimal":
+        x = res.x
+        if np.max(np.abs(ext @ x - rhs)) > _REPLAY_TOL or x.min() < -_REPLAY_TOL:
+            raise RuntimeError("hull weights fail their floating-point replay")
+        return True, x, None
+    res = lp_solve(LinearProgram(
+        c=rhs, a=ext.T, senses=("<=",) * k, b=np.zeros(k),
+        bounds=((-1.0, 1.0),) * d + ((-float(d), 1.0),), maximize=True,
+    ))
+    if res.status != "optimal" or res.value <= tol or np.max(res.x @ ext) > _REPLAY_TOL:
+        raise RuntimeError("point outside the hull without a valid Farkas functional")
+    return False, res.x, float(res.value)
+
+
 def _independent_set_masks(g: Graph) -> list[int]:
     masks = [0]
     for v in range(g.n):
         bit = 1 << v
         masks += [m | bit for m in masks if not m & g.rows[v]]
+        if len(masks) > _HULL_MAX_COLUMNS:
+            raise ValueError(f"more than {_HULL_MAX_COLUMNS} independent sets to enumerate")
     return masks
 
 
@@ -212,58 +252,15 @@ def stab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict]:
     where the certificate is a linear functional a.x <= beta valid on every
     indicator but exceeded by p.
     """
-    if g.n > _STAB_MAX_VERTICES:
-        raise ValueError(f"stab membership enumerates independent sets; limited to {_STAB_MAX_VERTICES} vertices")
     p = np.asarray(p, dtype=float)
     if p.shape != (g.n,):
         raise ValueError("one coordinate per vertex required")
     masks = _independent_set_masks(g)
-    k = len(masks)
-    chi = np.zeros((g.n + 1, k))
-    for col, m in enumerate(masks):
-        for v in _bits(m):
-            chi[v, col] = 1.0
-        chi[g.n, col] = 1.0
-    lp = LinearProgram(
-        c=np.zeros(k),
-        a=chi,
-        senses=("=",) * (g.n + 1),
-        b=np.append(p, 1.0),
-        bounds=((0.0, 1.0),) * k,
-        maximize=False,
-    )
-    res = lp_solve(lp)
-    if res.status == "optimal":
-        weights = {
-            tuple(_bits(masks[col])): float(res.x[col])
-            for col in range(k)
-            if res.x[col] > tol
-        }
-        return True, {"weights": weights}
-    # separating functional: maximize a.p - beta with a.chi_S <= beta for
-    # every independent set S, a in [-1, 1]^n
-    nv = g.n + 1
-    a = np.zeros((k, nv))
-    for row, m in enumerate(masks):
-        for v in _bits(m):
-            a[row, v] = 1.0
-        a[row, g.n] = -1.0
-    lp2 = LinearProgram(
-        c=np.append(p, -1.0),
-        a=a,
-        senses=("<=",) * k,
-        b=np.zeros(k),
-        bounds=((-1.0, 1.0),) * g.n + ((-1.0, float(g.n)),),
-        maximize=True,
-    )
-    res2 = lp_solve(lp2)
-    if res2.status != "optimal" or res2.value <= tol:
-        raise RuntimeError("separation LP failed to produce a certificate")
-    return False, {
-        "a": [float(v) for v in res2.x[: g.n]],
-        "beta": float(res2.x[g.n]),
-        "margin": float(res2.value),
-    }
+    chi = np.array([[m >> v & 1 for m in masks] for v in range(g.n)], dtype=float).reshape(g.n, len(masks))
+    inside, y, margin = hull_membership(chi, p, tol)
+    if inside:
+        return True, {"weights": {tuple(_bits(m)): float(w) for m, w in zip(masks, y) if w > tol}}
+    return False, {"a": [float(v) for v in y[: g.n]], "beta": 0.0 - float(y[g.n]), "margin": margin}
 
 
 def th_membership(g: Graph, p, tol: float = 1e-6, theta_tol: float = 5e-7) -> tuple[bool, float | None]:

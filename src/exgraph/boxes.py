@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkernel import LinearProgram, lp_solve
+from .bounds import _HULL_MAX_COLUMNS, hull_membership
 
 _MAX_TABLE_ENTRIES = 1 << 24
-_MAX_STRATEGIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -165,68 +164,22 @@ def is_local(box: Box, tol: float = 1e-7) -> tuple[bool, dict]:
     count = 1
     for m, o in zip(scn.settings, scn.outcomes):
         count *= o**m
-    if count > _MAX_STRATEGIES:
-        raise ValueError(f"{count} deterministic strategies exceed the supported size")
+    if count > _HULL_MAX_COLUMNS:
+        raise ValueError(f"{count} deterministic strategies exceed the supported limit of {_HULL_MAX_COLUMNS}")
     strategies = _strategies(scn)
-    xs = list(itertools.product(*(range(m) for m in scn.settings)))
-    outs = list(itertools.product(*(range(o) for o in scn.outcomes)))
-
-    rows = []
-    rhs = []
-    row_names = []
-    for x in xs:
-        for a in outs:
-            row = np.fromiter(
-                (
-                    1.0 if all(strat[i][x[i]] == a[i] for i in range(scn.parties)) else 0.0
-                    for strat in strategies
-                ),
-                dtype=float,
-                count=len(strategies),
-            )
-            rows.append(row)
-            rhs.append(box.prob(x, a))
-            row_names.append((x, a))
-    rows.append(np.ones(len(strategies)))
-    rhs.append(1.0)
-
-    a_mat = np.array(rows)
-    lp = LinearProgram(
-        c=np.zeros(len(strategies)),
-        a=a_mat,
-        senses=("=",) * len(rows),
-        b=np.array(rhs),
-        bounds=((0.0, 1.0),) * len(strategies),
-        maximize=False,
-    )
-    res = lp_solve(lp)
-    if res.status == "optimal":
-        weights = {
-            strategies[col]: float(w) for col, w in enumerate(res.x) if w > tol
-        }
-        return True, {"weights": weights}
-
-    lp2 = LinearProgram(
-        c=np.array(rhs),
-        a=a_mat.T,
-        senses=("<=",) * len(strategies),
-        b=np.zeros(len(strategies)),
-        bounds=((-1.0, 1.0),) * len(rows),
-        maximize=True,
-    )
-    res2 = lp_solve(lp2)
-    if res2.status != "optimal" or res2.value <= tol:
-        raise RuntimeError("nonlocal box without a Farkas certificate")
+    # rows are the table entries p(a|x) in C order: settings outer, outcomes inner
+    columns = [deterministic_box(scn, strat).table.ravel() for strat in strategies]
+    local, y, margin = hull_membership(np.column_stack(columns), box.table.ravel(), tol)
+    if local:
+        return True, {"weights": {strat: float(w) for strat, w in zip(strategies, y) if w > tol}}
     coeffs = {}
-    for (x, a), y in zip(row_names, res2.x[:-1]):
-        if abs(y) > tol:
-            xk = ",".join(str(v) for v in x)
-            coeffs.setdefault(xk, {})[",".join(str(v) for v in a)] = float(y)
-    return False, {
-        "coefficients": coeffs,
-        "constant": float(res2.x[-1]),
-        "margin": float(res2.value),
-    }
+    shape = scn.table_shape()
+    for r, coef in enumerate(y[:-1]):
+        if abs(coef) > tol:
+            idx = np.unravel_index(r, shape)
+            xk = ",".join(str(int(v)) for v in idx[: scn.parties])
+            coeffs.setdefault(xk, {})[",".join(str(int(v)) for v in idx[scn.parties :])] = float(coef)
+    return False, {"coefficients": coeffs, "constant": float(y[-1]), "margin": margin}
 
 
 def _require_scenario(box: Box, settings: tuple[int, ...], outcomes: tuple[int, ...], what: str) -> None:

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _HULL_MAX_COLUMNS, hull_membership
 from .graph import Graph, from_edges
-from .numkernel import LinearProgram, lp_solve
-
-_MAX_GLOBAL_ATOMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -162,71 +160,31 @@ def has_global_section(model: EmpiricalModel, tol: float = 1e-7) -> tuple[bool, 
     scn = model.scenario
     nmeas = len(scn.measurements)
     natoms = len(scn.outcomes) ** nmeas
-    if natoms > _MAX_GLOBAL_ATOMS:
-        raise ValueError(f"{natoms} global assignments exceed the supported limit")
+    if natoms > _HULL_MAX_COLUMNS:
+        raise ValueError(f"{natoms} global assignments exceed the supported limit of {_HULL_MAX_COLUMNS}")
     midx = {m: i for i, m in enumerate(scn.measurements)}
     atoms = list(itertools.product(scn.outcomes, repeat=nmeas))
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    row_names: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
-    for ctx in scn.contexts:
-        pos = [midx[m] for m in ctx]
-        for outcome in itertools.product(scn.outcomes, repeat=len(ctx)):
-            row = np.fromiter(
-                (1.0 if all(atom[p] == o for p, o in zip(pos, outcome)) else 0.0 for atom in atoms),
-                dtype=float,
-                count=natoms,
-            )
-            rows.append(row)
-            rhs.append(model.prob(ctx, outcome))
-            row_names.append((ctx, outcome))
-    rows.append(np.ones(natoms))
-    rhs.append(1.0)
-    row_names.append(((), ()))
-
-    a = np.array(rows)
-    lp = LinearProgram(
-        c=np.zeros(natoms),
-        a=a,
-        senses=("=",) * len(rows),
-        b=np.array(rhs),
-        bounds=((0.0, 1.0),) * natoms,
-        maximize=False,
-    )
-    res = lp_solve(lp)
-    if res.status == "optimal":
-        dist = {}
-        for col, weight in enumerate(res.x):
-            if weight > tol:
-                atom = atoms[col]
-                dist[tuple(zip(scn.measurements, atom))] = float(weight)
+    events = [
+        (ctx, outcome)
+        for ctx in scn.contexts
+        for outcome in itertools.product(scn.outcomes, repeat=len(ctx))
+    ]
+    vertices = np.array(
+        [[all(atom[midx[m]] == o for m, o in zip(ctx, outcome)) for atom in atoms] for ctx, outcome in events],
+        dtype=float,
+    ).reshape(len(events), natoms)
+    point = [model.prob(ctx, outcome) for ctx, outcome in events]
+    exists, y, margin = hull_membership(vertices, point, tol)
+    if exists:
+        dist = {tuple(zip(scn.measurements, atom)): float(w) for atom, w in zip(atoms, y) if w > tol}
         return True, {"distribution": dist}
-
-    # Farkas direction: y with y.A <= 0 on every assignment yet y.rhs > 0,
-    # i.e. a consistency inequality every global section obeys and the
+    # y is a consistency inequality every global section obeys and the
     # model breaks
-    k = len(rows)
-    lp2 = LinearProgram(
-        c=np.array(rhs),
-        a=a.T,
-        senses=("<=",) * natoms,
-        b=np.zeros(natoms),
-        bounds=((-1.0, 1.0),) * k,
-        maximize=True,
-    )
-    res2 = lp_solve(lp2)
-    if res2.status != "optimal" or res2.value <= tol:
-        raise RuntimeError("infeasible model without a Farkas certificate")
     coeffs = {}
-    for (ctx, outcome), y in zip(row_names[:-1], res2.x[:-1]):
-        if abs(y) > tol:
-            coeffs.setdefault(",".join(ctx), {})[",".join(str(o) for o in outcome)] = float(y)
-    return False, {
-        "coefficients": coeffs,
-        "constant": float(res2.x[-1]),
-        "margin": float(res2.value),
-    }
+    for (ctx, outcome), coef in zip(events, y[:-1]):
+        if abs(coef) > tol:
+            coeffs.setdefault(",".join(ctx), {})[",".join(str(o) for o in outcome)] = float(coef)
+    return False, {"coefficients": coeffs, "constant": float(y[-1]), "margin": margin}
 
 
 # ---------------------------------------------------------------------------

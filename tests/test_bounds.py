@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exgraph import bounds as bd
 from exgraph import graph as gr
@@ -185,6 +187,28 @@ def test_stab_separation_certificate_is_valid():
         assert sum(a[v] for v in members) <= beta + 1e-7
 
 
+def test_stab_certificate_of_the_pentagon_is_frozen():
+    ok, cert = bd.stab_membership(gr.cycle_graph(5), np.full(5, 0.6))
+    assert not ok
+    assert cert == {"a": [1.0] * 5, "beta": 2.0, "margin": 1.0}
+
+
+def test_stab_membership_past_twenty_vertices():
+    # the complement of C40 has 81 independent sets: the empty set, the 40
+    # vertices and the 40 edges of C40
+    g = gr.complement(gr.cycle_graph(40))
+    assert len(bd._independent_set_masks(g)) == 81
+    p = np.linspace(0.01, 0.02, 40)
+    ok, cert = bd.stab_membership(g, p)
+    assert ok
+    rebuilt = np.zeros(40)
+    for members, weight in cert["weights"].items():
+        assert weight > 0
+        rebuilt[list(members)] += weight
+    np.testing.assert_allclose(rebuilt, p, atol=1e-9)
+    assert sum(cert["weights"].values()) <= 1 + 1e-9
+
+
 def test_th_membership_boundary_cases():
     g = gr.cycle_graph(5)
     inside, theta = bd.th_membership(g, np.full(5, 1.0 / ROOT5))
@@ -232,3 +256,56 @@ def test_membership_chain_stab_th_qstab():
 def test_stab_size_cap():
     with pytest.raises(ValueError):
         bd.stab_membership(gr.empty_graph(40), np.zeros(40))
+
+
+@st.composite
+def _hulls(draw):
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 12))
+    bits = draw(st.lists(st.booleans(), min_size=d * k, max_size=d * k))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    return np.array(bits, dtype=float).reshape(d, k), np.array(weights) / sum(weights)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_hulls(), st.data())
+def test_hull_membership_on_random_01_matrices(case, data):
+    vertices, w = case
+    d, k = vertices.shape
+    point = vertices @ w
+    inside, x, margin = bd.hull_membership(vertices, point)
+    assert inside and margin is None
+    assert x.shape == (k,) and x.min() >= -1e-9
+    np.testing.assert_allclose(vertices @ x, point, atol=1e-9)
+    assert sum(x) == pytest.approx(1.0, abs=1e-9)
+    # every hull point lies in the unit cube; push one coordinate out of it
+    i = data.draw(st.integers(0, d - 1))
+    t = data.draw(st.floats(0.25, 2.0))
+    point[i] = 1.0 + t if data.draw(st.booleans()) else -t
+    inside, y, margin = bd.hull_membership(vertices, point)
+    assert not inside
+    a, c = y[:d], y[d]
+    assert np.all(np.abs(a) <= 1 + 1e-12) and -d - 1e-12 <= c <= 1 + 1e-12
+    assert np.max(a @ vertices + c) <= 1e-9
+    assert margin == pytest.approx(float(a @ point + c), abs=1e-12) and margin > 1e-9
+
+
+def test_hull_membership_size_cap():
+    with pytest.raises(ValueError):
+        bd.hull_membership(np.zeros((1, bd._HULL_MAX_COLUMNS + 1)), [0.0])
+
+
+def test_hull_membership_replays_the_lp_answer(monkeypatch):
+    solve = bd.lp_solve
+
+    def skewed(lp):
+        res = solve(lp)
+        if res.x is not None:
+            res.x = res.x + 1e-6
+        return res
+
+    monkeypatch.setattr(bd, "lp_solve", skewed)
+    with pytest.raises(RuntimeError):
+        bd.hull_membership(np.eye(2), [0.5, 0.5])
+    with pytest.raises(RuntimeError):
+        bd.hull_membership(np.eye(2), [1.0, 1.0])

@@ -86,6 +86,27 @@ def test_noise_mixtures_cross_the_local_boundary():
     assert not local
 
 
+@pytest.mark.parametrize("e", [0.6, 0.8, 1.0])
+def test_nonlocality_certificate_is_the_chsh_inequality(e):
+    box = pr_box(2, e)
+    local, cert = is_local(box)
+    assert not local
+    assert cert["constant"] == pytest.approx(-2.0, abs=1e-12)
+    assert cert["margin"] == pytest.approx(chsh_value(box) - 2.0, abs=1e-9)
+    coefs = [y for inner in cert["coefficients"].values() for y in inner.values()]
+    assert len(coefs) == 16
+    np.testing.assert_allclose(np.abs(coefs), 1.0, atol=1e-12)
+
+
+def test_locality_size_cap_is_checked_before_enumeration():
+    # 4^4 * 4^4 = 65,536 strategies, past the hull column cap
+    with pytest.raises(ValueError):
+        is_local(uniform_box(BellScenario((4, 4), (4, 4))))
+    # 2^32 strategies: enumerating them would never finish
+    with pytest.raises(ValueError):
+        is_local(uniform_box(BellScenario((8, 8), (4, 4))))
+
+
 def test_pr_correlators():
     box = pr_box(2, 0.7)
     for x, y in itertools.product(range(2), repeat=2):

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in process through cli.run."""
 
+import itertools
 import json
 import math
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from exgraph import bounds, cli
-from exgraph.boxes import pr_box
+from exgraph.boxes import BellScenario, pr_box, uniform_box
 from exgraph.kscolor import ks8_vectors
-from exgraph.scenarios import pentagon_extremal_model, triangle_overlap_model
+from exgraph.scenarios import EmpiricalModel, ncycle_scenario, pentagon_extremal_model, triangle_overlap_model
 
 ROOT5 = math.sqrt(5.0)
 
@@ -138,6 +139,20 @@ def test_scenario_check_and_global_section(tmp_path, capsys):
     assert code == 0
     assert data["exists"] is False
     assert data["separating_functional"]["margin"] > 1e-7
+
+
+def test_hull_size_cap_exits_2(tmp_path, capsys):
+    box = uniform_box(BellScenario((4, 4), (4, 4)))
+    box_path = tmp_path / "box.json"
+    box_path.write_text(json.dumps(box.to_json_dict()))
+    assert cli.run(["box", "check", "--input", str(box_path)]) == 2
+    scn = ncycle_scenario(14)
+    uniform = {o: 0.25 for o in itertools.product((1, -1), repeat=2)}
+    model = EmpiricalModel(scn, {ctx: dict(uniform) for ctx in scn.contexts})
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model.to_json_dict()))
+    assert cli.run(["scenario", "global-section", "--input", str(model_path)]) == 2
+    capsys.readouterr()
 
 
 def test_scenario_evaluate_pentagon(tmp_path, capsys):

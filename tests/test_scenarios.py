@@ -108,6 +108,32 @@ def test_triangle_has_no_global_section_with_valid_farkas_certificate():
     assert value > 1e-7
 
 
+def test_pentagon_certificate_is_the_unscaled_cycle_inequality():
+    ok, cert = has_global_section(pentagon_extremal_model())
+    assert not ok
+    assert cert["constant"] == pytest.approx(-3.0, abs=1e-12)
+    assert cert["margin"] == pytest.approx(2.0, abs=1e-12)
+    coefs = [y for table in cert["coefficients"].values() for y in table.values()]
+    assert coefs
+    for y in coefs:
+        assert abs(y) == pytest.approx(1.0, abs=1e-12)
+
+
+def _uniform_cycle_model(n):
+    scn = ncycle_scenario(n)
+    uniform = {o: 0.25 for o in itertools.product((1, -1), repeat=2)}
+    return EmpiricalModel(scn, {ctx: dict(uniform) for ctx in scn.contexts})
+
+
+def test_global_section_size_cap_is_checked_before_enumeration():
+    # 2^14 = 16,384 global assignments, past the hull column cap
+    with pytest.raises(ValueError):
+        has_global_section(_uniform_cycle_model(14))
+    # 2^40 assignments: enumerating them would never finish
+    with pytest.raises(ValueError):
+        has_global_section(_uniform_cycle_model(40))
+
+
 def test_global_section_distribution_reproduces_tables():
     scn = ncycle_scenario(4)
     tables = {ctx: {o: 0.25 for o in itertools.product((1, -1), repeat=2)} for ctx in scn.contexts}
