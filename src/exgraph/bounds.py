@@ -22,8 +22,8 @@ import numpy as np
 from .graph import Graph, _bits, _popcount, complement
 from .numkernel import LinearProgram, lp_solve, sdp_solve
 
-# largest column count of a hull LP: the dense Farkas tableau holds about
-# 8 k^2 bytes for k columns, 0.54 GB at this cap
+# largest column count of a hull LP; both hull LPs have one row per
+# coordinate, so the cap bounds column enumeration and pivot work
 _HULL_MAX_COLUMNS = 8192
 # worst residual a hull answer may show when replayed in floating point
 _REPLAY_TOL = 1e-9
@@ -102,24 +102,41 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
 
 
 def fractional_packing(g: Graph) -> float:
-    """alpha*(G): maximize sum(x) subject to x(Q) <= 1 over maximal cliques Q,
-    0 <= x <= 1."""
+    """alpha*(G): maximize sum(x) subject to x(Q) <= 1 over maximal cliques Q
+    and x >= 0.
+
+    The packing LP has one row per maximal clique, so it is solved on its
+    short side: the minimum fractional clique cover, min sum(y) subject to
+    sum of y_Q over the cliques Q containing v >= 1 for every vertex v and
+    y >= 0, with one row per vertex.  Every vertex lies in a maximal clique,
+    so the packing needs no x <= 1 bounds.  The packing x is read off the
+    cover's duals, and both sides are replayed in floating point before the
+    value is returned; a failed replay raises RuntimeError.
+    """
     cliques = maximal_cliques(g)
     n = g.n
-    a = np.zeros((len(cliques), n))
-    for r, q in enumerate(cliques):
-        a[r, list(q)] = 1.0
-    lp = LinearProgram(
-        c=np.ones(n),
+    a = np.zeros((n, len(cliques)))
+    for col, q in enumerate(cliques):
+        a[list(q), col] = 1.0
+    res = lp_solve(LinearProgram(
+        c=np.ones(len(cliques)),
         a=a,
-        senses=("<=",) * len(cliques),
-        b=np.ones(len(cliques)),
-        bounds=((0.0, 1.0),) * n,
-        maximize=True,
-    )
-    res = lp_solve(lp)
+        senses=(">=",) * n,
+        b=np.ones(n),
+        bounds=((0.0, None),) * len(cliques),
+        maximize=False,
+    ))
     if res.status != "optimal":
-        raise RuntimeError(f"packing LP ended {res.status}")
+        raise RuntimeError(f"clique-cover LP ended {res.status}")
+    x, y = res.y, res.x
+    if (
+        x.min() < -_REPLAY_TOL
+        or np.max(x @ a) > 1.0 + _REPLAY_TOL
+        or y.min() < -_REPLAY_TOL
+        or np.min(a @ y) < 1.0 - _REPLAY_TOL
+        or abs(x.sum() - y.sum()) > _REPLAY_TOL
+    ):
+        raise RuntimeError("packing and clique cover fail their floating-point replay")
     return float(res.value)
 
 
@@ -226,13 +243,21 @@ def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarra
         if np.max(np.abs(ext @ x - rhs)) > _REPLAY_TOL or x.min() < -_REPLAY_TOL:
             raise RuntimeError("hull weights fail their floating-point replay")
         return True, x, None
+    # The Farkas LP, max y.[p; 1] subject to y.[v; 1] <= 0 on every column
+    # with y in [L, U], has one row per column.  Solve its dual instead:
+    # min U.mu+ - L.mu- subject to [V; 1] lam + mu+ - mu- = [p; 1], with
+    # d + 1 rows.  Its value is the margin and its duals are the functional.
+    upper = np.ones(d + 1)
+    lower = np.append(np.full(d, -1.0), -float(d))
+    eye = np.eye(d + 1)
     res = lp_solve(LinearProgram(
-        c=rhs, a=ext.T, senses=("<=",) * k, b=np.zeros(k),
-        bounds=((-1.0, 1.0),) * d + ((-float(d), 1.0),), maximize=True,
+        c=np.concatenate([np.zeros(k), upper, -lower]), a=np.hstack([ext, eye, -eye]),
+        senses=("=",) * (d + 1), b=rhs, bounds=((0.0, None),) * (k + 2 * (d + 1)), maximize=False,
     ))
-    if res.status != "optimal" or res.value <= tol or np.max(res.x @ ext) > _REPLAY_TOL:
+    y = res.y
+    if res.status != "optimal" or float(rhs @ y) <= tol or np.max(y @ ext) > _REPLAY_TOL:
         raise RuntimeError("point outside the hull without a valid Farkas functional")
-    return False, res.x, float(res.value)
+    return False, y, float(rhs @ y)
 
 
 def _independent_set_masks(g: Graph) -> list[int]:

@@ -31,6 +31,9 @@ class BellScenario:
             raise ValueError("settings and outcomes must list one entry per party")
         if any(m < 1 for m in self.settings) or any(o < 1 for o in self.outcomes):
             raise ValueError("every party needs at least one setting and one outcome")
+        # checked here, before any table of this shape is allocated
+        if math.prod(self.table_shape()) > _MAX_TABLE_ENTRIES:
+            raise ValueError("box table too large")
 
     @property
     def parties(self) -> int:
@@ -50,8 +53,6 @@ class Box:
         shape = self.scenario.table_shape()
         if self.table.shape != shape:
             raise ValueError(f"table shape {self.table.shape} does not match scenario {shape}")
-        if self.table.size > _MAX_TABLE_ENTRIES:
-            raise ValueError("box table too large")
 
     def validate(self, tol: float = 1e-9) -> None:
         if float(self.table.min()) < -tol:
@@ -104,7 +105,7 @@ def box_from_json_dict(data: dict) -> Box:
             for a_key, p in inner.items():
                 a = tuple(int(tok) for tok in str(a_key).split(","))
                 table[x + a] = float(p)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValueError(f"malformed box: {exc}") from exc
     box = Box(scn, table)
     box.validate(tol=1e-6)

@@ -133,7 +133,10 @@ def _cmd_membership(args) -> int:
         g, _ = _graph_from_args(args, data if "graph" in data else None)
     else:
         raise CliInputError('membership input must contain a "p" array')
-    p = [float(x) for x in p]
+    try:
+        p = [float(x) for x in p]
+    except (TypeError, ValueError) as exc:
+        raise CliInputError(f'"p" must be an array of numbers: {exc}') from exc
     if len(p) != g.n:
         raise CliInputError(f"p has {len(p)} entries for a {g.n}-vertex graph")
     in_stab, stab_cert = stab_membership(g, p)
@@ -190,7 +193,7 @@ def _cmd_ks_check(args) -> int:
         vs = kscolor.vector_system_from_json_dict(data)
         pins = {int(k): int(v) for k, v in (data.get("pins") or {}).items()}
         problem = kscolor.coloring_problem(vs, pins)
-    except (ValueError, TypeError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise CliInputError(str(exc)) from exc
     res = kscolor.classify_colorability(problem)
     out = {
@@ -258,7 +261,10 @@ def _cmd_scenario(args) -> int:
     data = _load_json(args.input)
     if "gamma" not in data:
         raise CliInputError('evaluate input needs a "gamma" array next to the model')
-    gamma = tuple(int(x) for x in data["gamma"])
+    try:
+        gamma = tuple(int(x) for x in data["gamma"])
+    except (TypeError, ValueError) as exc:
+        raise CliInputError(f'"gamma" must be an array of 1 and -1: {exc}') from exc
     ineq = scenarios.ncycle_inequality(len(gamma), gamma)
     form = data.get("form", "correlation")
     value = scenarios.evaluate_inequality(model, ineq, form=form)

@@ -116,9 +116,14 @@ class Graph:
 
 
 def from_edges(n: int, edges, labels=None) -> Graph:
+    if n > MAX_VERTICES:
+        raise GraphError(f"graph size {n} exceeds the supported maximum {MAX_VERTICES}")
     rows = [0] * n
     for e in edges:
-        i, j = int(e[0]), int(e[1])
+        try:
+            i, j = int(e[0]), int(e[1])
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise GraphError(f"edge {e!r} is not a vertex pair") from exc
         if i == j:
             raise GraphError(f"self-loop at vertex {i}")
         if not (0 <= i < n and 0 <= j < n):

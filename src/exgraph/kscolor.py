@@ -68,6 +68,8 @@ def vector_system(vectors, tol: float = 1e-9, labels=None) -> VectorSystem:
                     v = -v
                 break
         vecs.append(v)
+    if not vecs:
+        raise ValueError("empty vector system")
     d = vecs[0].shape[0]
     if any(v.shape != (d,) for v in vecs):
         raise ValueError("vectors of mixed dimension")

@@ -1,9 +1,15 @@
 """Dense two-phase simplex for the small LPs this package generates
-(fractional packing, polytope membership, circulant spectra).
+(fractional clique cover, polytope membership, circulant spectra).
 
 Pivoting uses the largest-improvement rule and switches to Bland's rule once
 50 consecutive degenerate pivots occur, which keeps the method finite.  All
 tolerances are absolute; the problems here are well scaled (entries O(1)).
+
+A solve costs pivots x rows x columns on a dense tableau, so callers state
+each LP on its short side (few rows, many columns).  The optimum carries the
+row duals read off the final tableau, so the other side of the LP comes for
+free: a caller that wants the long side solves the short one and reads the
+answer off `y`.
 """
 
 from __future__ import annotations
@@ -49,9 +55,14 @@ class LinearProgram:
 
 @dataclass
 class LpResult:
+    """`y` holds one dual per row of the LP as given (bound rows have none):
+    y_i is the rate at which the optimal value moves with b_i.  With only
+    x >= 0 bounds, b.y equals the value and y is optimal for the dual LP."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None = None
     x: np.ndarray | None = None
+    y: np.ndarray | None = None
 
 
 @dataclass
@@ -168,10 +179,12 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     a = std.a.copy()
     b = std.b.copy()
     senses = list(std.senses)
+    row_sign = np.ones(m)
     for i in range(m):
         if b[i] < 0:
             a[i] *= -1.0
             b[i] *= -1.0
+            row_sign[i] = -1.0
             senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
 
     slack_cols = []
@@ -196,13 +209,18 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     tab = np.zeros((m + 1, ncols + 1))
     tab[:m, :nstruct] = a
     basis = [-1] * m
+    # per row, the column that starts as the unit vector e_i: its reduced
+    # cost is minus the row's dual
+    unit_cols = np.zeros(m, dtype=int)
     for idx, (i, col, is_basic) in enumerate(slack_cols):
         tab[:m, nstruct + idx] = col
         if is_basic:
             basis[i] = nstruct + idx
+            unit_cols[i] = nstruct + idx
     for idx, i in enumerate(art_cols):
         tab[i, nstruct + nslack + idx] = 1.0
         basis[i] = nstruct + nslack + idx
+        unit_cols[i] = nstruct + nslack + idx
     tab[:m, -1] = b
 
     allowed = np.ones(ncols, dtype=bool)
@@ -259,4 +277,10 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         else:
             x[k] = xstd[spec[1]] - xstd[spec[2]]
     value = float(lp.c @ x)
-    return LpResult("optimal", value, x)
+    # the min-form dual of row i is minus the reduced cost of its unit
+    # column.  When phase 1 drops a redundant row, the artificial that was
+    # basic there keeps a zero column, so its row reads 0.  Undo the row
+    # orientation and the min-form sign (+ 0.0 clears -0.0), then drop the
+    # bound rows that _to_standard appended.
+    y = tab[-1, unit_cols] * (row_sign if lp.maximize else -row_sign) + 0.0
+    return LpResult("optimal", value, x, y[: lp.b.size])

@@ -117,7 +117,7 @@ def model_from_json_dict(data: dict) -> EmpiricalModel:
                 tuple(int(tok) for tok in out_key.split(",")): float(p)
                 for out_key, p in table.items()
             }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model: {exc}") from exc
     model = EmpiricalModel(scenario, tables)
     model.validate(tol=1e-6)

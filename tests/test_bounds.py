@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exgraph import bounds as bd
+from exgraph import excl
 from exgraph import graph as gr
 from oracles import (
     brute_independence,
@@ -68,6 +69,27 @@ def test_frozen_named_graphs():
 
     assert bd.fractional_packing(gr.complete_graph(7)) == pytest.approx(1.0, abs=1e-9)
     assert bd.lovasz_theta(gr.empty_graph(6)) == pytest.approx(6.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("a, b, value", [(5, 7, 8.75), (7, 7, 12.25)])
+def test_alpha_star_of_large_conormal_products(a, b, value):
+    # vertex-transitive, so alpha* = n / omega; C5 x C7 has 1,015 maximal
+    # cliques and C7 x C7 has 1,715
+    g = excl.conormal_product(gr.cycle_graph(a), gr.cycle_graph(b))
+    assert bd.fractional_packing(g) == pytest.approx(value, abs=1e-9)
+
+
+def test_fractional_packing_replays_both_sides(monkeypatch):
+    solve = bd.lp_solve
+
+    def skewed(lp):
+        res = solve(lp)
+        res.y = res.y + 1e-6  # the packing, read off the cover's duals
+        return res
+
+    monkeypatch.setattr(bd, "lp_solve", skewed)
+    with pytest.raises(RuntimeError):
+        bd.fractional_packing(gr.cycle_graph(5))
 
 
 def test_subset_intersection_family_values():
@@ -193,6 +215,21 @@ def test_stab_certificate_of_the_pentagon_is_frozen():
     assert cert == {"a": [1.0] * 5, "beta": 2.0, "margin": 1.0}
 
 
+def test_stab_separation_of_a_c15_point():
+    # 15 * 0.48 = 7.2 exceeds alpha(C15) = 7 by the margin 0.2
+    p = np.full(15, 0.48)
+    ok, cert = bd.stab_membership(gr.cycle_graph(15), p)
+    assert not ok
+    assert cert["margin"] == pytest.approx(0.2, abs=1e-9)
+    a = np.array(cert["a"])
+    assert float(a @ p) - cert["beta"] == pytest.approx(cert["margin"], abs=1e-12)
+    masks = np.arange(1 << 15)
+    ring = ((masks << 1) | (masks >> 14)) & 0x7FFF
+    chi = (masks[masks & ring == 0][:, None] >> np.arange(15)) & 1
+    assert chi.shape[0] == 1364
+    assert np.max(chi @ a) <= cert["beta"] + 1e-9
+
+
 def test_stab_membership_past_twenty_vertices():
     # the complement of C40 has 81 independent sets: the empty set, the 40
     # vertices and the 40 edges of C40
@@ -301,7 +338,9 @@ def test_hull_membership_replays_the_lp_answer(monkeypatch):
     def skewed(lp):
         res = solve(lp)
         if res.x is not None:
+            # the weights come from x and the Farkas functional from y
             res.x = res.x + 1e-6
+            res.y = res.y + 1e-6
         return res
 
     monkeypatch.setattr(bd, "lp_solve", skewed)

@@ -1,11 +1,17 @@
 """End-to-end command-line checks, run in process through cli.run."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exgraph import bounds, cli
 from exgraph.boxes import BellScenario, pr_box, uniform_box
@@ -65,6 +71,20 @@ def test_membership_requires_p(tmp_path, capsys):
     path.write_text(json.dumps({"graph": {"n": 3, "edges": []}}))
     assert cli.run(["membership", "--input", str(path)]) == 2
     assert '"p"' in capsys.readouterr().err
+
+
+def test_membership_rejects_non_numeric_p(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"graph": {"n": 5, "edges": [[0, 1]]}, "p": [0.1, 0.1, 0.1, 0.1, {"a": 1}]}))
+    assert cli.run(["membership", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_box_check_rejects_a_non_object_table(tmp_path, capsys):
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"parties": 2, "settings": 2, "outcomes": 2, "table": "x"}))
+    assert cli.run(["box", "check", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_malformed_json_reports_location(tmp_path, capsys):
@@ -242,3 +262,78 @@ def test_help_describes_the_json_schema(capsys):
     assert cli.run(["membership", "--help"]) == 0
     text = capsys.readouterr().out
     assert "p" in text and "graph" in text
+
+
+# any JSON value, kept small so that a fuzzed document stays cheap to run
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-2.0, 2.0) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+_DROP = object()
+
+
+def _paths(value, prefix=()):
+    """Every field of a JSON document, as a key path; () is the document."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _paths(inner, prefix + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    if new is _DROP and len(path) == 1:
+        del out[path[0]]
+    else:
+        out[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return out
+
+
+@st.composite
+def _mutated(draw, template):
+    """A valid document with one or two fields, at any depth, replaced by
+    arbitrary JSON; object keys may also be dropped."""
+    paths = draw(st.lists(st.sampled_from(list(_paths(template))), min_size=1, max_size=2, unique=True))
+    doc = template
+    # deepest first, so that a replaced ancestor still holds its child's path
+    for path in sorted(paths, key=len, reverse=True):
+        droppable = path and isinstance(path[-1], str)
+        doc = _replaced(doc, path, draw(_JSON | st.just(_DROP)) if droppable else draw(_JSON))
+    return doc
+
+
+_FUZZ_CASES = {
+    "bounds": (["bounds"], {"graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}),
+    "membership": (["membership"], {"graph": {"n": 5, "edges": [[0, 1]]}, "p": [0.1, 0.2, 0.3, 0.4, 0.5]}),
+    "box check": (["box", "check"], pr_box().to_json_dict()),
+    "scenario global-section": (["scenario", "global-section"], triangle_overlap_model().to_json_dict()),
+    "scenario evaluate": (["scenario", "evaluate"], {
+        "model": pentagon_extremal_model().to_json_dict(), "gamma": [1, 1, 1, 1, -1], "form": "correlation",
+    }),
+    "ks check": (["ks", "check"], {
+        "d": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], "tol": 1e-9, "pins": {"0": 1},
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_CASES))
+def test_json_loaders_never_raise(command):
+    argv, template = _FUZZ_CASES[command]
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(_mutated(template))
+    def check(document):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(document, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run(argv + ["--input", path])
+        assert code in (0, 1, 2)
+
+    check()

@@ -2,8 +2,9 @@
 helpers.
 
 The LP optimum is cross-checked against an independent vertex-enumeration
-oracle on small random instances, the SDP against hand-solvable programs
-and the pentagon value sqrt(5).
+oracle on small random instances and its duals against strong duality and
+complementary slackness, the SDP against hand-solvable programs and the
+pentagon value sqrt(5).
 """
 
 import itertools
@@ -136,6 +137,68 @@ class TestSimplex(unittest.TestCase):
             self.assertAlmostEqual(res.value, expect, places=6, msg=f"trial {trial}")
             self.assertTrue(np.all(a @ res.x <= b + 1e-8))
             self.assertTrue(np.all(res.x >= -1e-9) and np.all(res.x <= 10.0 + 1e-9))
+
+    def test_duals_skip_the_bound_rows(self):
+        lp = LinearProgram(
+            c=[1.0, 1.0], a=[[1.0, 1.0]], senses=("<=",), b=[1.5], bounds=((0.0, 1.0), (0.0, 1.0)),
+        )
+        res = lp_solve(lp)
+        self.assertAlmostEqual(res.value, 1.5, places=12)
+        np.testing.assert_allclose(res.y, [1.0], atol=1e-12)
+
+
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+@st.composite
+def _feasible_lps(draw):
+    """A feasible LP over x >= 0 whose rows include a bounding sum(x) <= s,
+    with mixed senses, rows negated (so some right-hand sides are negative)
+    and one row repeated."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    a = np.array(draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)), dtype=float).reshape(m, n)
+    x0 = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=float)
+    senses = draw(st.lists(st.sampled_from(("<=", ">=", "=")), min_size=m, max_size=m))
+    gaps = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)), dtype=float)
+    b = a @ x0 + np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in senses]) * gaps
+    a = np.vstack([a, np.ones(n)])
+    b = np.append(b, x0.sum() + draw(st.integers(0, 3)))
+    senses.append("<=")
+    for i in draw(st.lists(st.integers(0, m), max_size=m + 1, unique=True)):
+        a[i], b[i], senses[i] = -a[i], -b[i], _FLIP[senses[i]]
+    dup = draw(st.integers(0, m))
+    a = np.vstack([a, a[dup]])
+    b = np.append(b, b[dup])
+    senses.append(senses[dup])
+    c = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    return LinearProgram(c=c, a=a, senses=tuple(senses), b=b, bounds=((0.0, None),) * n,
+                         maximize=draw(st.booleans()))
+
+
+class TestLpDuals(unittest.TestCase):
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_feasible_lps())
+    def test_duals_are_optimal(self, lp):
+        res = lp_solve(lp)
+        self.assertEqual(res.status, "optimal")
+        x, y = res.x, res.y
+        self.assertEqual(y.shape, lp.b.shape)
+        # strong duality
+        self.assertLessEqual(abs(lp.b @ y - res.value), 1e-9)
+        self.assertLessEqual(abs(lp.c @ x - res.value), 1e-9)
+        # dual feasibility, in the orientation of a maximisation
+        sign = 1.0 if lp.maximize else -1.0
+        reduced = sign * (lp.a.T @ y - lp.c)
+        self.assertGreaterEqual(reduced.min(), -1e-9)
+        for yi, s in zip(sign * y, lp.senses):
+            if s == "<=":
+                self.assertGreaterEqual(yi, -1e-9)
+            elif s == ">=":
+                self.assertLessEqual(yi, 1e-9)
+        # complementary slackness
+        self.assertLessEqual(np.max(np.abs(y * (lp.b - lp.a @ x))), 1e-9)
+        self.assertLessEqual(np.max(np.abs(x * reduced)), 1e-9)
 
 
 PENTAGON_EDGES = (np.arange(5), (np.arange(5) + 1) % 5)
