@@ -24,6 +24,7 @@ from .bounds import (
     qstab_membership,
     stab_membership,
     th_membership,
+    th_membership_many,
     theta_circulant_oracle,
 )
 
@@ -343,6 +344,17 @@ _CIRCULANT_SPECS = (
 )
 
 
+def _chain_points(g: gr.Graph, rng: np.random.Generator) -> list[np.ndarray]:
+    """Criterion 13's 100 random points on g: positive weights scaled so the
+    heaviest clique sums to between 0.2 and 1.3."""
+    points = []
+    for _ in range(100):
+        w = rng.uniform(0.05, 1.0, size=g.n)
+        clique_max = max(w[list(q)].sum() for q in maximal_cliques(g))
+        points.append(w * rng.uniform(0.2, 1.3) / clique_max)
+    return points
+
+
 def criterion_13() -> CriterionResult:
     failures = []
     for name, build in _SAMPLING_CORPUS + _SANDWICH_EXTRAS:
@@ -356,12 +368,9 @@ def criterion_13() -> CriterionResult:
     rng = np.random.default_rng(2024)
     for name, build in _SAMPLING_CORPUS:
         g = build()
-        for _ in range(100):
-            w = rng.uniform(0.05, 1.0, size=g.n)
-            clique_max = max(w[list(q)].sum() for q in maximal_cliques(g))
-            p = w * rng.uniform(0.2, 1.3) / clique_max
+        points = _chain_points(g, rng)
+        for p, (in_th, _) in zip(points, th_membership_many(g, points)):
             in_stab, _ = stab_membership(g, p)
-            in_th, _ = th_membership(g, p)
             in_qstab, _ = qstab_membership(g, p, tol=1e-6)
             if in_stab and not in_th:
                 failures.append(f"{name}: point in the classical set escaped the quantum set")

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graph import Graph, _bits, _popcount, complement
-from .numkernel import LinearProgram, lp_solve, sdp_solve
+from .numkernel import LinearProgram, lp_solve, sdp_solve, sdp_solve_many
 
 # largest column count of a hull LP; both hull LPs have one row per
 # coordinate, so the cap bounds column enumeration and pivot work
@@ -140,10 +140,13 @@ def fractional_packing(g: Graph) -> float:
     return float(res.value)
 
 
-def _theta_sdp(n: int, rows: tuple[int, ...], w: np.ndarray, tol: float):
+def _edge_arrays(n: int, rows: tuple[int, ...]) -> np.ndarray:
     pairs = [(i, j) for i in range(n) for j in _bits(rows[i]) if j > i]
-    edges = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return sdp_solve(np.sqrt(np.outer(w, w)), edges, tol=tol)
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
+def _theta_sdp(n: int, rows: tuple[int, ...], w: np.ndarray, tol: float):
+    return sdp_solve(np.sqrt(np.outer(w, w)), _edge_arrays(n, rows), tol=tol)
 
 
 @lru_cache(maxsize=_THETA_CACHE_SIZE)
@@ -282,9 +285,16 @@ def stab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict]:
         raise ValueError("one coordinate per vertex required")
     masks = _independent_set_masks(g)
     chi = np.array([[m >> v & 1 for m in masks] for v in range(g.n)], dtype=float).reshape(g.n, len(masks))
-    inside, y, margin = hull_membership(chi, p, tol)
+    inside, y, _ = hull_membership(chi, p, tol)
     if inside:
         return True, {"weights": {tuple(_bits(m)): float(w) for m, w in zip(masks, y) if w > tol}}
+    # the functional is read off a reduced-cost row, so a zero coefficient
+    # can come back as roundoff; zero those, then replay the snapped
+    # functional on every independent set
+    y[: g.n][np.abs(y[: g.n]) <= tol] = 0.0
+    margin = float(np.append(p, 1.0) @ y)
+    if margin <= tol or np.max(y[: g.n] @ chi) + y[g.n] > _REPLAY_TOL:
+        raise RuntimeError("STAB separation fails its replay after zeroing roundoff")
     return False, {"a": [float(v) for v in y[: g.n]], "beta": 0.0 - float(y[g.n]), "margin": margin}
 
 
@@ -299,6 +309,29 @@ def th_membership(g: Graph, p, tol: float = 1e-6, theta_tol: float = 5e-7) -> tu
     p = np.clip(p, 0.0, None)
     theta = lovasz_theta(complement(g), weights=tuple(p), tol=theta_tol)
     return theta <= 1.0 + tol, theta
+
+
+def th_membership_many(g: Graph, points, tol: float = 1e-6, theta_tol: float = 5e-7) -> list[tuple[bool, float | None]]:
+    """th_membership for each row of points, by the same rule: a row with a
+    coordinate below -tol is outside without a solve; the others are clipped
+    at 0 and their weighted thetas of the complement are solved together, as
+    one stack of programs on one graph."""
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != g.n:
+        raise ValueError("one coordinate per vertex required")
+    outside = p.min(axis=1) < -tol
+    w = np.clip(p[~outside], 0.0, None)
+    edges = _edge_arrays(g.n, complement(g).rows)
+    solved = sdp_solve_many(np.sqrt(w[:, :, None] * w[:, None, :]), edges, tol=theta_tol)
+    thetas = iter(res.value for res in solved)
+    verdicts: list[tuple[bool, float | None]] = []
+    for out in outside:
+        if out:
+            verdicts.append((False, None))
+        else:
+            theta = next(thetas)
+            verdicts.append((theta <= 1.0 + tol, theta))
+    return verdicts
 
 
 def qstab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict | None]:

@@ -93,6 +93,15 @@ def _per_party(value, parties: int, name: str) -> tuple[int, ...]:
     return out
 
 
+def _table_key(key, sizes: tuple[int, ...], what: str) -> tuple[int, ...]:
+    """Parse a "i,j,..." table key: one index per party, each in range (a
+    negative index would otherwise wrap to the last setting or outcome)."""
+    idx = tuple(int(tok) for tok in str(key).split(","))
+    if len(idx) != len(sizes) or any(not 0 <= i < n for i, n in zip(idx, sizes)):
+        raise ValueError(f"{what} key {key!r} is not {len(sizes)} indices below {list(sizes)}")
+    return idx
+
+
 def box_from_json_dict(data: dict) -> Box:
     try:
         parties = int(data["parties"])
@@ -101,10 +110,9 @@ def box_from_json_dict(data: dict) -> Box:
         scn = BellScenario(settings, outcomes)
         table = np.zeros(scn.table_shape())
         for x_key, inner in data["table"].items():
-            x = tuple(int(tok) for tok in str(x_key).split(","))
+            x = _table_key(x_key, scn.settings, "settings")
             for a_key, p in inner.items():
-                a = tuple(int(tok) for tok in str(a_key).split(","))
-                table[x + a] = float(p)
+                table[x + _table_key(a_key, scn.outcomes, "outcome")] = float(p)
     except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValueError(f"malformed box: {exc}") from exc
     box = Box(scn, table)

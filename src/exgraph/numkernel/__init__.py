@@ -1,10 +1,10 @@
 """Dense numerical kernels: LP (two-phase simplex), the theta-program SDP
-(primal-dual interior point with certified bound pairs), complex matrix
-helpers."""
+(primal-dual interior point with certified bound pairs, for one program or
+a lockstep stack of programs on one graph), complex matrix helpers."""
 
 from .cmat import is_hermitian, is_projector, tensor_product
 from .lp import LinearProgram, LpError, LpResult, lp_solve
-from .sdp import SdpError, SdpResult, sdp_solve
+from .sdp import SdpError, SdpResult, sdp_solve, sdp_solve_many
 
 __all__ = [
     "is_hermitian",
@@ -17,4 +17,5 @@ __all__ = [
     "SdpError",
     "SdpResult",
     "sdp_solve",
+    "sdp_solve_many",
 ]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exgraph import acceptance
 from exgraph import bounds as bd
 from exgraph import excl
 from exgraph import graph as gr
@@ -256,6 +257,61 @@ def test_th_membership_boundary_cases():
     assert theta == pytest.approx(ROOT5 / 2, abs=1e-5)
     neg, theta = bd.th_membership(g, [0.2, -0.1, 0.2, 0.2, 0.2])
     assert not neg and theta is None
+
+
+def test_th_membership_many_matches_the_scalar_route_on_criterion_13():
+    # the 500 points criterion 13 draws, in its order
+    rng = np.random.default_rng(2024)
+    for _, build in acceptance._SAMPLING_CORPUS:
+        g = build()
+        points = acceptance._chain_points(g, rng)
+        for p, (inside, theta) in zip(points, bd.th_membership_many(g, points)):
+            want_inside, want_theta = bd.th_membership(g, p)
+            assert inside == want_inside
+            assert abs(theta - want_theta) <= 1e-12
+
+
+def test_th_membership_many_screens_negative_rows_before_solving(monkeypatch):
+    g = gr.cycle_graph(5)
+    stacks = []
+    solve = bd.sdp_solve_many
+
+    def counting(costs, edges, tol):
+        stacks.append(len(costs))
+        return solve(costs, edges, tol=tol)
+
+    monkeypatch.setattr(bd, "sdp_solve_many", counting)
+    rows = [np.full(5, 1.0 / ROOT5), [0.2, -0.1, 0.2, 0.2, 0.2], np.full(5, 0.5), [0.2, 0.2, 0.2, 0.2, -1e-7]]
+    got = bd.th_membership_many(g, rows)
+    assert stacks == [3]
+    assert got[1] == (False, None)
+    # a coordinate within tol of 0 is clipped and solved, as th_membership does
+    for row, (inside, theta) in zip(rows, got):
+        assert (inside, theta) == bd.th_membership(g, row)
+    with pytest.raises(ValueError):
+        bd.th_membership_many(g, np.zeros((2, 4)))
+
+
+def test_stab_certificates_carry_no_roundoff_and_hold_on_every_independent_set():
+    # coefficients read off a reduced-cost row used to come back as 1e-14
+    # where the functional is zero
+    rng = np.random.default_rng(13)
+    outside = 0
+    for n in (5, 7, 9, 11, 13):
+        masks = np.arange(1 << n)
+        ring = ((masks << 1) | (masks >> (n - 1))) & ((1 << n) - 1)
+        chi = (masks[masks & ring == 0][:, None] >> np.arange(n)) & 1
+        for _ in range(30):
+            p = rng.uniform(0.25, 0.6, n)
+            ok, cert = bd.stab_membership(gr.cycle_graph(n), p)
+            if ok:
+                continue
+            outside += 1
+            a = np.array(cert["a"])
+            assert not np.any((a != 0) & (np.abs(a) <= 1e-9))
+            assert np.max(chi @ a) <= cert["beta"] + 1e-9
+            assert float(a @ p) - cert["beta"] == pytest.approx(cert["margin"], abs=1e-12)
+    assert outside >= 100
 
 
 def test_qstab_membership_and_certificates():

@@ -159,6 +159,26 @@ def test_box_json_roundtrip_with_scalar_and_per_party_fields():
         box_from_json_dict({"parties": 2, "settings": [2, 2, 2], "outcomes": 2, "table": {}})
 
 
+@pytest.mark.parametrize("level, key, bad", [
+    ("settings", "1,1", "-1,-1"),
+    ("settings", "1,1", "1"),
+    ("settings", "1,1", "1,1,0"),
+    ("settings", "1,1", "2,1"),
+    ("outcome", "1,0", "-1,0"),
+    ("outcome", "1,0", "1"),
+    ("outcome", "1,0", "1,2"),
+])
+def test_box_table_keys_are_one_index_per_party_in_range(level, key, bad):
+    # a negative index used to wrap to the last setting or outcome, and a
+    # short key used to fill a whole slice, so both loaded a box silently
+    data = pr_box().to_json_dict()
+    rows = [data["table"]] if level == "settings" else data["table"].values()
+    for row in rows:
+        row[bad] = row.pop(key)
+    with pytest.raises(ValueError, match=f"{level} key"):
+        box_from_json_dict(data)
+
+
 def test_gyni_local_maximum_is_one_in_sum_form():
     scn = BellScenario((2, 2, 2), (2, 2, 2))
     best = 0.0

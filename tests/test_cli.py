@@ -87,6 +87,15 @@ def test_box_check_rejects_a_non_object_table(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_box_check_rejects_a_negative_table_key(tmp_path, capsys):
+    data = pr_box().to_json_dict()
+    data["table"]["-1,-1"] = data["table"].pop("1,1")
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(data))
+    assert cli.run(["box", "check", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_malformed_json_reports_location(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 3, "edges": [[0, 1],]}')

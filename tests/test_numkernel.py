@@ -4,7 +4,7 @@ helpers.
 The LP optimum is cross-checked against an independent vertex-enumeration
 oracle on small random instances and its duals against strong duality and
 complementary slackness, the SDP against hand-solvable programs and the
-pentagon value sqrt(5).
+pentagon value sqrt(5), and a stack of SDPs against separate solves.
 """
 
 import itertools
@@ -24,6 +24,7 @@ from exgraph.numkernel import (
     is_projector,
     lp_solve,
     sdp_solve,
+    sdp_solve_many,
     tensor_product,
 )
 from oracles import brute_independence
@@ -338,6 +339,88 @@ class TestSdpProperties(unittest.TestCase):
         pick = rng.random(ii.size) < 0.3
         res = sdp_solve(np.ones((64, 64)), (ii[pick], jj[pick]))
         self.assertLessEqual(res.upper - res.lower, 5e-7)
+
+
+# C5 weights whose programs converge in 6, 7 and 9 iterations
+STAGGERED = np.array([[1.0, 1, 0, 0, 0], [1, 1, 1, 1, 1], [5, 1, 1, 1, 1]])
+
+
+def _stack(weights):
+    return np.sqrt(weights[:, :, None] * weights[:, None, :])
+
+
+@st.composite
+def _weighted_stacks(draw):
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    count = draw(st.integers(1, 6))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_subnormal=False))
+    w = draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=count, max_size=count))
+    return [p for p, k in zip(pairs, keep) if k], np.array(w)
+
+
+class TestSdpStack(unittest.TestCase):
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_weighted_stacks())
+    def test_stack_matches_separate_solves(self, case):
+        edges, w = case
+        costs = _stack(w)
+        stacked = sdp_solve_many(costs, _edge_arrays(edges))
+        self.assertEqual(len(stacked), len(w))
+        for cost, res in zip(costs, stacked):
+            alone = sdp_solve(cost, _edge_arrays(edges))
+            self.assertEqual(res.iterations, alone.iterations)
+            self.assertLessEqual(abs(res.lower - alone.lower), 1e-12)
+            self.assertLessEqual(abs(res.upper - alone.upper), 1e-12)
+            self.assertLessEqual(res.upper - res.lower, 5e-7)
+
+    def test_programs_leave_the_stack_when_certified(self):
+        res = sdp_solve_many(_stack(STAGGERED), PENTAGON_EDGES)
+        self.assertEqual([r.iterations for r in res], [6, 7, 9])
+        self.assertLess(abs(res[1].value - math.sqrt(5.0)), 2.5e-7)
+
+    def test_iteration_cap_raises_with_an_unfinished_program(self):
+        # the first two programs finish within the cap; the third, whose
+        # optimum is 6, does not
+        with self.assertRaises(SdpError) as ctx:
+            sdp_solve_many(_stack(STAGGERED), PENTAGON_EDGES, max_iter=7)
+        exc = ctx.exception
+        self.assertIn("no convergence in 7 iterations", str(exc))
+        self.assertGreater(exc.upper - exc.lower, 5e-7)
+        self.assertLessEqual(exc.lower, 6.0 + 1e-9)
+        self.assertGreaterEqual(exc.upper, 6.0 - 1e-9)
+
+    def test_breakdown_raises_with_an_unfinished_program(self):
+        # two Cholesky calls per iteration: the 15th is the first of
+        # iteration 8, which only the third program reaches
+        real = np.linalg.cholesky
+        calls = []
+
+        def failing(a):
+            calls.append(1)
+            if len(calls) == 15:
+                raise np.linalg.LinAlgError("injected")
+            return real(a)
+
+        with unittest.mock.patch.object(np.linalg, "cholesky", failing):
+            with self.assertRaises(SdpError) as ctx:
+                sdp_solve_many(_stack(STAGGERED), PENTAGON_EDGES)
+        exc = ctx.exception
+        self.assertIn("numerical breakdown after 7 iterations", str(exc))
+        self.assertTrue(math.isfinite(exc.lower) and math.isfinite(exc.upper))
+        self.assertLessEqual(exc.lower, 6.0 + 1e-9)
+        self.assertGreaterEqual(exc.upper, 6.0 - 1e-9)
+
+    def test_stack_validation(self):
+        self.assertEqual(sdp_solve_many(np.zeros((0, 3, 3)), NO_EDGES), [])
+        for bad in (np.ones((3, 3)), np.ones((2, 3, 4)), np.ones((1, 2, 3, 3))):
+            with self.assertRaises(ValueError):
+                sdp_solve_many(bad, NO_EDGES)
+        with self.assertRaises(ValueError):
+            sdp_solve(np.ones((1, 3, 3)), NO_EDGES)
+        with self.assertRaises(ValueError):
+            sdp_solve_many(np.ones((2, 3, 3)), ([0], [3]))
 
 
 class TestComplexHelpers(unittest.TestCase):
