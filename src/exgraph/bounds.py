@@ -123,8 +123,6 @@ def fractional_packing(g: Graph) -> float:
         a=a,
         senses=(">=",) * n,
         b=np.ones(n),
-        bounds=((0.0, None),) * len(cliques),
-        maximize=False,
     ))
     if res.status != "optimal":
         raise RuntimeError(f"clique-cover LP ended {res.status}")
@@ -196,7 +194,7 @@ def theta_circulant_oracle(n: int, offsets) -> float:
     free = [j for j in range(1, half + 1) if j not in offs]
     if not free:
         return 1.0
-    mult = [1.0 if (n % 2 == 0 and j == half) else 2.0 for j in free]
+    mult = np.array([1.0 if (n % 2 == 0 and j == half) else 2.0 for j in free])
     rows = []
     for m in range(half + 1):
         row = []
@@ -206,19 +204,20 @@ def theta_circulant_oracle(n: int, offsets) -> float:
             else:
                 row.append(2.0 * math.cos(2.0 * math.pi * j * m / n))
         rows.append(row)
-    # eigenvalue rows: 1/n + sum_j coef(j, m) x_j >= 0
-    lp = LinearProgram(
-        c=np.array(mult) * n,
-        a=-np.array(rows),
-        senses=("<=",) * (half + 1),
-        b=np.full(half + 1, 1.0 / n),
-        bounds=((-1.0 / n, 1.0 / n),) * len(free),
-        maximize=True,
-    )
-    res = lp_solve(lp)
+    coef = np.array(rows)
+    # theta = 1 + max n mult.x over the circulant X with X_00 = 1/n and
+    # X_0j = x_j, subject to the eigenvalue rows 1/n + coef @ x >= 0.  Those
+    # rows make X PSD, so |x_j| <= X_00 = 1/n holds without bound rows.  In
+    # u = x + 1/n >= 0 the LP is min -n mult.u, coef @ u >= (coef.sum(1) - 1)/n.
+    res = lp_solve(LinearProgram(
+        c=-n * mult,
+        a=coef,
+        senses=(">=",) * (half + 1),
+        b=(coef.sum(1) - 1.0) / n,
+    ))
     if res.status != "optimal":
         raise RuntimeError(f"circulant LP ended {res.status}")
-    return 1.0 + float(res.value)
+    return 1.0 - float(res.value) - float(mult.sum())
 
 
 def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarray, float | None]:
@@ -238,9 +237,7 @@ def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarra
     if rhs.shape != (d + 1,):
         raise ValueError("one point coordinate per vertex row required")
     ext = np.vstack([vertices, np.ones(k)])
-    res = lp_solve(LinearProgram(
-        c=np.zeros(k), a=ext, senses=("=",) * (d + 1), b=rhs, bounds=((0.0, None),) * k, maximize=False,
-    ))
+    res = lp_solve(LinearProgram(c=np.zeros(k), a=ext, senses=("=",) * (d + 1), b=rhs))
     if res.status == "optimal":
         x = res.x
         if np.max(np.abs(ext @ x - rhs)) > _REPLAY_TOL or x.min() < -_REPLAY_TOL:
@@ -255,7 +252,7 @@ def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarra
     eye = np.eye(d + 1)
     res = lp_solve(LinearProgram(
         c=np.concatenate([np.zeros(k), upper, -lower]), a=np.hstack([ext, eye, -eye]),
-        senses=("=",) * (d + 1), b=rhs, bounds=((0.0, None),) * (k + 2 * (d + 1)), maximize=False,
+        senses=("=",) * (d + 1), b=rhs,
     ))
     y = res.y
     if res.status != "optimal" or float(rhs @ y) <= tol or np.max(y @ ext) > _REPLAY_TOL:
@@ -341,6 +338,8 @@ def qstab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict | None]
     p = np.asarray(p, dtype=float)
     if p.shape != (g.n,):
         raise ValueError("one coordinate per vertex required")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("coordinates must be finite")
     bad = int(np.argmin(p))
     if p[bad] < -tol:
         return False, {"kind": "negative", "vertex": bad, "value": float(p[bad])}

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
-from . import acceptance, boxes, excl, kscolor, quantum, scenarios
+from . import acceptance, boxes, excl, kscolor, scenarios
 from . import graph as gr
 from .bounds import bounds_report, qstab_membership, stab_membership, th_membership
 from .numkernel import LpError, SdpError
@@ -325,9 +324,14 @@ def _cmd_box(args) -> int:
         return 0
     if which == "ic-nested":
         params = _load_json(args.input) if args.input else {}
-        d = int(params.get("d", 2))
-        e = float(params.get("e", 1.0))
-        levels = int(params.get("levels", args.n or 6))
+        if not isinstance(params, dict):
+            raise CliInputError('ic-nested input must be an object {"d", "e", "levels"}')
+        try:
+            d = int(params.get("d", 2))
+            e = float(params.get("e", 1.0))
+            levels = int(params.get("levels", args.n or 6))
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise CliInputError(f'"d", "e" and "levels" must be numbers: {exc}') from exc
         res = boxes.nested_ic(d, e, levels)
         _emit({
             "d": d,
@@ -389,9 +393,19 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="JSON file with a graph object {n, edges[, labels]}")
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"--tol must be a positive finite number, got {text!r}")
+    return tol
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write to this file instead of standard output")
-    p.add_argument("--tol", type=float, help="numeric tolerance override")
+    p.add_argument("--tol", type=_tolerance, help="numeric tolerance override (positive)")
 
 
 def build_parser() -> argparse.ArgumentParser:

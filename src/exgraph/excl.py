@@ -24,7 +24,6 @@ from .bounds import (
     lovasz_theta,
     lovasz_theta_matrix,
     maximal_cliques,
-    th_membership,
 )
 
 

@@ -1,6 +1,10 @@
 """Dense two-phase simplex for the small LPs this package generates
 (fractional clique cover, polytope membership, circulant spectra).
 
+Every LP has one form: minimise c.x subject to A x (senses) b and x >= 0.
+There are no other variable bounds and no maximisation; a caller that needs
+either restates its LP in this form (negate c, shift a variable, or add a row).
+
 Pivoting uses the largest-improvement rule and switches to Bland's rule once
 50 consecutive degenerate pivots occur, which keeps the method finite.  All
 tolerances are absolute; the problems here are well scaled (entries O(1)).
@@ -29,12 +33,12 @@ class LpError(RuntimeError):
 
 @dataclass
 class LinearProgram:
+    """minimise c.x subject to a x (senses) b and x >= 0."""
+
     c: np.ndarray
     a: np.ndarray
     senses: tuple[str, ...]
     b: np.ndarray
-    bounds: tuple[tuple[float | None, float | None], ...]
-    maximize: bool = True
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -44,8 +48,6 @@ class LinearProgram:
             raise ValueError(
                 f"inconsistent LP dimensions: A {self.a.shape}, b {self.b.size}, c {self.c.size}"
             )
-        if len(self.bounds) != self.c.size:
-            raise ValueError("one (lo, hi) bound pair per variable required")
         for s in self.senses:
             if s not in ("<=", "=", ">="):
                 raise ValueError(f"unknown row sense {s!r}")
@@ -55,77 +57,14 @@ class LinearProgram:
 
 @dataclass
 class LpResult:
-    """`y` holds one dual per row of the LP as given (bound rows have none):
-    y_i is the rate at which the optimal value moves with b_i.  With only
-    x >= 0 bounds, b.y equals the value and y is optimal for the dual LP."""
+    """`y` holds one dual per row: y_i is the rate at which the minimum moves
+    with b_i.  b.y equals the value and y is optimal for the dual LP, max b.y
+    subject to A^T y <= c with y_i >= 0 on ">=" rows and <= 0 on "<=" rows."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None = None
     x: np.ndarray | None = None
     y: np.ndarray | None = None
-
-
-@dataclass
-class _Standard:
-    """min c.x, A x (senses) b, x >= 0, plus the bookkeeping to undo the transform."""
-
-    c: np.ndarray
-    a: np.ndarray
-    senses: list[str]
-    b: np.ndarray
-    const: float
-    recover: list[tuple]  # per original variable: ("shift", col, lo) | ("flip", col, hi) | ("split", col_p, col_m)
-
-
-def _to_standard(lp: LinearProgram) -> _Standard:
-    nvar = lp.c.size
-    c = (-lp.c if lp.maximize else lp.c).astype(float).tolist()
-    cols: list[np.ndarray] = []
-    recover: list[tuple] = []
-    extra_rows: list[tuple[np.ndarray, str, float]] = []
-    b = lp.b.astype(float).copy()
-    const = 0.0
-    ccols: list[float] = []
-
-    for k in range(nvar):
-        lo, hi = lp.bounds[k]
-        col = lp.a[:, k].copy()
-        ck = c[k]
-        if lo is not None and np.isfinite(lo):
-            # x = lo + x'
-            b -= col * lo
-            const += ck * lo
-            cols.append(col)
-            ccols.append(ck)
-            recover.append(("shift", len(cols) - 1, float(lo)))
-            if hi is not None and np.isfinite(hi):
-                extra_rows.append((len(cols) - 1, "<=", float(hi) - float(lo)))
-        elif hi is not None and np.isfinite(hi):
-            # x = hi - x'
-            b -= col * hi
-            const += ck * hi
-            cols.append(-col)
-            ccols.append(-ck)
-            recover.append(("flip", len(cols) - 1, float(hi)))
-        else:
-            # free: x = xp - xm
-            cols.append(col)
-            ccols.append(ck)
-            cols.append(-col)
-            ccols.append(-ck)
-            recover.append(("split", len(cols) - 2, len(cols) - 1))
-
-    a = np.column_stack(cols) if cols else np.zeros((lp.b.size, 0))
-    senses = list(lp.senses)
-    brows = [b]
-    for col_idx, sense, rhs in extra_rows:
-        row = np.zeros(a.shape[1])
-        row[col_idx] = 1.0
-        a = np.vstack([a, row])
-        senses.append(sense)
-        brows.append(np.array([rhs]))
-    b = np.concatenate(brows)
-    return _Standard(np.asarray(ccols), a, senses, b, const, recover)
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -172,13 +111,12 @@ def _run_simplex(tab: np.ndarray, basis: list[int], ncols: int, allowed: np.ndar
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    std = _to_standard(lp)
-    m, nstruct = std.a.shape
+    m, nstruct = lp.a.shape
 
     # orient rows so every rhs is nonnegative
-    a = std.a.copy()
-    b = std.b.copy()
-    senses = list(std.senses)
+    a = lp.a.copy()
+    b = lp.b.copy()
+    senses = list(lp.senses)
     row_sign = np.ones(m)
     for i in range(m):
         if b[i] < 0:
@@ -189,7 +127,6 @@ def lp_solve(lp: LinearProgram) -> LpResult:
 
     slack_cols = []
     art_cols = []
-    blocks = [a]
     for i, s in enumerate(senses):
         if s == "<=":
             col = np.zeros(m)
@@ -256,31 +193,21 @@ def lp_solve(lp: LinearProgram) -> LpResult:
 
     # phase 2: the real objective
     tab[-1, :] = 0.0
-    tab[-1, :nstruct] = std.c
+    tab[-1, :nstruct] = lp.c
     for r in range(m):
         bc = basis[r]
-        if bc < nstruct and abs(std.c[bc]) > 0:
-            tab[-1] -= std.c[bc] * tab[r]
+        if bc < nstruct and abs(lp.c[bc]) > 0:
+            tab[-1] -= lp.c[bc] * tab[r]
     status = _run_simplex(tab, basis, ncols, allowed)
     if status == "unbounded":
         return LpResult("unbounded")
 
-    xstd = np.zeros(ncols)
-    for r in range(m):
-        xstd[basis[r]] = tab[r, -1]
-    x = np.zeros(len(std.recover))
-    for k, spec in enumerate(std.recover):
-        if spec[0] == "shift":
-            x[k] = xstd[spec[1]] + spec[2]
-        elif spec[0] == "flip":
-            x[k] = spec[2] - xstd[spec[1]]
-        else:
-            x[k] = xstd[spec[1]] - xstd[spec[2]]
+    values = np.zeros(ncols)
+    values[basis] = tab[:m, -1]
+    x = values[:nstruct] + 0.0  # + 0.0 clears -0.0
     value = float(lp.c @ x)
-    # the min-form dual of row i is minus the reduced cost of its unit
-    # column.  When phase 1 drops a redundant row, the artificial that was
-    # basic there keeps a zero column, so its row reads 0.  Undo the row
-    # orientation and the min-form sign (+ 0.0 clears -0.0), then drop the
-    # bound rows that _to_standard appended.
-    y = tab[-1, unit_cols] * (row_sign if lp.maximize else -row_sign) + 0.0
-    return LpResult("optimal", value, x, y[: lp.b.size])
+    # the dual of row i is minus the reduced cost of its unit column.  When
+    # phase 1 drops a redundant row, the artificial that was basic there
+    # keeps a zero column, so its row reads 0.  Undo the row orientation.
+    y = -tab[-1, unit_cols] * row_sign + 0.0
+    return LpResult("optimal", value, x, y)

@@ -92,6 +92,8 @@ def sdp_solve_many(costs: np.ndarray, edges, tol: float = 5e-7, max_iter: int = 
     cost = np.asarray(costs, dtype=float)
     if cost.ndim != 3 or cost.shape[1] != cost.shape[2]:
         raise ValueError("costs must be a stack of square matrices")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("costs must be finite")
     m = cost.shape[1]
     ii, jj = (np.asarray(a, dtype=np.intp) for a in edges)
     if ii.shape != jj.shape or np.any(ii == jj) or np.any((ii < 0) | (ii >= m) | (jj < 0) | (jj >= m)):

@@ -314,6 +314,21 @@ def test_stab_certificates_carry_no_roundoff_and_hold_on_every_independent_set()
     assert outside >= 100
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_weights_and_points_are_rejected(bad):
+    # LinAlgError subclasses ValueError, so the match tells the two apart
+    g = gr.cycle_graph(5)
+    w = [0.2, bad, 0.2, 0.2, 0.2]
+    with pytest.raises(ValueError, match="finite"):
+        bd.lovasz_theta(g, weights=w)
+    with pytest.raises(ValueError, match="finite"):
+        bd.th_membership(g, w)
+    with pytest.raises(ValueError, match="finite"):
+        bd.qstab_membership(g, w)
+    with pytest.raises(ValueError, match="finite"):
+        bd.qstab_membership(g, [math.nan] * 5)
+
+
 def test_qstab_membership_and_certificates():
     g = gr.cycle_graph(5)
     ok, cert = bd.qstab_membership(g, np.full(5, 0.5))

@@ -226,6 +226,24 @@ def test_box_nested_from_input(tmp_path, capsys):
     assert data["ic_violation_condition"] is False
 
 
+@pytest.mark.parametrize("document", [[1, 2], {"d": [2]}, {"e": {"x": 1}}, {"levels": None}])
+def test_box_nested_rejects_a_non_object_or_non_scalar_input(tmp_path, capsys, document):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(document))
+    assert cli.run(["box", "ic-nested", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "x"])
+def test_tol_must_be_positive_and_finite(monkeypatch, capsys, tol):
+    def never(*args, **kwargs):
+        raise AssertionError("solved with an invalid tolerance")
+
+    monkeypatch.setattr(cli, "bounds_report", never)
+    assert cli.run(["bounds", "--family", "cycle", "--n", "5", "--tol", tol]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_box_ic_vandam_and_determinism(tmp_path):
     one = tmp_path / "a.json"
     two = tmp_path / "b.json"
@@ -324,6 +342,7 @@ _FUZZ_CASES = {
     "scenario evaluate": (["scenario", "evaluate"], {
         "model": pentagon_extremal_model().to_json_dict(), "gamma": [1, 1, 1, 1, -1], "form": "correlation",
     }),
+    "box ic-nested": (["box", "ic-nested"], {"d": 3, "e": 0.5, "levels": 4}),
     "ks check": (["ks", "check"], {
         "d": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], "tol": 1e-9, "pins": {"0": 1},
     }),

@@ -56,43 +56,29 @@ def _vertex_enumeration_max(c, a, b, hi):
 
 class TestSimplex(unittest.TestCase):
     def test_small_max_problem(self):
+        # max 3x + 2y as min -3x - 2y
         lp = LinearProgram(
-            c=[3.0, 2.0],
+            c=[-3.0, -2.0],
             a=[[1.0, 1.0], [1.0, 0.0]],
             senses=("<=", "<="),
             b=[4.0, 2.0],
-            bounds=((0.0, None), (0.0, None)),
         )
         res = lp_solve(lp)
         self.assertEqual(res.status, "optimal")
-        self.assertAlmostEqual(res.value, 10.0, places=9)
+        self.assertAlmostEqual(res.value, -10.0, places=9)
         np.testing.assert_allclose(res.x, [2.0, 2.0], atol=1e-9)
 
     def test_equality_and_lower_bound(self):
+        # the lower bound x_0 >= 1 is a row
         lp = LinearProgram(
             c=[1.0, 1.0],
-            a=[[1.0, 2.0]],
-            senses=("=",),
-            b=[4.0],
-            bounds=((1.0, None), (0.0, None)),
-            maximize=False,
+            a=[[1.0, 2.0], [1.0, 0.0]],
+            senses=("=", ">="),
+            b=[4.0, 1.0],
         )
         res = lp_solve(lp)
         self.assertEqual(res.status, "optimal")
         self.assertAlmostEqual(res.value, 2.5, places=9)
-
-    def test_free_variable(self):
-        lp = LinearProgram(
-            c=[1.0],
-            a=[[1.0]],
-            senses=(">=",),
-            b=[-5.0],
-            bounds=((None, None),),
-            maximize=False,
-        )
-        res = lp_solve(lp)
-        self.assertEqual(res.status, "optimal")
-        self.assertAlmostEqual(res.value, -5.0, places=9)
 
     def test_infeasible(self):
         lp = LinearProgram(
@@ -100,25 +86,23 @@ class TestSimplex(unittest.TestCase):
             a=[[1.0], [1.0]],
             senses=("<=", ">="),
             b=[1.0, 2.0],
-            bounds=((0.0, None),),
         )
         self.assertEqual(lp_solve(lp).status, "infeasible")
 
     def test_unbounded(self):
         lp = LinearProgram(
-            c=[1.0, 0.0],
+            c=[-1.0, 0.0],
             a=[[0.0, 1.0]],
             senses=("<=",),
             b=[1.0],
-            bounds=((0.0, None), (0.0, None)),
         )
         self.assertEqual(lp_solve(lp).status, "unbounded")
 
     def test_dimension_validation(self):
         with self.assertRaises(ValueError):
-            LinearProgram(c=[1.0, 2.0], a=[[1.0]], senses=("<=",), b=[1.0], bounds=((0, 1), (0, 1)))
+            LinearProgram(c=[1.0, 2.0], a=[[1.0]], senses=("<=",), b=[1.0])
         with self.assertRaises(ValueError):
-            LinearProgram(c=[1.0], a=[[1.0]], senses=("??",), b=[1.0], bounds=((0, 1),))
+            LinearProgram(c=[1.0], a=[[1.0]], senses=("??",), b=[1.0])
 
     def test_against_vertex_enumeration(self):
         rng = np.random.default_rng(42)
@@ -130,22 +114,15 @@ class TestSimplex(unittest.TestCase):
             b = rng.uniform(0.5, 3.0, size=m)
             expect = _vertex_enumeration_max(c, a, b, hi=10.0)
             self.assertIsNotNone(expect, msg=f"trial {trial} oracle found no vertex")
+            # max c.x with x <= 10 as rows, solved as min -c.x
             lp = LinearProgram(
-                c=c, a=a, senses=("<=",) * m, b=b, bounds=((0.0, 10.0),) * n
+                c=-c, a=np.vstack([a, np.eye(n)]), senses=("<=",) * (m + n), b=np.append(b, np.full(n, 10.0)),
             )
             res = lp_solve(lp)
             self.assertEqual(res.status, "optimal")
-            self.assertAlmostEqual(res.value, expect, places=6, msg=f"trial {trial}")
+            self.assertAlmostEqual(-res.value, expect, places=6, msg=f"trial {trial}")
             self.assertTrue(np.all(a @ res.x <= b + 1e-8))
             self.assertTrue(np.all(res.x >= -1e-9) and np.all(res.x <= 10.0 + 1e-9))
-
-    def test_duals_skip_the_bound_rows(self):
-        lp = LinearProgram(
-            c=[1.0, 1.0], a=[[1.0, 1.0]], senses=("<=",), b=[1.5], bounds=((0.0, 1.0), (0.0, 1.0)),
-        )
-        res = lp_solve(lp)
-        self.assertAlmostEqual(res.value, 1.5, places=12)
-        np.testing.assert_allclose(res.y, [1.0], atol=1e-12)
 
 
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
@@ -173,8 +150,7 @@ def _feasible_lps(draw):
     b = np.append(b, b[dup])
     senses.append(senses[dup])
     c = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
-    return LinearProgram(c=c, a=a, senses=tuple(senses), b=b, bounds=((0.0, None),) * n,
-                         maximize=draw(st.booleans()))
+    return LinearProgram(c=c, a=a, senses=tuple(senses), b=b)
 
 
 class TestLpDuals(unittest.TestCase):
@@ -188,15 +164,14 @@ class TestLpDuals(unittest.TestCase):
         # strong duality
         self.assertLessEqual(abs(lp.b @ y - res.value), 1e-9)
         self.assertLessEqual(abs(lp.c @ x - res.value), 1e-9)
-        # dual feasibility, in the orientation of a maximisation
-        sign = 1.0 if lp.maximize else -1.0
-        reduced = sign * (lp.a.T @ y - lp.c)
+        # dual feasibility of a minimisation
+        reduced = lp.c - lp.a.T @ y
         self.assertGreaterEqual(reduced.min(), -1e-9)
-        for yi, s in zip(sign * y, lp.senses):
+        for yi, s in zip(y, lp.senses):
             if s == "<=":
-                self.assertGreaterEqual(yi, -1e-9)
-            elif s == ">=":
                 self.assertLessEqual(yi, 1e-9)
+            elif s == ">=":
+                self.assertGreaterEqual(yi, -1e-9)
         # complementary slackness
         self.assertLessEqual(np.max(np.abs(y * (lp.b - lp.a @ x))), 1e-9)
         self.assertLessEqual(np.max(np.abs(x * reduced)), 1e-9)
@@ -421,6 +396,15 @@ class TestSdpStack(unittest.TestCase):
             sdp_solve(np.ones((1, 3, 3)), NO_EDGES)
         with self.assertRaises(ValueError):
             sdp_solve_many(np.ones((2, 3, 3)), ([0], [3]))
+
+    def test_non_finite_costs_are_rejected(self):
+        for bad in (math.nan, math.inf):
+            cost = np.ones((5, 5))
+            cost[1, 2] = cost[2, 1] = bad
+            with self.assertRaisesRegex(ValueError, "finite"):
+                sdp_solve(cost, PENTAGON_EDGES)
+            with self.assertRaisesRegex(ValueError, "finite"):
+                sdp_solve_many(np.stack([np.ones((5, 5)), cost]), PENTAGON_EDGES)
 
 
 class TestComplexHelpers(unittest.TestCase):
