@@ -19,6 +19,7 @@ import numpy as np
 from .bounds import _HULL_MAX_COLUMNS, hull_membership
 
 _MAX_TABLE_ENTRIES = 1 << 24
+_MAX_NESTED_LEVELS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -394,6 +395,8 @@ def nested_ic(d: int, e: float, levels: int) -> NestedIcResult:
         raise ValueError("need d >= 2")
     if levels < 1:
         raise ValueError("need at least one level")
+    if levels > _MAX_NESTED_LEVELS:
+        raise ValueError(f"at most {_MAX_NESTED_LEVELS} levels, got {levels}")
     if not 0.0 <= e <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
     q = 1.0

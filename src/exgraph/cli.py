@@ -403,6 +403,16 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return count
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write to this file instead of standard output")
     p.add_argument("--tol", type=_tolerance, help="numeric tolerance override (positive)")
@@ -489,21 +499,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = bx.add_parser("ic-vandam", help="information-causality violation protocol",
                       description='Output: {"success", "mutual_information_bits", "message_bits", "trials", "seed"}.')
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=_count)
     p.add_argument("--noise", type=float, help="box correlation strength E (default 1.0)")
     _add_common(p)
     p.set_defaults(fn=_cmd_box)
     p = bx.add_parser("ic-nested", help="nested noisy-box success probability",
                       description='Input (optional): {"d", "e", "levels"}. Output: {"success", "closed_form", "ic_violation_condition"}.')
     p.add_argument("--input")
-    p.add_argument("--n", type=int, help="levels when no input file is given")
+    p.add_argument("--n", type=_count, help="levels when no input file is given")
     _add_common(p)
     p.set_defaults(fn=_cmd_box)
     p = bx.add_parser("ip-protocol", help="one-bit distributed inner-product protocol vs direct oracle",
                       description='Output: {"instances", "bit_length", "agreement", "bits_communicated", "seed"}.')
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, help="number of random instances (default 1000)")
-    p.add_argument("--n", type=int, help="bit length per instance (default 16)")
+    p.add_argument("--trials", type=_count, help="number of random instances (default 1000)")
+    p.add_argument("--n", type=_count, help="bit length per instance (default 16)")
     _add_common(p)
     p.set_defaults(fn=_cmd_box)
 
@@ -513,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                       description="CSV with header graph,n,alpha,theta,alpha_star,theta_over_alpha. "
                                   "--family cycle|prism|moebius with --n upper bound, or --family circulant10.")
     p.add_argument("--family", default="cycle")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_count)
     _add_common(p)
     p.set_defaults(fn=_cmd_plotdata)
 

@@ -5,21 +5,41 @@ X_ij = 0 for every listed edge (i, j), i != j.  The dual is: minimize y_0
 subject to S = y_0 I + sum_e y_e E_e - C PSD, where E_e has ones at (i, j)
 and (j, i).
 
-Both sides start strictly feasible (X = I/m; y_0 = 1 + sum |C_ij| with zero
-edge multipliers) and each iteration takes a Mehrotra predictor-corrector
-step along the HKM direction (Helmberg-Rendl-Vanderbei-Wolkowicz), with step
-lengths 0.95 of the distance to the PSD boundary.  The constraints have
-disjoint supports (the diagonal, and one pair of off-diagonal entries per
-edge), so the Schur complement is assembled entrywise from X and S^-1.  Its
-Cholesky factorization is the positive-definiteness check, and each of the
-two directions of an iteration is then one linear solve against it.
+The solver steps a standard-form pair, max <c, X> s.t. A(X) = b, X PSD and
+min b.y s.t. S = A*(y) - c PSD, on whichever of two sides of the theta
+program has strictly fewer constraints (ties stay on the edge side):
 
-After every step the solver extracts a certified primal/dual pair: the primal
-candidate is projected onto the affine constraints (zero the edge entries,
-shift the diagonal by (1 - tr)/m) and mixed toward I/m until PSD, and the dual
-candidate is the slack of y with y_0 shifted until it is PSD, at a cost of
-+delta on the bound.  The returned interval [lower, upper] therefore brackets
-the true optimum regardless of how far the iteration itself has converged.
+- edge side, 1 + |E| constraints: X is the theta primal, c = C, and A is
+  the trace and one entry pair per edge;
+- non-edge side, (m - 1) + |E-bar| constraints, E-bar the non-edges: X is
+  the theta dual slack Z, pinned to Z_ij = -C_ij on every non-edge and to
+  equal Z_ii + C_ii for all i, and c = -I/m, so the objective is
+  y_0 = (tr Z + tr C) / m up to a constant.  Its slack S = I/m + A*(y) is
+  the theta primal: trace 1 and zero on the edges by construction.  Here b
+  depends on C, so each program of a stack brings its own.
+
+Dense graphs (conormal products, complements of sparse graphs) have many
+more edges than non-edges, and the Schur complement has one row per
+constraint.  Both sides start strictly feasible at the same point (theta
+primal I/m; y_0 = 1 + sum |C_ij| with zero edge multipliers) and each
+iteration takes a Mehrotra predictor-corrector step along the HKM direction
+(Helmberg-Rendl-Vanderbei-Wolkowicz), with step lengths 0.95 of the
+distance to the PSD boundary.  The off-diagonal constraints have disjoint
+supports, one pair of entries each, so the Schur complement is assembled
+entrywise from X and S^-1.  Its Cholesky factorization is the
+positive-definiteness check, and each of the two directions of an iteration
+is then one linear solve against it.  The two sides take different paths
+(HKM is not symmetric in X and S), so their iteration counts can differ.
+
+After every step the solver extracts a certified theta pair, whichever side
+it steps: the primal candidate (X on the edge side, S on the other) is
+projected onto the affine constraints (zero the edge entries, shift the
+diagonal by (1 - tr)/m) and mixed toward I/m until PSD, and the dual
+candidate (S on the edge side; on the other, Z with y_0 = (tr Z + tr C) / m,
+projected onto the dual's affine set) has y_0 shifted until it is PSD, at a
+cost of +delta on the bound.  The returned interval [lower, upper]
+therefore brackets the true optimum regardless of how far the iteration
+itself has converged, and `SdpResult.x` is the certified theta primal.
 
 `sdp_solve_many` runs a stack of programs that share one edge list (one
 graph, many weight vectors) in lockstep, so that every factorization or
@@ -89,6 +109,15 @@ def sdp_solve_many(costs: np.ndarray, edges, tol: float = 5e-7, max_iter: int = 
     iteration cap or a factorization breaks down, raises SdpError with the
     certified bounds of an unfinished program.
     """
+    cost, edge = _prepare(costs, edges)
+    m = edge.shape[0]
+    n_edges = int(np.count_nonzero(np.triu(edge)))
+    non_edges = m * (m - 1) // 2 - n_edges
+    return _solve(cost, edge, m - 1 + non_edges < 1 + n_edges, tol, max_iter)
+
+
+def _prepare(costs: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Validated, symmetrized cost stack and the boolean adjacency matrix."""
     cost = np.asarray(costs, dtype=float)
     if cost.ndim != 3 or cost.shape[1] != cost.shape[2]:
         raise ValueError("costs must be a stack of square matrices")
@@ -100,45 +129,102 @@ def sdp_solve_many(costs: np.ndarray, edges, tol: float = 5e-7, max_iter: int = 
         raise ValueError("edges must pair distinct vertices in range")
     edge = np.zeros((m, m), dtype=bool)
     edge[ii, jj] = edge[jj, ii] = True
+    return (cost + cost.swapaxes(-1, -2)) / 2, edge
+
+
+def _solve(cost: np.ndarray, edge: np.ndarray, non_edge: bool, tol: float, max_iter: int) -> list[SdpResult]:
+    """The interior-point loop on the edge side, or on the non-edge side if
+    non_edge.  A has k constraints on the diagonal, <D_d, X> with D_d =
+    diag(d) for the columns d of a matrix D (dapply(v) = v D, dadjoint(w) =
+    w D^T), then one X_ij + X_ji per listed pair (i, j)."""
+    m = cost.shape[1]
+    eye = np.eye(m)
+    keep = 1.0 - edge
+    start = 1.0 + np.abs(cost).sum(axis=(1, 2))
     # one multiplier per unordered pair, or the Schur complement is singular
-    ii, jj = np.nonzero(np.triu(edge))
+    if non_edge:
+        # X is the theta-dual slack, pinned to -C off the edges and with
+        # X_ii + C_ii equal for all i (X_ii - X_mm = C_mm - C_ii); minimizing
+        # its trace minimizes y_0 = (tr X + tr C) / m
+        ii, jj = np.nonzero(np.triu(~edge, 1))
+        k = m - 1
+
+        def dapply(v: np.ndarray) -> np.ndarray:
+            return v[..., :-1] - v[..., -1:]
+
+        def dadjoint(w: np.ndarray) -> np.ndarray:
+            return np.concatenate((w, -w.sum(axis=-1, keepdims=True)), axis=-1)
+
+        def border(x, g, xa, xb, ga, gb):
+            # <A_p, X D_e G> = sum_j D_je (X_bj G_aj + X_aj G_bj) for the pair
+            # p = (a, b) and <D_d, X D_e G> = d^T (X o G) e
+            return dapply(xb * ga + xa * gb), dapply(dapply(x * g).swapaxes(1, 2))
+
+        c = np.broadcast_to(-eye / m, cost.shape)
+        b = np.concatenate((-dapply(cost.diagonal(axis1=1, axis2=2)), -2.0 * cost[:, ii, jj]), axis=1)
+        x = start[:, None, None] * eye - cost
+        y = np.zeros((cost.shape[0], k + ii.size))
+    else:
+        ii, jj = np.nonzero(np.triu(edge))
+        k = 1
+
+        def dapply(v: np.ndarray) -> np.ndarray:
+            return v.sum(axis=-1, keepdims=True)
+
+        def dadjoint(w: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(w, w.shape[:-1] + (m,))
+
+        def border(x, g, xa, xb, ga, gb):
+            # <A_p, X I G> = (GX)_ab + (GX)_ba and <I, X I G> = tr(GX)
+            gx = apply(g @ x)
+            return gx[:, 1:, None], gx[:, :1, None]
+
+        c = cost
+        b = np.zeros((cost.shape[0], k + ii.size))
+        b[:, 0] = 1.0
+        x = np.broadcast_to(eye / m, cost.shape).copy()
+        y = np.zeros((cost.shape[0], k + ii.size))
+        y[:, 0] = start
     # flat() views each matrix of a stack as one row of m * m entries:
     # (i, j) is entry i * m + j and the diagonal is every (m + 1)-th entry
     fij, fji = ii * m + jj, jj * m + ii
-    keep = 1.0 - edge
-    cost = (cost + cost.swapaxes(-1, -2)) / 2
-    eye = np.eye(m)
 
     def flat(a: np.ndarray) -> np.ndarray:
         return a.reshape(a.shape[0], m * m)
 
     def adjoint(y: np.ndarray) -> np.ndarray:
-        s = y[:, :1, None] * eye
-        flat(s)[:, fij] = flat(s)[:, fji] = y[:, 1:]
+        s = np.zeros((y.shape[0], m, m))
+        flat(s)[:, :: m + 1] = dadjoint(y[:, :k])
+        flat(s)[:, fij] = flat(s)[:, fji] = y[:, k:]
         return s
 
     def apply(h: np.ndarray) -> np.ndarray:
         hf = flat(h)
-        return np.concatenate((h.trace(axis1=1, axis2=2)[:, None], hf.take(fij, 1) + hf.take(fji, 1)), axis=1)
+        return np.concatenate((dapply(h.diagonal(axis1=1, axis2=2)), hf.take(fij, 1) + hf.take(fji, 1)), axis=1)
 
     def certify(x: np.ndarray, y: np.ndarray, s: np.ndarray):
+        # the theta pair: on the edge side X is its primal and S its dual
+        # slack; on the non-edge side S = I/m + A*(y) is the primal, and the
+        # dual is X with y_0 = (tr X + tr C) / m, projected onto the dual's
+        # affine set (X on the edges, -C off them, y_0 - C_ii on the diagonal)
+        if non_edge:
+            xp, y0 = s, (x.trace(axis1=1, axis2=2) + cost.trace(axis1=1, axis2=2)) / m
+            sd = np.where(edge, x, -cost)
+            flat(sd)[:, :: m + 1] += y0[:, None]
+        else:
+            xp, y0, sd = x, y[:, 0], s
         # primal: affine-exact (zero the edges, shift the diagonal), then
         # mixed toward I/m until PSD; dual: shift y_0 to absorb any negative
-        # eigenvalue left in the slack s = A*(y) - C
-        xf = x * keep
+        # eigenvalue left in its slack
+        xf = xp * keep
         flat(xf)[:, :: m + 1] += ((1.0 - xf.trace(axis1=1, axis2=2)) / m)[:, None]
-        lam_x, lam_s = np.linalg.eigvalsh(np.array((xf, s)))[..., 0]
+        lam_x, lam_s = np.linalg.eigvalsh(np.array((xf, sd)))[..., 0]
         t = m * np.maximum(-lam_x, 0.0)
         mix = (t / (1.0 + t))[:, None, None]
         xf = (1.0 - mix) * xf + (mix / m) * eye
-        return (cost * xf).sum(axis=(1, 2)), y[:, 0] + np.maximum(0.0, -lam_s), xf
+        return (cost * xf).sum(axis=(1, 2)), y0 + np.maximum(0.0, -lam_s), xf
 
-    b = np.zeros(ii.size + 1)
-    b[0] = 1.0
-    x = np.broadcast_to(eye / m, cost.shape).copy()
-    y = np.zeros((cost.shape[0], ii.size + 1))
-    y[:, 0] = 1.0 + np.abs(cost).sum(axis=(1, 2))
-    s = adjoint(y) - cost
+    s = adjoint(y) - c
     best_lb, best_ub, best_x = certify(x, y, s)
     # row r of the stack is program idx[r]; finished programs leave the stack
     idx = np.arange(cost.shape[0])
@@ -150,18 +236,20 @@ def sdp_solve_many(costs: np.ndarray, edges, tol: float = 5e-7, max_iter: int = 
             li = np.linalg.inv(np.linalg.cholesky(np.array((x, s))))
             g = li[1].swapaxes(-1, -2) @ li[1]
             xa, xb, ga, gb = x.take(ii, 1), x.take(jj, 1), g.take(ii, 1), g.take(jj, 1)
-            schur = np.empty((idx.size, ii.size + 1, ii.size + 1))
-            # first row and column: <A_i, G X> for the trace and each edge
-            schur[:, 0] = schur[:, :, 0] = apply(g @ x)
-            schur[:, 1:, 1:] = (
+            schur = np.empty((idx.size, k + ii.size, k + ii.size))
+            # <A_p, X A_q G> for the pairs p, q, the pairs and the diagonal
+            # constraints, and the diagonal constraints among themselves
+            schur[:, k:, k:] = (
                 xb.take(ii, 2) * ga.take(jj, 2) + xb.take(jj, 2) * ga.take(ii, 2)
                 + xa.take(ii, 2) * gb.take(jj, 2) + xa.take(jj, 2) * gb.take(ii, 2)
             )
+            schur[:, k:, :k], schur[:, :k, :k] = border(x, g, xa, xb, ga, gb)
+            schur[:, :k, k:] = schur[:, k:, :k].swapaxes(1, 2)
             # degenerate programs (many vertex-transitive graphs) drive the
             # Schur complement singular as mu -> 0; raising each pivot by a
             # few dozen ulps keeps the factorization alive down to gaps of
             # about 1e-12 relative and leaves well-posed solves unchanged
-            schur.reshape(idx.size, -1)[:, :: ii.size + 2] *= 1.0 + _SCHUR_SHIFT
+            schur.reshape(idx.size, -1)[:, :: k + ii.size + 1] *= 1.0 + _SCHUR_SHIFT
             # the factor itself is not needed: Cholesky is the PD check
             np.linalg.cholesky(schur)
             rp = b - apply(x)
@@ -182,7 +270,7 @@ def sdp_solve_many(costs: np.ndarray, edges, tol: float = 5e-7, max_iter: int = 
             dx, dy, ds, ap, ad = direction(sigma * mu * g - x - dx @ ds @ g)
             x = x + ap * dx
             y = y + ad[:, 0] * dy
-            s = adjoint(y) - cost
+            s = adjoint(y) - c
             it += 1
 
             lb, ub, xf = certify(x, y, s)
@@ -195,8 +283,8 @@ def sdp_solve_many(costs: np.ndarray, edges, tol: float = 5e-7, max_iter: int = 
                 for r in np.flatnonzero(done):
                     results[idx[r]] = SdpResult(float(best_lb[r]), float(best_ub[r]), best_x[r].copy(), it)
                 live = ~done
-                x, y, s, cost, best_lb, best_ub, best_x, idx = (
-                    a[live] for a in (x, y, s, cost, best_lb, best_ub, best_x, idx)
+                x, y, s, c, b, cost, best_lb, best_ub, best_x, idx = (
+                    a[live] for a in (x, y, s, c, b, cost, best_lb, best_ub, best_x, idx)
                 )
         if not idx.size:
             return results

@@ -120,6 +120,57 @@ def test_circulant_oracle_agrees_with_sdp():
         assert abs(lp_value - sdp_value) < 1e-6, (n, offs)
 
 
+def _on_the_non_edge_side(g):
+    # the solver steps the side with strictly fewer constraints
+    non_edges = g.n * (g.n - 1) // 2 - g.edge_count()
+    return g.n - 1 + non_edges < 1 + g.edge_count()
+
+
+def _non_edge_theta(g):
+    """Certified theta interval of g, solved on the non-edge side."""
+    assert _on_the_non_edge_side(g)
+    res = bd.sdp_solve(np.ones((g.n, g.n)), bd._edge_arrays(g.n, g.rows))
+    assert res.upper - res.lower <= 5e-7
+    return res
+
+
+@pytest.mark.parametrize("a, b", [(3, 7), (3, 9), (4, 4), (4, 5), (5, 5), (5, 7)])
+def test_theta_of_conormal_products_on_the_non_edge_side(a, b):
+    res = _non_edge_theta(excl.conormal_product(gr.cycle_graph(a), gr.cycle_graph(b)))
+    value = cycle_theta(a) * cycle_theta(b)
+    assert res.lower <= value + 1e-12 and value - 1e-12 <= res.upper
+
+
+def test_theta_of_odd_cycle_complements_on_the_non_edge_side():
+    for n in range(7, 64, 2):
+        res = _non_edge_theta(gr.complement(gr.cycle_graph(n)))
+        value = n / cycle_theta(n)
+        assert res.lower <= value + 1e-12 and value - 1e-12 <= res.upper, n
+
+
+def test_dense_circulants_on_the_non_edge_side_match_the_lp_oracle():
+    specs = [(n, offs) for n, offs in acceptance._CIRCULANT_SPECS
+             if _on_the_non_edge_side(gr.circulant_graph(n, offs))]
+    assert len(specs) == 7
+    specs += [(33, tuple(range(1, 13))), (40, (1, 2, 3, 4, 5, 7, 8, 11, 13, 14, 15, 17, 19)), (64, tuple(range(2, 26)))]
+    for n, offs in specs:
+        res = _non_edge_theta(gr.circulant_graph(n, offs))
+        lp_value = bd.theta_circulant_oracle(n, offs)
+        assert abs(res.value - lp_value) <= 5e-7 / 2 + 1e-12, (n, offs)
+
+
+def test_violation_witness_of_a_sparse_graph_on_the_non_edge_side():
+    # p is in QSTAB(C7) but outside TH(C7): theta of the complement at p is
+    # 1 + 1/cos(pi/7) times 1/2, about 1.055
+    c7 = gr.cycle_graph(7)
+    _non_edge_theta(gr.complement(c7))
+    p = np.full(7, 0.5)
+    theta, pbar = excl.eprinciple_violation_witness(c7, p)
+    assert theta == pytest.approx(3.5 / cycle_theta(7), abs=5e-7)
+    assert float(p @ pbar) > 1.0
+    assert bd.th_membership(gr.complement(c7), pbar, tol=1e-4)[0]
+
+
 def test_circulant_theta_at_the_size_cap():
     n, offs = gr.MAX_VERTICES, (1, 2, 5)
     sdp_value = bd.lovasz_theta(gr.circulant_graph(n, offs))

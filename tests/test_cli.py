@@ -234,6 +234,36 @@ def test_box_nested_rejects_a_non_object_or_non_scalar_input(tmp_path, capsys, d
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("levels", [1_000_001, 10**12])
+def test_box_nested_rejects_too_many_levels(tmp_path, capsys, levels):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"levels": levels}))
+    assert cli.run(["box", "ic-nested", "--input", str(path)]) == 2
+    assert "levels" in capsys.readouterr().err
+
+
+_COUNT_FLAGS = {
+    "ic-nested": (["box", "ic-nested", "--n"], (cli.boxes, "nested_ic")),
+    "ic-vandam": (["box", "ic-vandam", "--seed", "1", "--trials"], (cli.boxes, "van_dam_ic")),
+    "ip-protocol": (["box", "ip-protocol", "--seed", "1", "--trials"], (cli.boxes, "ip_one_bit_protocol")),
+    "ip-protocol --n": (["box", "ip-protocol", "--seed", "1", "--n"], (cli.boxes, "ip_one_bit_protocol")),
+    "theta-alpha": (["plotdata", "theta-alpha", "--n"], (cli, "bounds_report")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COUNT_FLAGS))
+def test_count_flags_must_be_positive_integers(monkeypatch, capsys, command):
+    argv, (module, worker) = _COUNT_FLAGS[command]
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran with an invalid count")
+
+    monkeypatch.setattr(module, worker, never)
+    for value in ("0", "-5", "2.5"):
+        assert cli.run(argv + [value]) == 2
+        assert "positive integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "x"])
 def test_tol_must_be_positive_and_finite(monkeypatch, capsys, tol):
     def never(*args, **kwargs):

@@ -27,6 +27,7 @@ from exgraph.numkernel import (
     sdp_solve_many,
     tensor_product,
 )
+from exgraph.numkernel import sdp
 from oracles import brute_independence
 
 
@@ -314,6 +315,65 @@ class TestSdpProperties(unittest.TestCase):
         pick = rng.random(ii.size) < 0.3
         res = sdp_solve(np.ones((64, 64)), (ii[pick], jj[pick]))
         self.assertLessEqual(res.upper - res.lower, 5e-7)
+
+
+def _on_the_non_edge_side(n, edges):
+    # the solver steps the side with strictly fewer constraints
+    return n - 1 + n * (n - 1) // 2 - len(edges) < 1 + len(edges)
+
+
+def _complete(n):
+    return list(itertools.combinations(range(n), 2))
+
+
+class TestSdpNonEdgeSide(unittest.TestCase):
+    def test_the_side_with_fewer_constraints_is_stepped(self):
+        # C5: 6 against 9; the path P3 ties at 3 and stays on the edge
+        # side; K3: 4 against 2; the complement of C7: 15 against 13
+        c7_bar = [p for p in _complete(7) if (p[1] - p[0]) % 7 not in (1, 6)]
+        cases = [(5, list(zip(*PENTAGON_EDGES)), False), (3, [(0, 1), (1, 2)], False),
+                 (3, _complete(3), True), (7, c7_bar, True)]
+        for n, edges, non_edge in cases:
+            with unittest.mock.patch.object(sdp, "_solve", wraps=sdp._solve) as solve:
+                sdp_solve(np.ones((n, n)), _edge_arrays(edges))
+            self.assertIs(solve.call_args.args[2], non_edge)
+
+    def test_primal_matrix(self):
+        # a dense weighted program on 16 vertices
+        rng = np.random.default_rng(16)
+        edges = [p for p in _complete(16) if rng.random() < 0.8]
+        self.assertTrue(_on_the_non_edge_side(16, edges))
+        w = rng.uniform(0.1, 2.0, 16)
+        cost = np.sqrt(np.outer(w, w))
+        res = sdp_solve(cost, _edge_arrays(edges))
+        self.assertLessEqual(res.upper - res.lower, 5e-7)
+        self.assertLess(abs(np.trace(res.x) - 1.0), 1e-12)
+        for i, j in edges:
+            self.assertEqual(res.x[i, j], 0.0)
+            self.assertEqual(res.x[j, i], 0.0)
+        self.assertGreater(np.linalg.eigvalsh(res.x)[0], -1e-12)
+        self.assertAlmostEqual(float((cost * res.x).sum()), res.lower, delta=1e-12)
+
+    def test_complete_graphs(self):
+        # theta(K_m, w) = max w; K_1 has no constraint left on this side
+        for m in (1, 2, 6):
+            self.assertTrue(_on_the_non_edge_side(m, _complete(m)))
+            w = np.linspace(0.5, 1.5, m)[::-1]
+            res = sdp_solve(np.sqrt(np.outer(w, w)), _edge_arrays(_complete(m)))
+            self.assertLessEqual(res.lower, w[0] + 1e-12)
+            self.assertGreaterEqual(res.upper, w[0] - 1e-12)
+            self.assertLessEqual(res.upper - res.lower, 5e-7)
+        self.assertEqual(sdp_solve_many(np.zeros((0, 6, 6)), _edge_arrays(_complete(6))), [])
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(_weighted_graphs())
+    def test_both_sides_certify_overlapping_intervals(self, case):
+        n, edges, w, _ = case
+        cost, edge = sdp._prepare(np.sqrt(np.outer(w, w))[None], _edge_arrays(edges))
+        (on_edges,), (off_edges,) = (sdp._solve(cost, edge, side, 5e-7, 100) for side in (False, True))
+        for res in (on_edges, off_edges):
+            self.assertLessEqual(res.upper - res.lower, 5e-7)
+        self.assertLessEqual(max(on_edges.lower, off_edges.lower), min(on_edges.upper, off_edges.upper) + 1e-12)
 
 
 # C5 weights whose programs converge in 6, 7 and 9 iterations
