@@ -109,24 +109,37 @@ def fractional_packing(g: Graph) -> float:
     short side: the minimum fractional clique cover, min sum(y) subject to
     sum of y_Q over the cliques Q containing v >= 1 for every vertex v and
     y >= 0, with one row per vertex.  Every vertex lies in a maximal clique,
-    so the packing needs no x <= 1 bounds.  The packing x is read off the
-    cover's duals, and both sides are replayed in floating point before the
-    value is returned; a failed replay raises RuntimeError.
+    so the packing needs no x <= 1 bounds.
+
+    When every vertex lies in the same number r of maximum cliques (size
+    omega), as on every vertex-transitive graph, no LP is solved: x = 1/omega
+    on every vertex and y = 1/r on the k maximum cliques are feasible, and
+    both have value n/omega = k/r, so weak duality makes them optimal.
+    Otherwise the packing x is read off the cover LP's duals.  Either pair is
+    replayed in floating point before the value is returned; a failed replay
+    raises RuntimeError.
     """
     cliques = maximal_cliques(g)
     n = g.n
     a = np.zeros((n, len(cliques)))
     for col, q in enumerate(cliques):
         a[list(q), col] = 1.0
-    res = lp_solve(LinearProgram(
-        c=np.ones(len(cliques)),
-        a=a,
-        senses=(">=",) * n,
-        b=np.ones(n),
-    ))
-    if res.status != "optimal":
-        raise RuntimeError(f"clique-cover LP ended {res.status}")
-    x, y = res.y, res.x
+    sizes = a.sum(axis=0)
+    top = sizes == sizes.max()
+    per_vertex = a[:, top].sum(axis=1)
+    if per_vertex.min() == per_vertex.max():
+        omega = int(sizes.max())
+        x, y, value = np.full(n, 1.0 / omega), top / per_vertex[0], n / omega
+    else:
+        res = lp_solve(LinearProgram(
+            c=np.ones(len(cliques)),
+            a=a,
+            senses=(">=",) * n,
+            b=np.ones(n),
+        ))
+        if res.status != "optimal":
+            raise RuntimeError(f"clique-cover LP ended {res.status}")
+        x, y, value = res.y, res.x, float(res.value)
     if (
         x.min() < -_REPLAY_TOL
         or np.max(x @ a) > 1.0 + _REPLAY_TOL
@@ -135,7 +148,7 @@ def fractional_packing(g: Graph) -> float:
         or abs(x.sum() - y.sum()) > _REPLAY_TOL
     ):
         raise RuntimeError("packing and clique cover fail their floating-point replay")
-    return float(res.value)
+    return value
 
 
 def _edge_arrays(n: int, rows: tuple[int, ...]) -> np.ndarray:
@@ -281,7 +294,8 @@ def stab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict]:
     if p.shape != (g.n,):
         raise ValueError("one coordinate per vertex required")
     masks = _independent_set_masks(g)
-    chi = np.array([[m >> v & 1 for m in masks] for v in range(g.n)], dtype=float).reshape(g.n, len(masks))
+    bits = np.arange(g.n, dtype=np.uint64)[:, None]
+    chi = (np.array(masks, dtype=np.uint64) >> bits & np.uint64(1)).astype(float)
     inside, y, _ = hull_membership(chi, p, tol)
     if inside:
         return True, {"weights": {tuple(_bits(m)): float(w) for m, w in zip(masks, y) if w > tol}}

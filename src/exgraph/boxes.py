@@ -20,6 +20,9 @@ from .bounds import _HULL_MAX_COLUMNS, hull_membership
 
 _MAX_TABLE_ENTRIES = 1 << 24
 _MAX_NESTED_LEVELS = 1_000_000
+# sampling protocols run linearly in these, so larger requests are refused
+_MAX_TRIALS = 1_000_000
+_MAX_PROTOCOL_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,27 @@ def _strategies(scn: BellScenario) -> list[tuple[tuple[int, ...], ...]]:
     return list(itertools.product(*per_party))
 
 
+def _strategy_matrix(scn: BellScenario) -> np.ndarray:
+    """One column per deterministic strategy, in the order of _strategies:
+    the strategy's table p(a|x) raveled in C order, settings outer and
+    outcomes inner.
+
+    Party i's one-hot table T_i[x_i, a_i, s_i] = [s_i(x_i) = a_i] has one
+    column per strategy s_i, and a joint strategy's table is the product of
+    its parties' entries, so the matrix is the Kronecker product of the T_i
+    with its rows reordered from (x_1, a_1, x_2, a_2, ...) to C order.
+    """
+    joint = np.ones((1, 1))
+    for m, o in zip(scn.settings, scn.outcomes):
+        own = np.array(list(itertools.product(range(o), repeat=m)))
+        onehot = own.T[:, None, :] == np.arange(o)[None, :, None]
+        joint = np.kron(joint, onehot.reshape(m * o, -1))
+    p = scn.parties
+    interleaved = joint.reshape(*(d for mo in zip(scn.settings, scn.outcomes) for d in mo), -1)
+    c_order = [*range(0, 2 * p, 2), *range(1, 2 * p, 2), 2 * p]
+    return interleaved.transpose(c_order).reshape(-1, joint.shape[1])
+
+
 def is_local(box: Box, tol: float = 1e-7) -> tuple[bool, dict]:
     """LP membership in the convex hull of deterministic strategies.
 
@@ -177,9 +201,7 @@ def is_local(box: Box, tol: float = 1e-7) -> tuple[bool, dict]:
     if count > _HULL_MAX_COLUMNS:
         raise ValueError(f"{count} deterministic strategies exceed the supported limit of {_HULL_MAX_COLUMNS}")
     strategies = _strategies(scn)
-    # rows are the table entries p(a|x) in C order: settings outer, outcomes inner
-    columns = [deterministic_box(scn, strat).table.ravel() for strat in strategies]
-    local, y, margin = hull_membership(np.column_stack(columns), box.table.ravel(), tol)
+    local, y, margin = hull_membership(_strategy_matrix(scn), box.table.ravel(), tol)
     if local:
         return True, {"weights": {strat: float(w) for strat, w in zip(strategies, y) if w > tol}}
     coeffs = {}
@@ -337,6 +359,8 @@ def van_dam_ic(seed: int, trials: int, e: float = 1.0) -> ProtocolResult:
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"at most {_MAX_TRIALS} trials, got {trials}")
     box = pr_box(2, e)
 
     info = 0.0

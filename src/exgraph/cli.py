@@ -343,9 +343,13 @@ def _cmd_box(args) -> int:
         }, args.output)
         return 0
     # ip-protocol: random instances against the direct oracle
-    rng = np.random.default_rng(args.seed)
     bits = args.n or 16
     instances = args.trials or 1000
+    if instances > boxes._MAX_TRIALS:
+        raise CliInputError(f"at most {boxes._MAX_TRIALS} trials, got {instances}")
+    if bits > boxes._MAX_PROTOCOL_BITS:
+        raise CliInputError(f"at most {boxes._MAX_PROTOCOL_BITS} bits per instance, got {bits}")
+    rng = np.random.default_rng(args.seed)
     agree = 0
     for _ in range(instances):
         x = rng.integers(0, 2, size=bits)

@@ -69,10 +69,11 @@ class LpResult:
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tab[row] /= tab[row, col]
-    piv = tab[row]
-    for r in range(tab.shape[0]):
-        if r != row and abs(tab[r, col]) > 1e-14:
-            tab[r] -= tab[r, col] * piv
+    # one rank-one update; a multiplier of at most 1e-14 leaves its row as is
+    f = tab[:, col].copy()
+    f[row] = 0.0
+    f[np.abs(f) <= 1e-14] = 0.0
+    tab -= f[:, None] * tab[row]
     basis[row] = col
 
 

@@ -90,7 +90,60 @@ def test_fractional_packing_replays_both_sides(monkeypatch):
 
     monkeypatch.setattr(bd, "lp_solve", skewed)
     with pytest.raises(RuntimeError):
-        bd.fractional_packing(gr.cycle_graph(5))
+        # the end vertices of P5 lie in one maximum clique and the inner
+        # ones in two, so alpha* needs the cover LP
+        bd.fractional_packing(gr.path_graph(5))
+
+
+def _cover_lp_value(g) -> float:
+    cliques = bd.maximal_cliques(g)
+    a = np.zeros((g.n, len(cliques)))
+    for col, q in enumerate(cliques):
+        a[list(q), col] = 1.0
+    res = bd.lp_solve(bd.LinearProgram(c=np.ones(len(cliques)), a=a, senses=(">=",) * g.n, b=np.ones(g.n)))
+    assert res.status == "optimal"
+    return float(res.value)
+
+
+_C = gr.cycle_graph
+_UNIFORM_MAXIMUM_CLIQUES = {
+    "Petersen": gr.petersen_graph,
+    "J(5,2)": lambda: gr.johnson_graph(5, 2),
+    "Ci13(1,5)": lambda: gr.circulant_graph(13, [1, 5]),
+    "C5xC5": lambda: excl.conormal_product(_C(5), _C(5)),
+    "C5xC7": lambda: excl.conormal_product(_C(5), _C(7)),
+    "C7xC7": lambda: excl.conormal_product(_C(7), _C(7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNIFORM_MAXIMUM_CLIQUES))
+def test_fractional_packing_needs_no_lp_when_maximum_cliques_cover_evenly(monkeypatch, name):
+    g = _UNIFORM_MAXIMUM_CLIQUES[name]()
+    omega = max(len(q) for q in bd.maximal_cliques(g))
+    expect = _cover_lp_value(g)
+
+    def refuse(lp):
+        raise AssertionError("solved an LP")
+
+    monkeypatch.setattr(bd, "lp_solve", refuse)
+    value = bd.fractional_packing(g)
+    assert value == g.n / omega
+    assert value == pytest.approx(expect, abs=1e-12)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    keep = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    return gr.from_edges(n, [e for e, u in zip(pairs, keep) if u < p])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_small_graphs())
+def test_fractional_packing_equals_the_cover_lp(g):
+    assert bd.fractional_packing(g) == pytest.approx(_cover_lp_value(g), abs=1e-12)
 
 
 def test_subset_intersection_family_values():
@@ -280,6 +333,23 @@ def test_stab_separation_of_a_c15_point():
     chi = (masks[masks & ring == 0][:, None] >> np.arange(15)) & 1
     assert chi.shape[0] == 1364
     assert np.max(chi @ a) <= cert["beta"] + 1e-9
+
+
+def test_stab_columns_reach_the_top_vertex_bit(monkeypatch):
+    # the complement of C64 has 129 independent sets; the ones holding
+    # vertex 63 have mask bit 63 set
+    g = gr.complement(gr.cycle_graph(64))
+    masks = bd._independent_set_masks(g)
+    seen = []
+    hull = bd.hull_membership
+
+    def capture(vertices, point, tol):
+        seen.append(vertices)
+        return hull(vertices, point, tol)
+
+    monkeypatch.setattr(bd, "hull_membership", capture)
+    assert bd.stab_membership(g, np.full(64, 0.01))[0]
+    assert np.array_equal(seen[0], np.array([[m >> v & 1 for m in masks] for v in range(64)], dtype=float))
 
 
 def test_stab_membership_past_twenty_vertices():

@@ -24,6 +24,8 @@ from exgraph.boxes import (
     product_box,
     uniform_box,
     van_dam_ic,
+    _strategies,
+    _strategy_matrix,
 )
 from oracles import inner_product_mod2
 
@@ -105,6 +107,15 @@ def test_locality_size_cap_is_checked_before_enumeration():
     # 2^32 strategies: enumerating them would never finish
     with pytest.raises(ValueError):
         is_local(uniform_box(BellScenario((8, 8), (4, 4))))
+
+
+@pytest.mark.parametrize("settings, outcomes", [
+    ((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 3), (3, 2)), ((2, 2, 2), (2, 2, 2)), ((1, 4), (3, 1)),
+])
+def test_strategy_matrix_stacks_the_deterministic_boxes(settings, outcomes):
+    scn = BellScenario(settings, outcomes)
+    columns = [deterministic_box(scn, strat).table.ravel() for strat in _strategies(scn)]
+    assert np.array_equal(_strategy_matrix(scn), np.column_stack(columns))
 
 
 def test_pr_correlators():
@@ -210,6 +221,8 @@ def test_van_dam_protocol_with_noise():
     assert res.mutual_information < 2.0
     with pytest.raises(ValueError):
         van_dam_ic(seed=1, trials=0)
+    with pytest.raises(ValueError):
+        van_dam_ic(seed=1, trials=1_000_001)
 
 
 def test_nested_protocol_closed_form():

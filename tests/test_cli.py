@@ -264,6 +264,31 @@ def test_count_flags_must_be_positive_integers(monkeypatch, capsys, command):
         assert "positive integer" in capsys.readouterr().err
 
 
+_CAPPED_FLAGS = {
+    "ic-vandam --trials": (["box", "ic-vandam", "--seed", "1", "--trials", "1000001"], "pr_box", "trials"),
+    "ip-protocol --trials": (["box", "ip-protocol", "--seed", "1", "--trials", "1000001"], "ip_one_bit_protocol", "trials"),
+    "ip-protocol --n": (["box", "ip-protocol", "--seed", "1", "--n", "4097"], "ip_one_bit_protocol", "bits"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CAPPED_FLAGS))
+def test_sampling_sizes_are_capped_before_any_work(monkeypatch, capsys, command):
+    argv, worker, word = _CAPPED_FLAGS[command]
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampled past the cap")
+
+    monkeypatch.setattr(cli.boxes, worker, never)
+    assert cli.run(argv) == 2
+    assert word in capsys.readouterr().err
+
+
+def test_ip_protocol_accepts_the_largest_bit_length(capsys):
+    code, data = run_json(capsys, ["box", "ip-protocol", "--seed", "3", "--trials", "2", "--n", "4096"])
+    assert code == 0
+    assert data["agreement"] == 1.0 and data["bit_length"] == 4096
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "x"])
 def test_tol_must_be_positive_and_finite(monkeypatch, capsys, tol):
     def never(*args, **kwargs):

@@ -27,6 +27,7 @@ from exgraph.numkernel import (
     sdp_solve_many,
     tensor_product,
 )
+from exgraph.numkernel import lp as lp_kernel
 from exgraph.numkernel import sdp
 from oracles import brute_independence
 
@@ -180,6 +181,65 @@ class TestLpDuals(unittest.TestCase):
 
 PENTAGON_EDGES = (np.arange(5), (np.arange(5) + 1) % 5)
 NO_EDGES = ((), ())
+
+
+def _row_loop_pivot(tab, basis, row, col):
+    """Reference pivot: one row at a time, skipping multipliers <= 1e-14."""
+    tab[row] /= tab[row, col]
+    piv = tab[row]
+    for r in range(tab.shape[0]):
+        if r != row and abs(tab[r, col]) > 1e-14:
+            tab[r] -= tab[r, col] * piv
+    basis[row] = col
+
+
+def _seeded_lps(rng):
+    """Dense LPs with mixed senses and negative right-hand sides, clique-cover
+    style 0/1 covers, and hull LPs with equality rows whose points lie inside
+    or outside, so both phases, redundant rows and every status occur."""
+    for _ in range(40):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 12))
+        a = rng.integers(-3, 4, size=(m, n)).astype(float)
+        senses = tuple(rng.choice(["<=", ">=", "="], size=m))
+        b = a @ rng.integers(0, 3, size=n) + rng.integers(-1, 2, size=m)
+        if rng.random() < 0.8:
+            a, b, senses = np.vstack([a, np.ones(n)]), np.append(b, 6.0), senses + ("<=",)
+        yield LinearProgram(c=rng.integers(-3, 4, size=n), a=a, senses=senses, b=b)
+    for _ in range(30):
+        n, k = int(rng.integers(3, 10)), int(rng.integers(3, 40))
+        a = (rng.random((n, k)) < 0.4).astype(float)
+        a[np.arange(n), rng.integers(0, k, size=n)] = 1.0
+        yield LinearProgram(c=np.ones(k), a=a, senses=(">=",) * n, b=np.ones(n))
+    for _ in range(30):
+        d, k = int(rng.integers(2, 7)), int(rng.integers(3, 30))
+        ext = np.vstack([(rng.random((d, k)) < 0.5).astype(float), np.ones(k)])
+        point = ext[:d] @ rng.dirichlet(np.ones(k)) + (rng.random() < 0.5) * rng.normal(0.0, 0.3, size=d)
+        yield LinearProgram(c=np.zeros(k), a=ext, senses=("=",) * (d + 1), b=np.append(point, 1.0))
+
+
+class TestRankOnePivot(unittest.TestCase):
+    def _solve(self, lp, pivot):
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            pivot(*args)
+
+        with unittest.mock.patch.object(lp_kernel, "_pivot", counted):
+            return lp_solve(lp), count[0]
+
+    def test_matches_the_row_loop_bit_for_bit(self):
+        statuses = set()
+        for lp in _seeded_lps(np.random.default_rng(2024)):
+            got, got_pivots = self._solve(lp, lp_kernel._pivot)
+            ref, ref_pivots = self._solve(lp, _row_loop_pivot)
+            statuses.add(got.status)
+            self.assertEqual((got.status, got_pivots), (ref.status, ref_pivots))
+            if got.status == "optimal":
+                self.assertEqual(got.x.tobytes(), ref.x.tobytes())
+                self.assertEqual(got.y.tobytes(), ref.y.tobytes())
+                self.assertEqual(got.value, ref.value)
+        self.assertEqual(statuses, {"optimal", "infeasible", "unbounded"})
 
 
 class TestSdp(unittest.TestCase):
