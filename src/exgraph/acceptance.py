@@ -347,10 +347,11 @@ _CIRCULANT_SPECS = (
 def _chain_points(g: gr.Graph, rng: np.random.Generator) -> list[np.ndarray]:
     """Criterion 13's 100 random points on g: positive weights scaled so the
     heaviest clique sums to between 0.2 and 1.3."""
+    cliques = [list(q) for q in maximal_cliques(g)]
     points = []
     for _ in range(100):
         w = rng.uniform(0.05, 1.0, size=g.n)
-        clique_max = max(w[list(q)].sum() for q in maximal_cliques(g))
+        clique_max = max(w[q].sum() for q in cliques)
         points.append(w * rng.uniform(0.2, 1.3) / clique_max)
     return points
 

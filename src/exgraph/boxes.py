@@ -23,6 +23,8 @@ _MAX_NESTED_LEVELS = 1_000_000
 # sampling protocols run linearly in these, so larger requests are refused
 _MAX_TRIALS = 1_000_000
 _MAX_PROTOCOL_BITS = 4096
+# van_dam_ic simulates its trials in chunks of this many trial pairs
+_VAN_DAM_PAIRS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -374,21 +376,28 @@ def van_dam_ic(seed: int, trials: int, e: float = 1.0) -> ProtocolResult:
                 joint[data, guess] += 0.25 * box.prob((x, k), (aa, bb))
         info += _mutual_information_bits(joint)
 
+    # Each trial of the seeded simulation is integers(0, 2, size=3) for
+    # (a0, a1, k) and then choice(4, p=table[a0 ^ a1, k]).  On PCG64 the
+    # integers are bit 31 of 32-bit half-words, taken low half first with the
+    # high half kept for the next call, and choice draws u = (w >> 11) * 2**-53
+    # from a fresh word w and returns how many entries of cumsum(p) / sum are
+    # <= u.  Two trials therefore read five raw words,
+    #     [a0 | a1]  [k | a0']  u  [a1' | k']  u'
+    # and they are read here in chunks of whole pairs, which keeps that
+    # alignment and keeps memory flat in `trials`.
     rng = np.random.default_rng(seed)
-    flat = {
-        (x, y): box.table[x, y].reshape(-1)
-        for x in range(2)
-        for y in range(2)
-    }
+    cdf = box.table.reshape(2, 2, 4).cumsum(axis=-1)
+    cdf = cdf / cdf[..., -1:]
     hits = 0
-    for _ in range(trials):
-        a0, a1, k = rng.integers(0, 2, size=3)
-        x = a0 ^ a1
-        idx = rng.choice(4, p=flat[(int(x), int(k))])
-        aa, bb = divmod(int(idx), 2)
-        guess = (a0 ^ aa) ^ bb
-        if guess == (a0, a1)[k]:
-            hits += 1
+    for start in range(0, trials, 2 * _VAN_DAM_PAIRS):
+        t = min(2 * _VAN_DAM_PAIRS, trials - start)
+        w = rng.bit_generator.random_raw(5 * ((t + 1) // 2)).reshape(-1, 5)
+        top = np.stack((w >> 31 & 1, w >> 63), axis=-1).reshape(-1, 10).astype(np.int64)
+        a0, a1, k = (top[:, cols].reshape(-1)[:t] for cols in ([0, 3], [1, 6], [2, 7]))
+        u = (w[:, [2, 4]].reshape(-1)[:t] >> 11) * 2.0**-53
+        idx = np.count_nonzero(cdf[a0 ^ a1, k] <= u[:, None], axis=1)
+        guess = a0 ^ (idx >> 1) ^ (idx & 1)
+        hits += int(np.count_nonzero(guess == np.where(k == 1, a1, a0)))
     return ProtocolResult(
         success=hits / trials,
         mutual_information=info,

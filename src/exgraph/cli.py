@@ -379,6 +379,10 @@ def _cmd_plotdata(args) -> int:
         if args.family not in builders:
             raise CliInputError(f"plotdata family must be one of {sorted(builders)} or circulant10")
         lo = 4 if args.family == "moebius" else 3
+        largest = {"cycle": upper, "prism": 2 * upper, "moebius": upper - upper % 2}[args.family]
+        if largest > gr.MAX_VERTICES:
+            raise CliInputError(f"plotdata --n {upper} reaches a {args.family} graph on {largest} vertices, "
+                                f"above the supported maximum {gr.MAX_VERTICES}")
         for n in range(lo, upper + 1):
             if args.family == "moebius" and n % 2:
                 continue

@@ -383,31 +383,26 @@ def _iso_map(g1: Graph, g2: Graph, fixed: tuple[int, int] | None = None):
     # connectivity to already-placed vertices where possible
     order = sorted(range(n), key=lambda i: (0 if fixed and i == fixed[0] else 1, len(candidates[i])))
     placed = [-1] * n
-    used = [False] * n
 
-    def extend(pos: int) -> bool:
+    def extend(pos: int, image: int) -> bool:
+        # `image` holds the targets placed so far; j extends the map iff it is
+        # unused and its neighbours among them are the images of i's
+        # neighbours among the placed vertices
         if pos == n:
             return True
         i = order[pos]
+        want = 0
+        for q in order[:pos]:
+            if g1.rows[i] >> q & 1:
+                want |= 1 << placed[q]
         for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for qpos in range(pos):
-                q = order[qpos]
-                if g1.has_edge(i, q) != g2.has_edge(j, placed[q]):
-                    ok = False
-                    break
-            if ok:
+            if not image >> j & 1 and g2.rows[j] & image == want:
                 placed[i] = j
-                used[j] = True
-                if extend(pos + 1):
+                if extend(pos + 1, image | 1 << j):
                     return True
-                used[j] = False
-                placed[i] = -1
         return False
 
-    return placed if extend(0) else None
+    return placed if extend(0, 0) else None
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to cross-check the package.
 
 Everything here is deliberately independent of exgraph: plain subset
-enumeration and closed forms only, so a bug in the library cannot hide in
-its own oracle.  Sizes are capped accordingly (exponential blowup).
+enumeration, closed forms, and the plain loops that faster library code
+replaced, so a bug in the library cannot hide in its own oracle.  Sizes are
+capped accordingly (exponential blowup).
 """
 
 import itertools
@@ -109,3 +110,67 @@ def inner_product_mod2(x, y):
 def random_graph(rng, n, p):
     """Edge list of a G(n, p) sample from the supplied generator."""
     return [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+
+
+def van_dam_reference(seed, trials, table):
+    """Success rate of van Dam's protocol over `trials` seeded trials, one
+    trial per loop iteration: draw (a0, a1, k), sample the box's (a, b) at
+    inputs (a0 ^ a1, k) and count a hit when a0 ^ a ^ b equals bit k.
+
+    `table` is the bipartite binary box as table[x, y, a, b].
+    """
+    rng = np.random.default_rng(seed)
+    flat = {(x, y): table[x, y].reshape(-1) for x in range(2) for y in range(2)}
+    hits = 0
+    for _ in range(trials):
+        a0, a1, k = rng.integers(0, 2, size=3)
+        idx = rng.choice(4, p=flat[(int(a0 ^ a1), int(k))])
+        aa, bb = divmod(int(idx), 2)
+        if (a0 ^ aa) ^ bb == (a0, a1)[k]:
+            hits += 1
+    return hits / trials
+
+
+def iso_map_reference(g1, g2, fixed=None):
+    """Backtracking isomorphism search that tests each candidate against
+    every placed vertex with `has_edge`, in the same vertex and candidate
+    order as the library's search, so both return the same mapping (or None).
+
+    g1 and g2 need only `n` and `has_edge(i, j)`.
+    """
+    n = g1.n
+
+    def keys(g):
+        adj = [[j for j in range(n) if g.has_edge(i, j)] for i in range(n)]
+        return [(len(adj[i]), tuple(sorted(len(adj[j]) for j in adj[i]))) for i in range(n)]
+
+    k1, k2 = keys(g1), keys(g2)
+    if sorted(k1) != sorted(k2):
+        return None
+    candidates = [[j for j in range(n) if k2[j] == k1[i]] for i in range(n)]
+    if fixed is not None:
+        u, v = fixed
+        if v not in candidates[u]:
+            return None
+        candidates[u] = [v]
+    order = sorted(range(n), key=lambda i: (0 if fixed and i == fixed[0] else 1, len(candidates[i])))
+    placed = [-1] * n
+    used = [False] * n
+
+    def extend(pos):
+        if pos == n:
+            return True
+        i = order[pos]
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            if all(g1.has_edge(i, q) == g2.has_edge(j, placed[q]) for q in order[:pos]):
+                placed[i] = j
+                used[j] = True
+                if extend(pos + 1):
+                    return True
+                used[j] = False
+                placed[i] = -1
+        return False
+
+    return placed if extend(0) else None

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from exgraph import boxes
 from exgraph.boxes import (
     BellScenario,
     Box,
@@ -27,7 +28,7 @@ from exgraph.boxes import (
     _strategies,
     _strategy_matrix,
 )
-from oracles import inner_product_mod2
+from oracles import inner_product_mod2, van_dam_reference
 
 
 def test_scenario_and_box_validation():
@@ -223,6 +224,23 @@ def test_van_dam_protocol_with_noise():
         van_dam_ic(seed=1, trials=0)
     with pytest.raises(ValueError):
         van_dam_ic(seed=1, trials=1_000_001)
+
+
+@pytest.mark.parametrize("e", [1.0, 0.9, 0.7, 0.5, 0.3, 0.0])
+def test_van_dam_success_is_the_per_trial_loop_bit_for_bit(e):
+    table = pr_box(2, e).table
+    for seed in (0, 17, 2024):
+        for trials in (1, 2, 3, 7, 300, 1001):
+            assert van_dam_ic(seed, trials, e).success == van_dam_reference(seed, trials, table)
+
+
+def test_van_dam_chunks_keep_the_stream_aligned(monkeypatch):
+    table = pr_box(2, 0.7).table
+    assert van_dam_ic(5, 32_769, 0.7).success == van_dam_reference(5, 32_769, table)
+    monkeypatch.setattr(boxes, "_VAN_DAM_PAIRS", 3)
+    for seed in (1, 9):
+        for trials in (5, 6, 7, 12, 13, 31):
+            assert van_dam_ic(seed, trials, 0.7).success == van_dam_reference(seed, trials, table)
 
 
 def test_nested_protocol_closed_form():

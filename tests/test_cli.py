@@ -283,6 +283,30 @@ def test_sampling_sizes_are_capped_before_any_work(monkeypatch, capsys, command)
     assert word in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family,n,size", [("cycle", "1000", "1000"), ("prism", "40", "80"), ("moebius", "67", "66")])
+def test_plotdata_sweep_is_capped_before_any_work(monkeypatch, capsys, family, n, size):
+    def never(*args, **kwargs):
+        raise AssertionError("solved a sweep past the size cap")
+
+    monkeypatch.setattr(cli, "bounds_report", never)
+    assert cli.run(["plotdata", "theta-alpha", "--family", family, "--n", n]) == 2
+    assert f"{size} vertices" in capsys.readouterr().err
+
+
+def test_plotdata_sweep_reaches_the_size_cap(monkeypatch, capsys):
+    sizes = []
+    real = cli.bounds_report
+
+    def counted(g, **kwargs):
+        sizes.append(g.n)
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(cli, "bounds_report", counted)
+    assert cli.run(["plotdata", "theta-alpha", "--family", "prism", "--n", "32"]) == 0
+    assert sizes == list(range(6, 65, 2))
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 30
+
+
 def test_ip_protocol_accepts_the_largest_bit_length(capsys):
     code, data = run_json(capsys, ["box", "ip-protocol", "--seed", "3", "--trials", "2", "--n", "4096"])
     assert code == 0

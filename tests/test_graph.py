@@ -1,12 +1,15 @@
 """Graph construction, families, products, and isomorphism."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exgraph import graph as gr
-from oracles import random_graph
+from oracles import iso_map_reference, random_graph
 
 
 def test_from_edges_basic():
@@ -137,6 +140,43 @@ def test_non_isomorphic_same_degree_sequence():
     assert not gr.is_isomorphic(c6, two_triangles)
     assert gr.isomorphism_witness(c6, two_triangles) is None
     assert not gr.is_isomorphic(gr.cycle_graph(5), gr.cycle_graph(7))
+
+
+@st.composite
+def _iso_cases(draw):
+    """A graph on up to 12 vertices, a relabelled copy, and a relabelled copy
+    after one degree-preserving swap (ab, cd -> ac, bd) when the graph has one."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    keep = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, u in zip(pairs, keep) if u < p]
+    g = gr.from_edges(n, edges)
+    perm = draw(st.permutations(range(n)))
+    h = gr.from_edges(n, [(perm[i], perm[j]) for i, j in edges])
+    swaps = [
+        (ab, cd, (a, c), (b, d))
+        for ab, cd in itertools.combinations(edges, 2)
+        for (a, b), (c, d) in ((ab, cd), (ab[::-1], cd))
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d)
+    ]
+    if not swaps:
+        return g, h, None
+    ab, cd, ac, bd = draw(st.sampled_from(swaps))
+    moved = [e for e in edges if e not in (ab, cd)] + [ac, bd]
+    return g, h, gr.from_edges(n, [(perm[i], perm[j]) for i, j in moved])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_iso_cases())
+def test_iso_map_matches_the_has_edge_search(case):
+    g, h, swapped = case
+    found = gr._iso_map(g, h)
+    assert found is not None and found == iso_map_reference(g, h)
+    if swapped is not None:
+        assert gr._iso_map(g, swapped) == iso_map_reference(g, swapped)
+    for v in range(g.n):
+        assert gr._iso_map(g, g, fixed=(0, v)) == iso_map_reference(g, g, fixed=(0, v))
 
 
 @pytest.mark.parametrize(
