@@ -13,13 +13,14 @@ tested pointwise with certificates where a certificate is cheap to produce.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph, _bits, _popcount, complement
+from .graph import Graph, _bits, complement
 from .numkernel import LinearProgram, lp_solve, sdp_solve, sdp_solve_many
 
 # largest column count of a hull LP; both hull LPs have one row per
@@ -91,7 +92,7 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
         if not p and not x:
             found.append(r)
             return
-        pivot = max(_bits(p | x), key=lambda v: _popcount(p & rows[v]))
+        pivot = max(_bits(p | x), key=lambda v: (p & rows[v]).bit_count())
         for v in _bits(p & ~rows[pivot]):
             bk(r | (1 << v), p & rows[v], x & rows[v])
             p ^= 1 << v
@@ -121,10 +122,11 @@ def fractional_packing(g: Graph) -> float:
     """
     cliques = maximal_cliques(g)
     n = g.n
+    # incidence a[v, col] = 1 for every vertex v of clique col, in one scatter
+    sizes = np.fromiter(map(len, cliques), dtype=np.intp, count=len(cliques))
+    members = np.fromiter(itertools.chain.from_iterable(cliques), dtype=np.intp, count=int(sizes.sum()))
     a = np.zeros((n, len(cliques)))
-    for col, q in enumerate(cliques):
-        a[list(q), col] = 1.0
-    sizes = a.sum(axis=0)
+    a[members, np.repeat(np.arange(len(cliques)), sizes)] = 1.0
     top = sizes == sizes.max()
     per_vertex = a[:, top].sum(axis=1)
     if per_vertex.min() == per_vertex.max():

@@ -457,12 +457,10 @@ def ip_one_bit_protocol(x, y, seed: int) -> IpProtocolResult:
         raise ValueError("bit strings must have equal length")
     if any(v not in (0, 1) for v in xbits + ybits):
         raise ValueError("inputs must be bits")
-    rng = np.random.default_rng(seed)
-    message = 0
-    bob = 0
-    for xi, yi in zip(xbits, ybits):
-        a = int(rng.integers(0, 2))
-        b = a ^ (xi & yi)
-        message ^= a
-        bob ^= b
+    # one draw of all of Alice's box outputs reads the same stream as one
+    # integers(0, 2) call per position
+    a = np.random.default_rng(seed).integers(0, 2, size=len(xbits))
+    b = a ^ (np.array(xbits, dtype=a.dtype) & np.array(ybits, dtype=a.dtype))
+    message = int(np.bitwise_xor.reduce(a))
+    bob = int(np.bitwise_xor.reduce(b))
     return IpProtocolResult(result=message ^ bob, bits_communicated=1)

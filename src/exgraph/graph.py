@@ -27,10 +27,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph: irreflexive, symmetric adjacency on n >= 1 vertices."""
@@ -72,7 +68,7 @@ class Graph:
         return self.rows[i]
 
     def degree(self, i: int) -> int:
-        return _popcount(self.rows[i])
+        return self.rows[i].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted edge list with i < j."""

@@ -20,13 +20,16 @@ program has strictly fewer constraints (ties stay on the edge side):
 
 Dense graphs (conormal products, complements of sparse graphs) have many
 more edges than non-edges, and the Schur complement has one row per
-constraint.  Both sides start strictly feasible at the same point (theta
-primal I/m; y_0 = 1 + sum |C_ij| with zero edge multipliers) and each
-iteration takes a Mehrotra predictor-corrector step along the HKM direction
-(Helmberg-Rendl-Vanderbei-Wolkowicz), with step lengths 0.95 of the
-distance to the PSD boundary.  The off-diagonal constraints have disjoint
-supports, one pair of entries each, so the Schur complement is assembled
-entrywise from X and S^-1.  Its Cholesky factorization is the
+constraint.  Both sides start strictly feasible at the same point: theta
+primal I/m, and y_0 = 1 + max_i sum_j |C_ij| with zero edge multipliers.
+That y_0 exceeds Gershgorin's bound on the largest eigenvalue of C, so the
+starting slacks y_0 I - C are positive definite, and the first duality gap
+is about m rather than m^2 for unit weights (the start 1 + sum_ij |C_ij|
+would give 1 + m^2).  Each iteration takes a Mehrotra predictor-corrector
+step along the HKM direction (Helmberg-Rendl-Vanderbei-Wolkowicz), with
+step lengths 0.95 of the distance to the PSD boundary.  The off-diagonal
+constraints have disjoint supports, one pair of entries each, so the Schur
+complement is assembled entrywise from X and S^-1.  Its Cholesky factorization is the
 positive-definiteness check, and each of the two directions of an iteration
 is then one linear solve against it.  The two sides take different paths
 (HKM is not symmetric in X and S), so their iteration counts can differ.
@@ -34,12 +37,22 @@ is then one linear solve against it.  The two sides take different paths
 After every step the solver extracts a certified theta pair, whichever side
 it steps: the primal candidate (X on the edge side, S on the other) is
 projected onto the affine constraints (zero the edge entries, shift the
-diagonal by (1 - tr)/m) and mixed toward I/m until PSD, and the dual
-candidate (S on the edge side; on the other, Z with y_0 = (tr Z + tr C) / m,
-projected onto the dual's affine set) has y_0 shifted until it is PSD, at a
-cost of +delta on the bound.  The returned interval [lower, upper]
-therefore brackets the true optimum regardless of how far the iteration
-itself has converged, and `SdpResult.x` is the certified theta primal.
+diagonal by (1 - tr)/m), and the dual candidate (S on the edge side; on the
+other, Z with y_0 = (tr Z + tr C) / m, projected onto the dual's affine
+set).  Both are then checked in this order:
+
+1. One stacked Cholesky factorization of each candidate minus Rump's shift
+   (Rump, BIT Numer. Math. 2006; a multiple of the unit roundoff times the
+   trace, plus an underflow term).  If it runs to completion, every
+   candidate is proved positive definite and is certified as it is.
+2. Otherwise eigvalsh gives each candidate's smallest eigenvalue: the
+   primal is mixed toward I/m until PSD, and the dual has y_0 raised by
+   the eigenvalue's negative part, at that cost on the bound.
+
+The returned interval [lower, upper] therefore brackets the true optimum
+regardless of how far the iteration itself has converged, and
+`SdpResult.x` is the certified theta primal.  The objective <C, X> of the
+certified primal is still rounded in floating point.
 
 `sdp_solve_many` runs a stack of programs that share one edge list (one
 graph, many weight vectors) in lockstep, so that every factorization or
@@ -58,6 +71,8 @@ import numpy as np
 
 _STEP_FRACTION = 0.95
 _SCHUR_SHIFT = 1e-14
+_UNIT_ROUNDOFF = 2.0**-53
+_UNDERFLOW = 2.0**-1074
 
 
 class SdpError(RuntimeError):
@@ -87,6 +102,31 @@ def _max_steps(li: np.ndarray, d: np.ndarray) -> np.ndarray:
     boundary, capped at 1."""
     lam = np.linalg.eigvalsh(li @ d @ li.swapaxes(-1, -2))[..., 0]
     return -_STEP_FRACTION / np.minimum(lam, -_STEP_FRACTION)
+
+
+def _rump_shift(a: np.ndarray) -> np.ndarray:
+    """Shifts c, one per stacked symmetric matrix A of size m, such that a
+    floating-point Cholesky factorization of A - cI that runs to completion
+    proves A positive definite (Rump, BIT Numer. Math. 2006): c >= g/(1 - 2g)
+    tr A + 4 eta (2(m + 1) + max A_ii), g = gamma_{m+1}, with tr A in place
+    of max A_ii (a negative diagonal entry fails the factorization anyway).
+    The factor 2 covers the rounding of c itself and of A - cI, which numpy
+    rounds to nearest rather than upward."""
+    m = a.shape[-1]
+    g = (m + 1) * _UNIT_ROUNDOFF / (1.0 - (m + 1) * _UNIT_ROUNDOFF)
+    tr = a.trace(axis1=-2, axis2=-1)
+    return 2.0 * (g / (1.0 - 2.0 * g) * tr + 4.0 * _UNDERFLOW * (2 * (m + 1) + tr))
+
+
+def _proved_pd(a: np.ndarray) -> bool:
+    """True when one floating-point Cholesky factorization of the stack
+    a - cI, c the Rump shift of each matrix, runs to completion, which proves
+    every matrix of the stack positive definite."""
+    try:
+        np.linalg.cholesky(a - _rump_shift(a)[..., None, None] * np.eye(a.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def sdp_solve(c: np.ndarray, edges, tol: float = 5e-7, max_iter: int = 100) -> SdpResult:
@@ -140,7 +180,9 @@ def _solve(cost: np.ndarray, edge: np.ndarray, non_edge: bool, tol: float, max_i
     m = cost.shape[1]
     eye = np.eye(m)
     keep = 1.0 - edge
-    start = 1.0 + np.abs(cost).sum(axis=(1, 2))
+    # Gershgorin: every eigenvalue of C is below its largest absolute row
+    # sum, so start I - C is PD
+    start = 1.0 + np.abs(cost).sum(axis=2).max(axis=1)
     # one multiplier per unordered pair, or the Schur complement is singular
     if non_edge:
         # X is the theta-dual slack, pinned to -C off the edges and with
@@ -172,7 +214,8 @@ def _solve(cost: np.ndarray, edge: np.ndarray, non_edge: bool, tol: float, max_i
             return v.sum(axis=-1, keepdims=True)
 
         def dadjoint(w: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(w, w.shape[:-1] + (m,))
+            # one column, broadcast along the diagonal by adjoint()
+            return w
 
         def border(x, g, xa, xb, ga, gb):
             # <A_p, X I G> = (GX)_ab + (GX)_ba and <I, X I G> = tr(GX)
@@ -193,10 +236,10 @@ def _solve(cost: np.ndarray, edge: np.ndarray, non_edge: bool, tol: float, max_i
         return a.reshape(a.shape[0], m * m)
 
     def adjoint(y: np.ndarray) -> np.ndarray:
-        s = np.zeros((y.shape[0], m, m))
-        flat(s)[:, :: m + 1] = dadjoint(y[:, :k])
-        flat(s)[:, fij] = flat(s)[:, fji] = y[:, k:]
-        return s
+        s = np.zeros((y.shape[0], m * m))
+        s[:, :: m + 1] = dadjoint(y[:, :k])
+        s[:, fij] = s[:, fji] = y[:, k:]
+        return s.reshape(y.shape[0], m, m)
 
     def apply(h: np.ndarray) -> np.ndarray:
         hf = flat(h)
@@ -213,16 +256,19 @@ def _solve(cost: np.ndarray, edge: np.ndarray, non_edge: bool, tol: float, max_i
             flat(sd)[:, :: m + 1] += y0[:, None]
         else:
             xp, y0, sd = x, y[:, 0], s
-        # primal: affine-exact (zero the edges, shift the diagonal), then
-        # mixed toward I/m until PSD; dual: shift y_0 to absorb any negative
-        # eigenvalue left in its slack
+        # primal: affine-exact (zero the edges, shift the diagonal); unless
+        # the pair is proved PD, the primal is mixed toward I/m until PSD
+        # and the dual's y_0 absorbs any negative eigenvalue of its slack
         xf = xp * keep
         flat(xf)[:, :: m + 1] += ((1.0 - xf.trace(axis1=1, axis2=2)) / m)[:, None]
-        lam_x, lam_s = np.linalg.eigvalsh(np.array((xf, sd)))[..., 0]
-        t = m * np.maximum(-lam_x, 0.0)
-        mix = (t / (1.0 + t))[:, None, None]
-        xf = (1.0 - mix) * xf + (mix / m) * eye
-        return (cost * xf).sum(axis=(1, 2)), y0 + np.maximum(0.0, -lam_s), xf
+        pair = np.array((xf, sd))
+        if not _proved_pd(pair):
+            lam_x, lam_s = np.linalg.eigvalsh(pair)[..., 0]
+            t = m * np.maximum(-lam_x, 0.0)
+            mix = (t / (1.0 + t))[:, None, None]
+            xf = (1.0 - mix) * xf + (mix / m) * eye
+            y0 = y0 + np.maximum(0.0, -lam_s)
+        return (cost * xf).sum(axis=(1, 2)), y0, xf
 
     s = adjoint(y) - c
     best_lb, best_ub, best_x = certify(x, y, s)

@@ -281,6 +281,6 @@ def bell_qubit_hv_expectation(a0: float, a_vec, n_vec, samples: int, seed: int) 
     norm_a = float(np.linalg.norm(a_vec))
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(samples, 3))
-    m /= np.linalg.norm(m, axis=1, keepdims=True)
-    signs = np.where((m + n_vec) @ a_vec >= 0.0, 1.0, -1.0)
-    return float(a0 + norm_a * signs.mean())
+    # (m/|m| + n).a >= 0 exactly when m.a + |m| (n.a) >= 0, since |m| > 0
+    plus = np.count_nonzero(m @ a_vec + np.sqrt(np.einsum("ij,ij->i", m, m)) * float(n_vec @ a_vec) >= 0.0)
+    return float(a0 + norm_a * ((2 * plus - samples) / samples))

@@ -174,3 +174,56 @@ def iso_map_reference(g1, g2, fixed=None):
         return False
 
     return placed if extend(0) else None
+
+
+def hv_reference(a0, a_vec, n_vec, samples, seed):
+    """The hidden-variable sampler as first written: normalise each draw m,
+    then take the sign of (m/|m| + n).a for every sample and average."""
+    a_vec = np.asarray(a_vec, dtype=float)
+    n_vec = np.asarray(n_vec, dtype=float)
+    norm_a = float(np.linalg.norm(a_vec))
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(samples, 3))
+    m /= np.linalg.norm(m, axis=1, keepdims=True)
+    signs = np.where((m + n_vec) @ a_vec >= 0.0, 1.0, -1.0)
+    return float(a0 + norm_a * signs.mean())
+
+
+def ip_protocol_reference(x, y, seed):
+    """The one-bit inner-product protocol with one integers(0, 2) draw per
+    position; returns the XOR of Alice's message and Bob's outputs."""
+    xbits = [int(v) for v in x]
+    ybits = [int(v) for v in y]
+    if len(xbits) != len(ybits):
+        raise ValueError("bit strings must have equal length")
+    if any(v not in (0, 1) for v in xbits + ybits):
+        raise ValueError("inputs must be bits")
+    rng = np.random.default_rng(seed)
+    message = bob = 0
+    for xi, yi in zip(xbits, ybits):
+        a = int(rng.integers(0, 2))
+        message ^= a
+        bob ^= a ^ (xi & yi)
+    return message ^ bob
+
+
+def exact_is_pd(a):
+    """Whether the symmetric float matrix a is positive definite, decided in
+    exact rational arithmetic: an LDL^T factorization without pivoting over
+    fractions.Fraction exists with every pivot d_k > 0 exactly when a is PD
+    (Jansson-Chaykin-Keil, SIAM J. Numer. Anal. 2007, use this kind of exact
+    check to validate floating-point certificates)."""
+    from fractions import Fraction
+
+    n = len(a)
+    work = [[Fraction(float(a[i][j])) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        d = work[k][k]
+        if d <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = work[i][k] / d
+            if f:
+                for j in range(k + 1, i + 1):
+                    work[i][j] -= f * work[j][k]
+    return True

@@ -146,6 +146,45 @@ def test_fractional_packing_equals_the_cover_lp(g):
     assert bd.fractional_packing(g) == pytest.approx(_cover_lp_value(g), abs=1e-12)
 
 
+@st.composite
+def _graphs_up_to_8(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return gr.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+# each theta is certified to an interval of width THETA_TOL around its
+# midpoint, so a relation among three midpoints holds within 1.5 THETA_TOL
+THETA_TOL = 5e-7
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_graphs_up_to_8())
+def test_theta_is_at_most_alpha_star(g):
+    assert bd.lovasz_theta(g) <= bd.fractional_packing(g) + THETA_TOL / 2
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_graphs_up_to_8(), _graphs_up_to_8())
+def test_theta_of_a_disjoint_union_is_the_sum(g, h):
+    got = bd.lovasz_theta(gr.disjoint_union(g, h))
+    assert got == pytest.approx(bd.lovasz_theta(g) + bd.lovasz_theta(h), abs=1.5 * THETA_TOL)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_graphs_up_to_8(), _graphs_up_to_8())
+def test_theta_of_a_cosum_is_the_max(g, h):
+    got = bd.lovasz_theta(gr.direct_cosum(g, h))
+    assert got == pytest.approx(max(bd.lovasz_theta(g), bd.lovasz_theta(h)), abs=THETA_TOL)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_graphs_up_to_8())
+def test_theta_of_a_duplication_is_twice_theta(g):
+    assert bd.lovasz_theta(gr.duplication(g)) == pytest.approx(2 * bd.lovasz_theta(g), abs=1.5 * THETA_TOL)
+
+
 def test_subset_intersection_family_values():
     g = gr.subset_intersection_graph(3, 1)
     assert g.n == 20

@@ -28,7 +28,7 @@ from exgraph.boxes import (
     _strategies,
     _strategy_matrix,
 )
-from oracles import inner_product_mod2, van_dam_reference
+from oracles import inner_product_mod2, ip_protocol_reference, van_dam_reference
 
 
 def test_scenario_and_box_validation():
@@ -266,6 +266,26 @@ def test_ip_protocol_matches_the_arithmetic_oracle():
         res = ip_one_bit_protocol(x, y, seed=int(rng.integers(0, 1 << 30)))
         assert res.bits_communicated == 1
         assert res.result == inner_product_mod2(x, y)
+
+
+def test_ip_protocol_matches_the_per_bit_loop():
+    # one integers(0, 2, size=n) draw against one draw per bit, on valid
+    # inputs and on inputs that fail either check first
+    rng = np.random.default_rng(1012)
+    for case in range(1000):
+        n = int(rng.integers(0, 40))
+        x = rng.integers(0, 2, size=n).tolist()
+        y = rng.integers(0, 2, size=n + (case % 50 in (7, 23))).tolist()
+        if case % 50 in (11, 23) and y:
+            y[-1] = 2
+        seed = int(rng.integers(0, 1 << 30))
+        try:
+            want = ip_protocol_reference(x, y, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                ip_one_bit_protocol(x, y, seed=seed)
+            continue
+        assert ip_one_bit_protocol(x, y, seed=seed).result == want
 
 
 def test_ip_protocol_validation():

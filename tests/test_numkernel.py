@@ -29,7 +29,7 @@ from exgraph.numkernel import (
 )
 from exgraph.numkernel import lp as lp_kernel
 from exgraph.numkernel import sdp
-from oracles import brute_independence
+from oracles import brute_independence, exact_is_pd
 
 
 def _vertex_enumeration_max(c, a, b, hi):
@@ -270,7 +270,7 @@ class TestSdp(unittest.TestCase):
     def test_iteration_counts_are_frozen(self):
         # frozen counts: any change to the iteration itself moves them
         res = sdp_solve(np.ones((5, 5)), PENTAGON_EDGES)
-        self.assertEqual(res.iterations, 7)
+        self.assertEqual(res.iterations, 6)
         # prism over C5 with weights 0.2 .. 1.0, optimum 2.7056337642
         # (certified to 1e-10)
         w = np.linspace(0.2, 1.0, 10)
@@ -278,7 +278,7 @@ class TestSdp(unittest.TestCase):
         ii = np.concatenate([ring, ring + 5, ring])
         jj = np.concatenate([(ring + 1) % 5, (ring + 1) % 5 + 5, ring + 5])
         res = sdp_solve(np.sqrt(np.outer(w, w)), (ii, jj))
-        self.assertEqual(res.iterations, 9)
+        self.assertEqual(res.iterations, 8)
         self.assertLess(abs(res.value - 2.7056337642), 2.5e-7)
 
     def test_certified_bounds_bracket(self):
@@ -436,7 +436,7 @@ class TestSdpNonEdgeSide(unittest.TestCase):
         self.assertLessEqual(max(on_edges.lower, off_edges.lower), min(on_edges.upper, off_edges.upper) + 1e-12)
 
 
-# C5 weights whose programs converge in 6, 7 and 9 iterations
+# C5 weights whose programs converge in 6, 6 and 7 iterations
 STAGGERED = np.array([[1.0, 1, 0, 0, 0], [1, 1, 1, 1, 1], [5, 1, 1, 1, 1]])
 
 
@@ -472,29 +472,30 @@ class TestSdpStack(unittest.TestCase):
 
     def test_programs_leave_the_stack_when_certified(self):
         res = sdp_solve_many(_stack(STAGGERED), PENTAGON_EDGES)
-        self.assertEqual([r.iterations for r in res], [6, 7, 9])
+        self.assertEqual([r.iterations for r in res], [6, 6, 7])
         self.assertLess(abs(res[1].value - math.sqrt(5.0)), 2.5e-7)
 
     def test_iteration_cap_raises_with_an_unfinished_program(self):
         # the first two programs finish within the cap; the third, whose
         # optimum is 6, does not
         with self.assertRaises(SdpError) as ctx:
-            sdp_solve_many(_stack(STAGGERED), PENTAGON_EDGES, max_iter=7)
+            sdp_solve_many(_stack(STAGGERED), PENTAGON_EDGES, max_iter=6)
         exc = ctx.exception
-        self.assertIn("no convergence in 7 iterations", str(exc))
+        self.assertIn("no convergence in 6 iterations", str(exc))
         self.assertGreater(exc.upper - exc.lower, 5e-7)
         self.assertLessEqual(exc.lower, 6.0 + 1e-9)
         self.assertGreaterEqual(exc.upper, 6.0 - 1e-9)
 
     def test_breakdown_raises_with_an_unfinished_program(self):
-        # two Cholesky calls per iteration: the 15th is the first of
-        # iteration 8, which only the third program reaches
+        # one Cholesky call certifies the starting point and three run per
+        # iteration: the 20th is the first of iteration 7, which only the
+        # third program reaches
         real = np.linalg.cholesky
         calls = []
 
         def failing(a):
             calls.append(1)
-            if len(calls) == 15:
+            if len(calls) == 20:
                 raise np.linalg.LinAlgError("injected")
             return real(a)
 
@@ -502,7 +503,7 @@ class TestSdpStack(unittest.TestCase):
             with self.assertRaises(SdpError) as ctx:
                 sdp_solve_many(_stack(STAGGERED), PENTAGON_EDGES)
         exc = ctx.exception
-        self.assertIn("numerical breakdown after 7 iterations", str(exc))
+        self.assertIn("numerical breakdown after 6 iterations", str(exc))
         self.assertTrue(math.isfinite(exc.lower) and math.isfinite(exc.upper))
         self.assertLessEqual(exc.lower, 6.0 + 1e-9)
         self.assertGreaterEqual(exc.upper, 6.0 - 1e-9)
@@ -525,6 +526,81 @@ class TestSdpStack(unittest.TestCase):
                 sdp_solve(cost, PENTAGON_EDGES)
             with self.assertRaisesRegex(ValueError, "finite"):
                 sdp_solve_many(np.stack([np.ones((5, 5)), cost]), PENTAGON_EDGES)
+
+
+@st.composite
+def _near_singular_matrices(draw):
+    # a Gram matrix of rank r <= m (a random symmetric matrix when r = 0),
+    # scaled and shifted by delta I with delta from 0 to well above the
+    # Rump shift
+    m = draw(st.integers(1, 8))
+    r = draw(st.integers(0, m))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    delta = draw(st.sampled_from([0.0, 1e-18, 1e-16, 1e-15, 3e-15, 1e-14, 1e-13, 1e-10, 1e-6]))
+    rng = np.random.default_rng(seed)
+    if r:
+        f = rng.normal(size=(m, r))
+        a = f @ f.T
+    else:
+        a = rng.normal(size=(m, m))
+        a = a + a.T
+    return scale * (a + delta * np.eye(m))
+
+
+class TestPdProof(unittest.TestCase):
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_near_singular_matrices())
+    def test_shifted_cholesky_proves_only_pd_matrices(self, a):
+        if sdp._proved_pd(a[None]):
+            self.assertTrue(exact_is_pd(a))
+
+    def test_proofs_on_converged_and_rank_deficient_matrices(self):
+        # the certified pentagon X, the same matrix rebuilt with its smallest
+        # eigenvalue set to 1e-17 (far below the Rump shift, so it is not
+        # proved), and a rank-one matrix with diagonal shifts below and above
+        # the Rump shift
+        x = sdp_solve(np.ones((5, 5)), PENTAGON_EDGES).x
+        w, v = np.linalg.eigh(x)
+        self.assertTrue(sdp._proved_pd(x[None]))
+        self.assertTrue(exact_is_pd(x))
+        flat = (v * np.concatenate(([1e-17], w[1:]))) @ v.T
+        self.assertFalse(sdp._proved_pd(flat[None]))
+        u = np.arange(1.0, 7.0)
+        shift = float(sdp._rump_shift(np.outer(u, u)))
+        proved = []
+        for delta in (0.0, shift / 4, 4 * shift, 1e-12):
+            a = np.outer(u, u) + delta * np.eye(6)
+            proved.append(sdp._proved_pd(a[None]))
+            if proved[-1]:
+                self.assertTrue(exact_is_pd(a))
+        self.assertEqual(proved, [False, False, True, True])
+        # one stacked factorization: a single matrix that is not PD fails
+        # the whole stack
+        self.assertFalse(sdp._proved_pd(np.array([x, np.outer(u, u)[:5, :5]])))
+
+    def test_failing_cholesky_falls_back_to_eigvalsh(self):
+        # a shift larger than every eigenvalue makes the proof's
+        # factorization fail, so certify reads eigvalsh; on these programs
+        # eigvalsh finds every certified iterate PD, so the certified numbers
+        # must equal those of the Cholesky proof
+        ring = np.arange(5)
+        prism = (np.concatenate([ring, ring + 5, ring]), np.concatenate([(ring + 1) % 5, (ring + 1) % 5 + 5, ring + 5]))
+        w = np.linspace(0.2, 1.0, 10)
+        cases = [(np.ones((1, 5, 5)), PENTAGON_EDGES), (np.sqrt(np.outer(w, w))[None], prism),
+                 (_stack(STAGGERED), PENTAGON_EDGES)]
+        for costs, edges in cases:
+            proved = sdp_solve_many(costs, edges)
+            with unittest.mock.patch.object(sdp, "_rump_shift", lambda a: 2.0 * a.trace(axis1=-2, axis2=-1)), \
+                    unittest.mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+                fallback = sdp_solve_many(costs, edges)
+            # two step-length calls per iteration, one certify call per
+            # certified point, the start included
+            iterations = max(r.iterations for r in fallback)
+            self.assertEqual(eigvalsh.call_count, 3 * iterations + 1)
+            for p, q in zip(proved, fallback):
+                self.assertEqual((p.iterations, p.lower, p.upper), (q.iterations, q.lower, q.upper))
+                np.testing.assert_array_equal(p.x, q.x)
 
 
 class TestComplexHelpers(unittest.TestCase):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exgraph import graph as gr
 from exgraph.quantum import (
@@ -19,6 +21,7 @@ from exgraph.quantum import (
 )
 from exgraph.scenarios import check_nondisturbance, evaluate_inequality, has_global_section
 from exgraph.boxes import chsh_value, is_local, is_nosignaling
+from oracles import hv_reference
 
 ROOT5 = math.sqrt(5.0)
 
@@ -118,6 +121,21 @@ def test_hv_sampler_is_seeded_and_converges():
     norm_a = float(np.linalg.norm(a_vec))
     big = bell_qubit_hv_expectation(0.1, a_vec, n_vec, samples=200_000, seed=7)
     assert abs(big - exact) < 4 * norm_a / math.sqrt(200_000)
+
+
+_coordinate = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.floats(-1.0, 1.0), st.tuples(_coordinate, _coordinate, _coordinate),
+       st.tuples(_coordinate, _coordinate, _coordinate).filter(lambda v: math.hypot(*v) > 1e-3),
+       st.integers(1, 3000), st.integers(0, 2**32 - 1))
+def test_hv_sampler_matches_the_normalising_loop_bit_for_bit(a0, a_vec, n_dir, samples, seed):
+    # m.a + |m| (n.a) >= 0 decides the same signs as (m/|m| + n).a >= 0 on
+    # the same draws, and (2k - N)/N is the mean of k plus and N - k minus
+    n_vec = np.array(n_dir) / np.linalg.norm(n_dir)
+    got = bell_qubit_hv_expectation(a0, a_vec, n_vec, samples=samples, seed=seed)
+    assert got == hv_reference(a0, a_vec, n_vec, samples, seed)
 
 
 def test_hv_sampler_exact_when_observable_aligns_with_state():
