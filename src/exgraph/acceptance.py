@@ -295,15 +295,8 @@ def criterion_12() -> CriterionResult:
         failures.append(f"van Dam success {vd.success!r}")
     if abs(vd.mutual_information - 2.0) > 1e-12:
         failures.append(f"van Dam information {vd.mutual_information!r}")
-    rng = np.random.default_rng(99)
-    for _ in range(1000):
-        x = rng.integers(0, 2, size=16)
-        y = rng.integers(0, 2, size=16)
-        res = boxes.ip_one_bit_protocol(x, y, seed=int(rng.integers(1 << 30)))
-        want = int(np.dot(x, y)) % 2
-        if res.result != want or res.bits_communicated != 1:
-            failures.append("inner-product protocol disagreed with the oracle")
-            break
+    if boxes.ip_protocol_agreement(seed=99, instances=1000, bits=16) != 1.0:
+        failures.append("inner-product protocol disagreed with the oracle")
     for d in (2, 3, 5):
         for levels in range(1, 7):
             for e in (0.0, 0.3, 1 / math.sqrt(2), 0.9, 1.0):

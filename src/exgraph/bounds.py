@@ -31,6 +31,9 @@ _REPLAY_TOL = 1e-9
 # distinct (graph, weights, tol) programs memoized; the acceptance battery
 # alone solves about 570
 _THETA_CACHE_SIZE = 2048
+# width of the certified interval of every theta solve unless a caller asks
+# for another
+_THETA_TOL = 5e-7
 
 
 def _color_order(rows: tuple[int, ...], p: int) -> list[tuple[int, int]]:
@@ -168,30 +171,29 @@ def _theta_cached(n: int, rows: tuple[int, ...], wkey: tuple[float, ...] | None,
     return _theta_sdp(n, rows, w, tol).value
 
 
-def lovasz_theta(g: Graph, weights=None, tol: float = 5e-7) -> float:
+def _checked_weights(g: Graph, weights) -> np.ndarray:
+    w = np.asarray([float(x) for x in weights])
+    if w.shape != (g.n,):
+        raise ValueError("one weight per vertex required")
+    if w.min() < 0:
+        raise ValueError("weights must be nonnegative")
+    return w
+
+
+def lovasz_theta(g: Graph, weights=None, tol: float = _THETA_TOL) -> float:
     """Semidefinite bound theta(G), optionally vertex-weighted.
 
     The solver certifies a two-sided interval of width tol; the midpoint is
     returned, so the absolute error is at most tol/2.  Results are memoized.
     """
-    wkey = None
-    if weights is not None:
-        wkey = tuple(float(x) for x in weights)
-        if len(wkey) != g.n:
-            raise ValueError("one weight per vertex required")
-        if min(wkey) < 0:
-            raise ValueError("weights must be nonnegative")
+    wkey = None if weights is None else tuple(_checked_weights(g, weights).tolist())
     return _theta_cached(g.n, g.rows, wkey, tol)
 
 
-def lovasz_theta_matrix(g: Graph, weights=None, tol: float = 5e-7):
+def lovasz_theta_matrix(g: Graph, weights=None, tol: float = _THETA_TOL):
     """Like lovasz_theta but also returns the best feasible primal matrix,
     from which optimizing vertex assignments can be extracted."""
-    w = np.ones(g.n) if weights is None else np.asarray([float(x) for x in weights])
-    if w.shape != (g.n,):
-        raise ValueError("one weight per vertex required")
-    if w.min() < 0:
-        raise ValueError("weights must be nonnegative")
+    w = np.ones(g.n) if weights is None else _checked_weights(g, weights)
     res = _theta_sdp(g.n, g.rows, w, tol)
     return res.value, res.x
 
@@ -311,31 +313,28 @@ def stab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict]:
     return False, {"a": [float(v) for v in y[: g.n]], "beta": 0.0 - float(y[g.n]), "margin": margin}
 
 
-def th_membership(g: Graph, p, tol: float = 1e-6, theta_tol: float = 5e-7) -> tuple[bool, float | None]:
+def th_membership(g: Graph, p, tol: float = 1e-6) -> tuple[bool, float | None]:
     """Membership in the theta body of g: p >= 0 and the complement's
-    weighted theta at p is at most 1.  Returns the theta value alongside."""
+    weighted theta at p is at most 1.  Returns the theta value alongside;
+    the one-row case of th_membership_many."""
     p = np.asarray(p, dtype=float)
     if p.shape != (g.n,):
         raise ValueError("one coordinate per vertex required")
-    if float(np.min(p)) < -tol:
-        return False, None
-    p = np.clip(p, 0.0, None)
-    theta = lovasz_theta(complement(g), weights=tuple(p), tol=theta_tol)
-    return theta <= 1.0 + tol, theta
+    return th_membership_many(g, p[None], tol)[0]
 
 
-def th_membership_many(g: Graph, points, tol: float = 1e-6, theta_tol: float = 5e-7) -> list[tuple[bool, float | None]]:
-    """th_membership for each row of points, by the same rule: a row with a
-    coordinate below -tol is outside without a solve; the others are clipped
-    at 0 and their weighted thetas of the complement are solved together, as
-    one stack of programs on one graph."""
+def th_membership_many(g: Graph, points, tol: float = 1e-6) -> list[tuple[bool, float | None]]:
+    """th_membership for each row of points: a row with a coordinate below
+    -tol is outside without a solve; the others are clipped at 0 and their
+    weighted thetas of the complement are solved together, as one stack of
+    programs on one graph."""
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != g.n:
         raise ValueError("one coordinate per vertex required")
     outside = p.min(axis=1) < -tol
     w = np.clip(p[~outside], 0.0, None)
     edges = _edge_arrays(g.n, complement(g).rows)
-    solved = sdp_solve_many(np.sqrt(w[:, :, None] * w[:, None, :]), edges, tol=theta_tol)
+    solved = sdp_solve_many(np.sqrt(w[:, :, None] * w[:, None, :]), edges, tol=_THETA_TOL)
     thetas = iter(res.value for res in solved)
     verdicts: list[tuple[bool, float | None]] = []
     for out in outside:
@@ -389,7 +388,7 @@ class BoundsReport:
         }
 
 
-def bounds_report(g: Graph, tol: float = 5e-7) -> BoundsReport:
+def bounds_report(g: Graph, tol: float = _THETA_TOL) -> BoundsReport:
     alpha, witness = independence_number(g)
     theta = lovasz_theta(g, tol=tol)
     alpha_star = fractional_packing(g)

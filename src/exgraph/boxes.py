@@ -464,3 +464,26 @@ def ip_one_bit_protocol(x, y, seed: int) -> IpProtocolResult:
     message = int(np.bitwise_xor.reduce(a))
     bob = int(np.bitwise_xor.reduce(b))
     return IpProtocolResult(result=message ^ bob, bits_communicated=1)
+
+
+def ip_protocol_agreement(seed: int, instances: int, bits: int) -> float:
+    """Share of seeded random instances on which ip_one_bit_protocol sends
+    one bit and returns the inner product mod 2 computed directly.
+
+    One generator seeded with `seed` draws each instance's x, y and protocol
+    seed in turn.  Requests past the trial or bit cap raise ValueError
+    before any instance runs.
+    """
+    if instances > _MAX_TRIALS:
+        raise ValueError(f"at most {_MAX_TRIALS} trials, got {instances}")
+    if bits > _MAX_PROTOCOL_BITS:
+        raise ValueError(f"at most {_MAX_PROTOCOL_BITS} bits per instance, got {bits}")
+    rng = np.random.default_rng(seed)
+    agree = 0
+    for _ in range(instances):
+        x = rng.integers(0, 2, size=bits)
+        y = rng.integers(0, 2, size=bits)
+        res = ip_one_bit_protocol(x, y, seed=int(rng.integers(1 << 30)))
+        if res.result == int(np.dot(x, y)) % 2 and res.bits_communicated == 1:
+            agree += 1
+    return agree / instances

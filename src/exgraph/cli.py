@@ -345,22 +345,11 @@ def _cmd_box(args) -> int:
     # ip-protocol: random instances against the direct oracle
     bits = args.n or 16
     instances = args.trials or 1000
-    if instances > boxes._MAX_TRIALS:
-        raise CliInputError(f"at most {boxes._MAX_TRIALS} trials, got {instances}")
-    if bits > boxes._MAX_PROTOCOL_BITS:
-        raise CliInputError(f"at most {boxes._MAX_PROTOCOL_BITS} bits per instance, got {bits}")
-    rng = np.random.default_rng(args.seed)
-    agree = 0
-    for _ in range(instances):
-        x = rng.integers(0, 2, size=bits)
-        y = rng.integers(0, 2, size=bits)
-        res = boxes.ip_one_bit_protocol(x, y, seed=int(rng.integers(1 << 30)))
-        if res.result == int(np.dot(x, y)) % 2 and res.bits_communicated == 1:
-            agree += 1
+    agreement = boxes.ip_protocol_agreement(args.seed, instances, bits)
     _emit({
         "instances": instances,
         "bit_length": bits,
-        "agreement": agree / instances,
+        "agreement": agreement,
         "bits_communicated": 1,
         "seed": args.seed,
     }, args.output)

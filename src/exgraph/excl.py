@@ -143,10 +143,6 @@ def duality_suite(g: gr.Graph, graph_id: str = "graph", tol: float = 5e-7) -> Du
     )
 
 
-def _all_cross_pairs(g: gr.Graph) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(g.n) for v in range(g.n) if g.has_edge(u, v)]
-
-
 def op_propagation_suite(tol: float = 1e-5, seed: int = 23) -> list[dict]:
     """How theta moves under the doubling operations.
 
@@ -163,7 +159,7 @@ def op_propagation_suite(tol: float = 1e-5, seed: int = 23) -> list[dict]:
     rows = []
     for name, g in bases:
         base_theta = lovasz_theta(g)
-        cross = _all_cross_pairs(g)
+        cross = gr._twin_cross_pairs(g)
         kept = rng.sample(cross, len(cross) // 2)
         ops = [
             ("cosum", gr.direct_cosum(g, g), base_theta),
@@ -305,7 +301,7 @@ def circulant10_suite(tol: float = 5e-7) -> dict:
     }
 
 
-def eprinciple_violation_witness(g: gr.Graph, p, tol: float = 1e-6, theta_tol: float = 5e-7):
+def eprinciple_violation_witness(g: gr.Graph, p, tol: float = 1e-6):
     """For p outside the quantum set of g, extract pbar in the quantum set
     of the complement with sum p_i pbar_i > 1.
 
@@ -318,7 +314,7 @@ def eprinciple_violation_witness(g: gr.Graph, p, tol: float = 1e-6, theta_tol: f
     if p.min() < 0:
         raise ValueError("probabilities must be nonnegative")
     gbar = gr.complement(g)
-    theta, x = lovasz_theta_matrix(gbar, weights=p, tol=theta_tol)
+    theta, x = lovasz_theta_matrix(gbar, weights=p)
     if theta <= 1.0 + tol:
         raise ValueError(f"p is inside the quantum set (theta = {theta:.6f})")
     root = np.sqrt(p)

@@ -153,7 +153,7 @@ def complete_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return circulant_graph(n, (1,))
 
 
 def path_graph(n: int) -> Graph:
@@ -197,34 +197,31 @@ def moebius_ladder(m: int) -> Graph:
     return circulant_graph(m, {1, m // 2})
 
 
+def _k_subset_graph(m: int, k: int, meet: int, name: str) -> Graph:
+    """k-subsets of an m-set, adjacent iff they share exactly `meet`
+    elements, labelled by their members counted from 1."""
+    verts = list(itertools.combinations(range(m), k))
+    if len(verts) > MAX_VERTICES:
+        raise GraphError(f"{name} on {len(verts)} vertices exceeds {MAX_VERTICES}")
+    edges = [
+        (a, b)
+        for a, b in itertools.combinations(range(len(verts)), 2)
+        if len(set(verts[a]) & set(verts[b])) == meet
+    ]
+    labels = ["".join(str(x + 1) for x in v) for v in verts]
+    return from_edges(len(verts), edges, labels)
+
+
 def johnson_graph(m: int, k: int) -> Graph:
     """k-subsets of an m-set, adjacent iff the subsets share k-1 elements."""
     if not 1 <= k <= m:
         raise GraphError("johnson graph needs 1 <= k <= m")
-    verts = list(itertools.combinations(range(m), k))
-    if len(verts) > MAX_VERTICES:
-        raise GraphError(f"johnson graph on {len(verts)} vertices exceeds {MAX_VERTICES}")
-    edges = [
-        (a, b)
-        for a, b in itertools.combinations(range(len(verts)), 2)
-        if len(set(verts[a]) & set(verts[b])) == k - 1
-    ]
-    labels = ["".join(str(x + 1) for x in v) for v in verts]
-    return from_edges(len(verts), edges, labels)
+    return _k_subset_graph(m, k, k - 1, "johnson graph")
 
 
 def kneser_graph(m: int, k: int) -> Graph:
     """k-subsets of an m-set, adjacent iff disjoint."""
-    verts = list(itertools.combinations(range(m), k))
-    if len(verts) > MAX_VERTICES:
-        raise GraphError(f"kneser graph on {len(verts)} vertices exceeds {MAX_VERTICES}")
-    edges = [
-        (a, b)
-        for a, b in itertools.combinations(range(len(verts)), 2)
-        if not set(verts[a]) & set(verts[b])
-    ]
-    labels = ["".join(str(x + 1) for x in v) for v in verts]
-    return from_edges(len(verts), edges, labels)
+    return _k_subset_graph(m, k, 0, "kneser graph")
 
 
 def petersen_graph() -> Graph:
@@ -232,18 +229,12 @@ def petersen_graph() -> Graph:
 
 
 def subset_intersection_graph(q: int, s: int) -> Graph:
-    """q-subsets of a 2q-set, adjacent iff the intersection has exactly s elements."""
+    """q-subsets of a 2q-set, adjacent iff the intersection has exactly s
+    elements; unlabelled."""
     if not 0 <= s < q:
         raise GraphError("subset intersection family needs 0 <= s < q")
-    verts = list(itertools.combinations(range(2 * q), q))
-    if len(verts) > MAX_VERTICES:
-        raise GraphError(f"family graph on {len(verts)} vertices exceeds {MAX_VERTICES}")
-    edges = [
-        (a, b)
-        for a, b in itertools.combinations(range(len(verts)), 2)
-        if len(set(verts[a]) & set(verts[b])) == s
-    ]
-    return from_edges(len(verts), edges)
+    g = _k_subset_graph(2 * q, q, s, "family graph")
+    return Graph(g.n, g.rows)
 
 
 def build_family(family: str, **params) -> Graph:
@@ -401,22 +392,19 @@ def _iso_map(g1: Graph, g2: Graph, fixed: tuple[int, int] | None = None):
     return placed if extend(0, 0) else None
 
 
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n:
-        return False
-    if g1.n > ISO_MAX_VERTICES:
-        raise GraphError(f"isomorphism search unsupported above {ISO_MAX_VERTICES} vertices")
-    if g1.edge_count() != g2.edge_count():
-        return False
-    return _iso_map(g1, g2) is not None
-
-
 def isomorphism_witness(g1: Graph, g2: Graph) -> list[int] | None:
+    """A vertex map g1 -> g2 that preserves edges, or None.  Graphs whose
+    orders or edge counts differ are told apart at any size; the search
+    itself runs up to ISO_MAX_VERTICES vertices."""
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return None
     if g1.n > ISO_MAX_VERTICES:
         raise GraphError(f"isomorphism search unsupported above {ISO_MAX_VERTICES} vertices")
     return _iso_map(g1, g2)
+
+
+def is_isomorphic(g1: Graph, g2: Graph) -> bool:
+    return isomorphism_witness(g1, g2) is not None
 
 
 def is_vertex_transitive(g: Graph) -> bool:

@@ -181,8 +181,6 @@ def _propagate(g: Graph, bases, assign, queue, trace, label) -> bool:
 
 def classify_colorability(cp: ColoringProblem) -> ColoringResult:
     g = cp.graph
-    if g.n > 64:
-        raise ValueError("colorability search limited to 64 vertices")
     bases = cp.bases
     label = lambda v: g.label(v)
     trace: list[dict] = []

@@ -115,51 +115,32 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     m, nstruct = lp.a.shape
 
     # orient rows so every rhs is nonnegative
-    a = lp.a.copy()
-    b = lp.b.copy()
-    senses = list(lp.senses)
-    row_sign = np.ones(m)
-    for i in range(m):
-        if b[i] < 0:
-            a[i] *= -1.0
-            b[i] *= -1.0
-            row_sign[i] = -1.0
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
+    row_sign = np.where(lp.b < 0, -1.0, 1.0)
+    a = lp.a * row_sign[:, None]
+    b = lp.b * row_sign
+    flip = {"<=": ">=", ">=": "<=", "=": "="}
+    senses = [flip[s] if sign < 0 else s for s, sign in zip(lp.senses, row_sign)]
 
-    slack_cols = []
-    art_cols = []
-    for i, s in enumerate(senses):
-        if s == "<=":
-            col = np.zeros(m)
-            col[i] = 1.0
-            slack_cols.append((i, col, True))
-        elif s == ">=":
-            col = np.zeros(m)
-            col[i] = -1.0
-            slack_cols.append((i, col, False))
-            art_cols.append(i)
-        else:
-            art_cols.append(i)
-
-    nslack = len(slack_cols)
-    nart = len(art_cols)
+    # columns: structural, then one slack per inequality row (+1 on "<=",
+    # -1 on ">="), then one artificial per ">=" or "=" row, each in row order
+    le = np.array([s == "<=" for s in senses], dtype=bool)
+    slack_rows = np.flatnonzero([s != "=" for s in senses])
+    art_rows = np.flatnonzero(~le)
+    nslack = slack_rows.size
+    nart = art_rows.size
     ncols = nstruct + nslack + nart
     tab = np.zeros((m + 1, ncols + 1))
     tab[:m, :nstruct] = a
-    basis = [-1] * m
-    # per row, the column that starts as the unit vector e_i: its reduced
-    # cost is minus the row's dual
-    unit_cols = np.zeros(m, dtype=int)
-    for idx, (i, col, is_basic) in enumerate(slack_cols):
-        tab[:m, nstruct + idx] = col
-        if is_basic:
-            basis[i] = nstruct + idx
-            unit_cols[i] = nstruct + idx
-    for idx, i in enumerate(art_cols):
-        tab[i, nstruct + nslack + idx] = 1.0
-        basis[i] = nstruct + nslack + idx
-        unit_cols[i] = nstruct + nslack + idx
+    tab[slack_rows, nstruct + np.arange(nslack)] = np.where(le[slack_rows], 1.0, -1.0)
+    tab[art_rows, nstruct + nslack + np.arange(nart)] = 1.0
     tab[:m, -1] = b
+    # the start basis holds each row's unit column e_i: its slack, or its
+    # artificial where there is one (a ">=" slack is -e_i).  The reduced cost
+    # of that column is minus the row's dual
+    unit_cols = np.empty(m, dtype=int)
+    unit_cols[slack_rows] = nstruct + np.arange(nslack)
+    unit_cols[art_rows] = nstruct + nslack + np.arange(nart)
+    basis = unit_cols.tolist()
 
     allowed = np.ones(ncols, dtype=bool)
 

@@ -94,18 +94,23 @@ def verify_orthorep(g: Graph, rep: OrthoRep, tol: float = 1e-9) -> tuple[bool, f
     return ok, rep.witness_value()
 
 
-def kcbs_orthorep() -> OrthoRep:
-    """The five-cycle umbrella: apex handle, vectors tilted by the angle
-    with cos^2 theta = cos(pi/5)/(1 + cos(pi/5)), successive azimuths 4*pi/5
-    apart so adjacent vectors are orthogonal."""
-    c = math.cos(math.pi / 5)
+def _umbrella(n: int) -> list[np.ndarray]:
+    """The odd n-cycle umbrella around the apex (1, 0, 0): unit vectors
+    tilted by the angle with cos^2 theta = cos(pi/n)/(1 + cos(pi/n)), at
+    successive azimuths (n-1)*pi/n apart so adjacent vectors are orthogonal."""
+    c = math.cos(math.pi / n)
     cos_t = math.sqrt(c / (1 + c))
     sin_t = math.sqrt(1 - c / (1 + c))
     vectors = []
-    for i in range(5):
-        az = 4 * math.pi * i / 5
-        vectors.append(np.array([cos_t, sin_t * math.cos(az), sin_t * math.sin(az)]))
-    return OrthoRep(np.array([1.0, 0.0, 0.0]), tuple(vectors))
+    for i in range(n):
+        az = (n - 1) * math.pi * i / n
+        vectors.append(np.array([cos_t, sin_t * math.cos(az), sin_t * math.sin(az)], dtype=complex))
+    return vectors
+
+
+def kcbs_orthorep() -> OrthoRep:
+    """The five-cycle umbrella with its apex as the handle."""
+    return OrthoRep(np.array([1.0, 0.0, 0.0]), tuple(_umbrella(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +170,8 @@ class QuantumRealization:
 
 def _odd_cycle_realization(n: int) -> QuantumRealization:
     c = math.cos(math.pi / n)
-    cos_t = math.sqrt(c / (1 + c))
-    sin_t = math.sqrt(1 - c / (1 + c))
     eye = np.eye(3, dtype=complex)
-    projectors = []
-    for i in range(n):
-        az = (n - 1) * math.pi * i / n
-        v = np.array([cos_t, sin_t * math.cos(az), sin_t * math.sin(az)], dtype=complex)
-        projectors.append(np.outer(v, v.conj()))
+    projectors = [np.outer(v, v.conj()) for v in _umbrella(n)]
     measurements = tuple(2 * p - eye for p in projectors)
     psi = np.zeros(3, dtype=complex)
     psi[0] = 1.0

@@ -48,9 +48,6 @@ class Scenario:
                 raise ValueError(f"duplicate context {ctx}")
             seen.add(ctx)
 
-    def context_index(self, ctx: tuple[str, ...]) -> int:
-        return self.contexts.index(tuple(ctx))
-
 
 @dataclass
 class EmpiricalModel:

@@ -207,6 +207,37 @@ def ip_protocol_reference(x, y, seed):
     return message ^ bob
 
 
+def ip_protocol_agreement_reference(seed, instances, bits):
+    """The seeded inner-product protocol loop as the command line first ran
+    it, with ip_protocol_reference as the protocol: one generator draws x, y
+    and the protocol seed of each instance in turn.  Returns the share of
+    instances whose answer is the inner product mod 2."""
+    rng = np.random.default_rng(seed)
+    agree = 0
+    for _ in range(instances):
+        x = rng.integers(0, 2, size=bits)
+        y = rng.integers(0, 2, size=bits)
+        if ip_protocol_reference(x, y, seed=int(rng.integers(1 << 30))) == int(np.dot(x, y)) % 2:
+            agree += 1
+    return agree / instances
+
+
+def k_subset_reference(m, k, meet):
+    """k-subsets of range(m) as bitmasks in lexicographic order, the edges
+    between subsets sharing exactly `meet` elements, and labels listing each
+    subset's members counted from 1."""
+    subsets = list(itertools.combinations(range(m), k))
+    masks = [sum(1 << x for x in sub) for sub in subsets]
+    edges = [
+        (a, b)
+        for a in range(len(masks))
+        for b in range(a + 1, len(masks))
+        if bin(masks[a] & masks[b]).count("1") == meet
+    ]
+    labels = ["".join(str(x + 1) for x in sub) for sub in subsets]
+    return edges, labels
+
+
 def exact_is_pd(a):
     """Whether the symmetric float matrix a is positive definite, decided in
     exact rational arithmetic: an LDL^T factorization without pivoting over

@@ -28,7 +28,7 @@ from exgraph.boxes import (
     _strategies,
     _strategy_matrix,
 )
-from oracles import inner_product_mod2, ip_protocol_reference, van_dam_reference
+from oracles import inner_product_mod2, ip_protocol_agreement_reference, ip_protocol_reference, van_dam_reference
 
 
 def test_scenario_and_box_validation():
@@ -286,6 +286,28 @@ def test_ip_protocol_matches_the_per_bit_loop():
                 ip_one_bit_protocol(x, y, seed=seed)
             continue
         assert ip_one_bit_protocol(x, y, seed=seed).result == want
+
+
+@pytest.mark.parametrize("bits", [1, 16, 64])
+@pytest.mark.parametrize("seed", [0, 3, 7, 99, 2024])
+def test_ip_protocol_agreement_matches_the_seeded_loop(seed, bits):
+    assert boxes.ip_protocol_agreement(seed, 40, bits) == ip_protocol_agreement_reference(seed, 40, bits)
+
+
+def test_ip_protocol_agreement_counts_disagreements(monkeypatch):
+    # every third instance answers wrong, so the share is exact
+    calls = []
+    real = boxes.ip_one_bit_protocol
+
+    def faulty(x, y, seed):
+        calls.append(seed)
+        res = real(x, y, seed=seed)
+        if len(calls) % 3 == 0:
+            res.result ^= 1
+        return res
+
+    monkeypatch.setattr(boxes, "ip_one_bit_protocol", faulty)
+    assert boxes.ip_protocol_agreement(5, 30, 8) == 20 / 30
 
 
 def test_ip_protocol_validation():

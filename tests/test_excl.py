@@ -1,6 +1,7 @@
 """Exclusivity-principle machinery: conormal powers, one-round bounds,
 complement duality, the doubling operations, and the ten-vertex survey."""
 
+import json
 import math
 
 import numpy as np
@@ -137,6 +138,22 @@ def test_duality_suite_checks_symmetry_limits_before_solving(monkeypatch, capsys
     assert cli.run(["duality", "--family", "prism", "--n", "9"]) == 2
     assert "error" in capsys.readouterr().err
     assert solves == []
+
+
+@pytest.mark.parametrize("flags,n", [
+    (["--family", "cycle", "--n", "20"], 20),
+    (["--family", "circulant", "--n", "20", "--offsets", "1"], 20),
+    (["--family", "moebius", "--n", "20"], 20),
+    (["--family", "cycle", "--n", "64"], 64),
+])
+def test_duality_reaches_circulants_above_the_search_cap(tmp_path, flags, n):
+    # vertex transitivity is known from the offsets, and the graph and its
+    # complement differ in edge count, so neither symmetry test searches
+    out = tmp_path / "duality.json"
+    assert cli.run(["duality", *flags, "--output", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["n"] == n and rep["vertex_transitive"] and not rep["self_complementary"]
+    assert rep["product"] >= n - 1e-5 and rep["product_ok"]
 
 
 def test_op_propagation_rows_all_pass():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exgraph import graph as gr
-from oracles import iso_map_reference, random_graph
+from oracles import iso_map_reference, k_subset_reference, random_graph
 
 
 def test_from_edges_basic():
@@ -70,6 +70,29 @@ def test_family_validation_errors():
     ):
         with pytest.raises(gr.GraphError):
             bad()
+
+
+@pytest.mark.parametrize(
+    "build,m,k,meet,labelled",
+    [
+        (lambda: gr.johnson_graph(5, 2), 5, 2, 1, True),
+        (lambda: gr.johnson_graph(6, 2), 6, 2, 1, True),
+        (lambda: gr.kneser_graph(5, 2), 5, 2, 0, True),
+        (lambda: gr.subset_intersection_graph(3, 1), 6, 3, 1, False),
+    ],
+)
+def test_subset_families_match_the_subset_oracle(build, m, k, meet, labelled):
+    g = build()
+    edges, labels = k_subset_reference(m, k, meet)
+    assert g.edges() == edges
+    assert g.labels == (tuple(labels) if labelled else None)
+
+
+def test_cycles_are_circulants():
+    for n in (3, 4, 5, 20, 64):
+        g = gr.cycle_graph(n)
+        assert g.rows == gr.from_edges(n, [(i, (i + 1) % n) for i in range(n)]).rows
+        assert g.circulant_offsets == (1,)
 
 
 def test_build_family_dispatch():
@@ -140,6 +163,18 @@ def test_non_isomorphic_same_degree_sequence():
     assert not gr.is_isomorphic(c6, two_triangles)
     assert gr.isomorphism_witness(c6, two_triangles) is None
     assert not gr.is_isomorphic(gr.cycle_graph(5), gr.cycle_graph(7))
+
+
+def test_isomorphism_tells_edge_counts_apart_above_the_search_cap():
+    c20 = gr.cycle_graph(20)
+    assert not gr.is_isomorphic(c20, gr.complement(c20))
+    assert gr.isomorphism_witness(c20, gr.complement(c20)) is None
+    # the Paley graph on 17 vertices has as many edges as its complement,
+    # so telling the two apart needs the search, which stops at 16 vertices
+    paley = gr.circulant_graph(17, (1, 2, 4, 8))
+    assert paley.edge_count() == gr.complement(paley).edge_count()
+    with pytest.raises(gr.GraphError, match="isomorphism search unsupported above 16"):
+        gr.is_isomorphic(paley, gr.complement(paley))
 
 
 @st.composite
