@@ -18,7 +18,7 @@ import numpy as np
 
 from . import acceptance, boxes, excl, kscolor, scenarios
 from . import graph as gr
-from .bounds import bounds_report, qstab_membership, stab_membership, th_membership
+from .bounds import _THETA_TOL, bounds_report, qstab_membership, stab_membership, th_membership
 from .numkernel import LpError, SdpError
 
 
@@ -120,7 +120,7 @@ def _graph_from_args(args, data: dict | None = None) -> tuple[gr.Graph, str]:
 
 def _cmd_bounds(args) -> int:
     g, _ = _graph_from_args(args)
-    rep = bounds_report(g, tol=args.tol or 5e-7)
+    rep = bounds_report(g, tol=args.tol or _THETA_TOL)
     _emit(rep.to_json_dict(), args.output)
     return 0
 
@@ -162,7 +162,7 @@ def _cmd_membership(args) -> int:
 
 def _cmd_duality(args) -> int:
     g, name = _graph_from_args(args)
-    rep = excl.duality_suite(g, graph_id=name, tol=args.tol or 5e-7)
+    rep = excl.duality_suite(g, graph_id=name, tol=args.tol or _THETA_TOL)
     _emit(rep.to_json_dict(), args.output)
     return 0
 
@@ -376,7 +376,7 @@ def _cmd_plotdata(args) -> int:
             if args.family == "moebius" and n % 2:
                 continue
             g = builders[args.family](n)
-            rep = bounds_report(g, tol=args.tol or 5e-7)
+            rep = bounds_report(g, tol=args.tol or _THETA_TOL)
             rows.append([f"{args.family}({n})", g.n, rep.alpha, rep.theta,
                          rep.alpha_star, rep.theta / rep.alpha])
     _emit_csv(["graph", "n", "alpha", "theta", "alpha_star", "theta_over_alpha"], rows, args.output)

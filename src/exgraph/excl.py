@@ -19,6 +19,7 @@ import numpy as np
 
 from . import graph as gr
 from .bounds import (
+    _THETA_TOL,
     fractional_packing,
     independence_number,
     lovasz_theta,
@@ -28,16 +29,17 @@ from .bounds import (
 
 
 def conormal_product(g: gr.Graph, h: gr.Graph) -> gr.Graph:
-    """Pair-event graph: (u1,v1) ~ (u2,v2) iff u1 ~ u2 or v1 ~ v2."""
-    n = g.n * h.n
-    edges = []
-    for a, b in itertools.combinations(range(n), 2):
-        u1, v1 = divmod(a, h.n)
-        u2, v2 = divmod(b, h.n)
-        if (u1 != u2 and g.has_edge(u1, u2)) or (v1 != v2 and h.has_edge(v1, v2)):
-            edges.append((a, b))
+    """Pair-event graph: (u1,v1) ~ (u2,v2) iff u1 ~ u2 or v1 ~ v2.
+
+    Pair (u, v) is vertex u * h.n + v, so its row is the full h-blocks of
+    u's neighbours in g together with v's row of h repeated in every block.
+    """
+    block = (1 << h.n) - 1
+    every_block = sum(1 << (u * h.n) for u in range(g.n))
+    blocks = [sum(block << (w * h.n) for w in gr._bits(row)) for row in g.rows]
+    rows = tuple(g_part | h_row * every_block for g_part in blocks for h_row in h.rows)
     labels = tuple(f"{g.label(u)}*{h.label(v)}" for u in range(g.n) for v in range(h.n))
-    return gr.from_edges(n, edges, labels)
+    return gr.Graph(g.n * h.n, rows, labels)
 
 
 def matched_pair_events(n: int) -> tuple[tuple[int, int], ...]:
@@ -114,13 +116,12 @@ class DualityReport:
         }
 
 
-def duality_suite(g: gr.Graph, graph_id: str = "graph", tol: float = 5e-7) -> DualityReport:
+def duality_suite(g: gr.Graph, graph_id: str = "graph", tol: float = _THETA_TOL) -> DualityReport:
     """Complement-duality checks: theta(g)*theta(complement) >= n with
     equality (hence the e-principle ceiling n/theta_complement) on
     vertex-transitive graphs, and theta = sqrt(n) on self-complementary
     vertex-transitive ones."""
     gbar = gr.complement(g)
-    # the symmetry tests carry size limits; hit them before the two solves
     vt = gr.is_vertex_transitive(g)
     self_comp = gr.is_isomorphic(g, gbar)
     theta_g = lovasz_theta(g, tol=tol)
@@ -220,7 +221,7 @@ _GAP_GRAPH_OFFSETS = {
 }
 
 
-def circulant10_suite(tol: float = 5e-7) -> dict:
+def circulant10_suite(tol: float = _THETA_TOL) -> dict:
     """The ten-vertex survey: census bounds, the graphs where the quantum
     maximum exceeds the classical one, and their structural identifications."""
     census = circulant10_census()

@@ -9,10 +9,10 @@ immutable; every operation returns a new Graph.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 MAX_VERTICES = 64
-ISO_MAX_VERTICES = 16
 
 
 class GraphError(ValueError):
@@ -62,10 +62,6 @@ class Graph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
-
-    def neighbors(self, i: int) -> int:
-        """Bitset of neighbors of vertex i."""
-        return self.rows[i]
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
@@ -341,65 +337,79 @@ def twinning(g: Graph) -> Graph:
 # -- isomorphism and vertex transitivity -------------------------------------
 
 
-def _refinement_key(g: Graph, i: int) -> tuple:
-    degs = sorted(g.degree(j) for j in _bits(g.rows[i]))
-    return (g.degree(i), tuple(degs))
+def _iso_search(g1: Graph, g2: Graph, c1: list[int], c2: list[int], changed):
+    """Colour-preserving isomorphism g1 -> g2, or None.
+
+    Both colourings are refined side by side until no cell splits: a
+    vertex's signature is its colour and its neighbour count in each cell in
+    `changed` (its other counts follow from these and its colour), named in
+    sorted order so that both graphs share colour names.  Then the first g1
+    vertex of the smallest nontrivial cell is individualised against each g2
+    vertex of that cell in turn, which changes only the new singleton cell.
+    """
+
+    def signatures(g, c):
+        cells = [sum(1 << i for i, col in enumerate(c) if col == x) for x in changed]
+        return [(col, *[(row & m).bit_count() for m in cells]) for col, row in zip(c, g.rows)]
+
+    while changed:
+        s1, s2 = signatures(g1, c1), signatures(g2, c2)
+        if sorted(s1) != sorted(s2):
+            return None
+        names = {s: x for x, s in enumerate(sorted(set(s1)))}
+        c1, c2 = [names[s] for s in s1], [names[s] for s in s2]
+        parts = Counter(s[0] for s in names)
+        changed = [x for s, x in names.items() if parts[s[0]] > 1]
+    k = max(c1) + 1
+    if k == g1.n:
+        m = [c2.index(col) for col in c1]
+        return m if all(g2.rows[m[i]] >> m[j] & 1 for i, j in g1.edges()) else None
+    cell = min((size, col) for col, size in Counter(c1).items() if size > 1)[1]
+    u = c1.index(cell)
+    # a target that an automorphism of (g2, c2) takes to a failed one fails
+    # too, so `failed` is closed under the automorphisms found so far
+    c1u, searched, autos, failed = c1[:u] + [k] + c1[u + 1:], [], [], set()
+    for v in (j for j, col in enumerate(c2) if col == cell):
+        if v in failed:
+            continue
+        c2v = c2[:v] + [k] + c2[v + 1:]
+        for c2w in searched:
+            auto = _iso_search(g2, g2, c2w, c2v, (k,))
+            if auto is not None:
+                autos.append(auto)
+                break
+        else:
+            found = _iso_search(g1, g2, c1u, c2v, (k,))
+            if found is not None:
+                return found
+            searched.append(c2v)
+        failed = _closure(failed | {v}, autos)
+    return None
+
+
+def _closure(points: set[int], maps: list[list[int]]) -> set[int]:
+    """The least superset of `points` that every map in `maps` sends into itself."""
+    size = 0
+    while size != len(points):
+        size = len(points)
+        points = points | {a[x] for a in maps for x in points}
+    return points
 
 
 def _iso_map(g1: Graph, g2: Graph, fixed: tuple[int, int] | None = None):
-    """Backtracking search for an edge-preserving bijection g1 -> g2.
-
-    Returns the mapping list or None.  `fixed` forces one assignment, which is
-    how the automorphism search pins vertex 0 to each target in turn.
-    """
-    n = g1.n
-    k1 = [_refinement_key(g1, i) for i in range(n)]
-    k2 = [_refinement_key(g2, i) for i in range(n)]
-    if sorted(k1) != sorted(k2):
-        return None
-    candidates = [
-        [j for j in range(n) if k2[j] == k1[i]]
-        for i in range(n)
-    ]
+    """Edge-preserving bijection g1 -> g2 by colour refinement and
+    individualisation (McKay and Piperno, J. Symb. Comput. 2014), or None.
+    `fixed` = (u, v) forces u -> v, as the automorphism search needs."""
+    c1, c2 = [0] * g1.n, [0] * g1.n
     if fixed is not None:
-        u, v = fixed
-        if v not in candidates[u]:
-            return None
-        candidates[u] = [v]
-    # order vertices: fixed first, then by candidate scarcity, keeping
-    # connectivity to already-placed vertices where possible
-    order = sorted(range(n), key=lambda i: (0 if fixed and i == fixed[0] else 1, len(candidates[i])))
-    placed = [-1] * n
-
-    def extend(pos: int, image: int) -> bool:
-        # `image` holds the targets placed so far; j extends the map iff it is
-        # unused and its neighbours among them are the images of i's
-        # neighbours among the placed vertices
-        if pos == n:
-            return True
-        i = order[pos]
-        want = 0
-        for q in order[:pos]:
-            if g1.rows[i] >> q & 1:
-                want |= 1 << placed[q]
-        for j in candidates[i]:
-            if not image >> j & 1 and g2.rows[j] & image == want:
-                placed[i] = j
-                if extend(pos + 1, image | 1 << j):
-                    return True
-        return False
-
-    return placed if extend(0, 0) else None
+        c1[fixed[0]] = c2[fixed[1]] = 1
+    return _iso_search(g1, g2, c1, c2, range(max(c1) + 1))
 
 
 def isomorphism_witness(g1: Graph, g2: Graph) -> list[int] | None:
-    """A vertex map g1 -> g2 that preserves edges, or None.  Graphs whose
-    orders or edge counts differ are told apart at any size; the search
-    itself runs up to ISO_MAX_VERTICES vertices."""
+    """A vertex map g1 -> g2 that preserves edges, or None."""
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return None
-    if g1.n > ISO_MAX_VERTICES:
-        raise GraphError(f"isomorphism search unsupported above {ISO_MAX_VERTICES} vertices")
     return _iso_map(g1, g2)
 
 
@@ -413,12 +423,13 @@ def is_vertex_transitive(g: Graph) -> bool:
     m = g.edge_count()
     if m == 0 or m == g.n * (g.n - 1) // 2:
         return True
-    if g.n > ISO_MAX_VERTICES:
-        raise GraphError(
-            f"vertex transitivity unsupported above {ISO_MAX_VERTICES} vertices "
-            "unless the graph was built as a circulant"
-        )
+    # targets already in the orbit of vertex 0 under the automorphisms
+    # found so far need no search of their own
+    autos, orbit = [], {0}
     for v in range(1, g.n):
-        if _iso_map(g, g, fixed=(0, v)) is None:
-            return False
+        if v not in orbit:
+            autos.append(_iso_map(g, g, fixed=(0, v)))
+            if autos[-1] is None:
+                return False
+            orbit = _closure(orbit, autos)
     return True

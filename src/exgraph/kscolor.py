@@ -50,24 +50,26 @@ class VectorSystem:
         return out
 
 
+def _unit_ray(raw, tol: float, i: int) -> np.ndarray:
+    """Vector i scaled to unit length, with its first coordinate above `tol`
+    made positive so that vectors on one line come out equal."""
+    v = np.asarray(raw, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"vector {i} is not one-dimensional")
+    norm = float(np.linalg.norm(v))
+    if norm <= tol:
+        raise ValueError(f"vector {i} is zero")
+    v = v / norm
+    for x in v:
+        if abs(x) > tol:
+            return -v if x < 0 else v
+    return v
+
+
 def vector_system(vectors, tol: float = 1e-9, labels=None) -> VectorSystem:
     """Normalize, canonicalize (first nonzero coordinate positive), and
     reject duplicate rays."""
-    vecs = []
-    for i, raw in enumerate(vectors):
-        v = np.asarray(raw, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"vector {i} is not one-dimensional")
-        norm = float(np.linalg.norm(v))
-        if norm <= tol:
-            raise ValueError(f"vector {i} is zero")
-        v = v / norm
-        for x in v:
-            if abs(x) > tol:
-                if x < 0:
-                    v = -v
-                break
-        vecs.append(v)
+    vecs = [_unit_ray(raw, tol, i) for i, raw in enumerate(vectors)]
     if not vecs:
         raise ValueError("empty vector system")
     d = vecs[0].shape[0]
@@ -77,14 +79,10 @@ def vector_system(vectors, tol: float = 1e-9, labels=None) -> VectorSystem:
         labels = tuple(labels)
         if len(labels) != len(vecs):
             raise ValueError("one label per vector required")
-
-    def name(i: int) -> str:
-        return labels[i] if labels else str(i)
-
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if float(np.max(np.abs(vecs[i] - vecs[j]))) < 1e-9:
-                raise ValueError(f"duplicate ray: {name(i)} and {name(j)} span the same line")
+    for i, j in itertools.combinations(range(len(vecs)), 2):
+        if float(np.max(np.abs(vecs[i] - vecs[j]))) < 1e-9:
+            a, b = (labels[i], labels[j]) if labels else (i, j)
+            raise ValueError(f"duplicate ray: {a} and {b} span the same line")
     return VectorSystem(d, tuple(vecs), tol, labels)
 
 
@@ -270,21 +268,10 @@ _P33_SEEDS = (
 def p33_vectors() -> VectorSystem:
     """The 33-ray system in dimension three: all coordinate permutations of
     the eight seed vectors, deduplicated as rays."""
-    seen: list[np.ndarray] = []
-    out: list[tuple[float, ...]] = []
-    for seed in _P33_SEEDS:
-        for perm in itertools.permutations(range(3)):
-            v = np.array([seed[p] for p in perm], dtype=float)
-            v = v / np.linalg.norm(v)
-            for x in v:
-                if abs(x) > 1e-12:
-                    if x < 0:
-                        v = -v
-                    break
-            if any(float(np.max(np.abs(v - u))) < 1e-9 for u in seen):
-                continue
-            seen.append(v)
-            out.append(tuple(v))
+    # a ray repeats only as the same coordinate list or its exact negation,
+    # so repeated rays come out equal bit for bit
+    perms = [[seed[p] for p in perm] for seed in _P33_SEEDS for perm in itertools.permutations(range(3))]
+    out = list(dict.fromkeys(tuple(_unit_ray(v, 1e-12, i)) for i, v in enumerate(perms)))
     vs = vector_system(out)
     if len(vs.vectors) != 33:
         raise RuntimeError(f"ray catalog has {len(vs.vectors)} rays, expected 33")

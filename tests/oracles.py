@@ -133,8 +133,10 @@ def van_dam_reference(seed, trials, table):
 
 def iso_map_reference(g1, g2, fixed=None):
     """Backtracking isomorphism search that tests each candidate against
-    every placed vertex with `has_edge`, in the same vertex and candidate
-    order as the library's search, so both return the same mapping (or None).
+    every placed vertex with `has_edge`: an edge-preserving bijection
+    g1 -> g2 (sending fixed[0] to fixed[1] when `fixed` is given), or None
+    when there is none.  Candidates are pruned only by degree and the sorted
+    degrees of the neighbours.
 
     g1 and g2 need only `n` and `has_edge(i, j)`.
     """
@@ -220,6 +222,23 @@ def ip_protocol_agreement_reference(seed, instances, bits):
         if ip_protocol_reference(x, y, seed=int(rng.integers(1 << 30))) == int(np.dot(x, y)) % 2:
             agree += 1
     return agree / instances
+
+
+def conormal_reference(g, h):
+    """Edges (a < b) and labels of the conormal product of g and h, pair
+    (u, v) numbered u * h.n + v, tested pair by pair: (u1,v1) ~ (u2,v2) iff
+    u1 ~ u2 in g or v1 ~ v2 in h.
+
+    g and h need only `n`, `has_edge(i, j)` and `label(i)`.
+    """
+    edges = []
+    for a, b in itertools.combinations(range(g.n * h.n), 2):
+        u1, v1 = divmod(a, h.n)
+        u2, v2 = divmod(b, h.n)
+        if (u1 != u2 and g.has_edge(u1, u2)) or (v1 != v2 and h.has_edge(v1, v2)):
+            edges.append((a, b))
+    labels = [f"{g.label(u)}*{h.label(v)}" for u in range(g.n) for v in range(h.n)]
+    return edges, labels
 
 
 def k_subset_reference(m, k, meet):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from exgraph import cli, excl
+from exgraph import cli
 from exgraph import graph as gr
 from exgraph.bounds import independence_number, lovasz_theta, th_membership
 from exgraph.excl import (
@@ -22,6 +22,7 @@ from exgraph.excl import (
     op_propagation_suite,
     pentagon_eprinciple_bound,
 )
+from oracles import conormal_reference
 
 ROOT5 = math.sqrt(5.0)
 
@@ -34,6 +35,16 @@ def test_conormal_product_structure():
     assert sq.edge_count() == 200
     assert independence_number(sq)[0] == 4
     assert sq.label(7) is not None
+
+
+@pytest.mark.parametrize("g,h", [
+    *[(gr.cycle_graph(a), gr.cycle_graph(b)) for a, b in ((3, 3), (3, 8), (5, 5), (5, 7), (7, 5), (8, 8))],
+    (gr.petersen_graph(), gr.prism_graph(3)),
+    (gr.path_graph(4), gr.complete_graph(3)),
+], ids=["C3xC3", "C3xC8", "C5xC5", "C5xC7", "C7xC5", "C8xC8", "PetersenxY3", "P4xK3"])
+def test_conormal_product_matches_the_pairwise_oracle(g, h):
+    edges, labels = conormal_reference(g, h)
+    assert conormal_product(g, h) == gr.from_edges(g.n * h.n, edges, labels)
 
 
 def test_conormal_theta_is_multiplicative_on_the_pentagon():
@@ -124,20 +135,10 @@ def test_duality_suite_size_cap():
         duality_suite(gr.empty_graph(65))
 
 
-def test_duality_suite_checks_symmetry_limits_before_solving(monkeypatch, capsys):
-    solves = []
-
-    def counting_theta(*args, **kwargs):
-        solves.append(args)
-        return lovasz_theta(*args, **kwargs)
-
-    monkeypatch.setattr(excl, "lovasz_theta", counting_theta)
-    with pytest.raises(gr.GraphError):
-        duality_suite(gr.prism_graph(9))
-    assert solves == []
-    assert cli.run(["duality", "--family", "prism", "--n", "9"]) == 2
-    assert "error" in capsys.readouterr().err
-    assert solves == []
+def test_duality_suite_reports_prism_9_as_vertex_transitive():
+    rep = duality_suite(gr.prism_graph(9), graph_id="Y9")
+    assert rep.n == 18 and rep.vt_flag and not rep.self_complementary_flag
+    assert rep.product >= rep.n - 1e-5 and rep.product_ok
 
 
 @pytest.mark.parametrize("flags,n", [
@@ -154,6 +155,27 @@ def test_duality_reaches_circulants_above_the_search_cap(tmp_path, flags, n):
     rep = json.loads(out.read_text())
     assert rep["n"] == n and rep["vertex_transitive"] and not rep["self_complementary"]
     assert rep["product"] >= n - 1e-5 and rep["product_ok"]
+
+
+@pytest.mark.parametrize("flags,n,self_complementary", [
+    (["--family", "prism", "--n", "9"], 18, False),
+    (["--family", "prism", "--n", "32"], 64, False),
+    (["--family", "circulant", "--n", "17", "--offsets", "1,2,4,8"], 17, True),
+    (["--input", "moebius64.json"], 64, False),
+], ids=["prism9", "prism32", "paley17", "moebius64-json"])
+def test_duality_runs_the_symmetry_searches_up_to_64_vertices(tmp_path, flags, n, self_complementary):
+    # the Moebius ladder read from JSON carries no circulant offsets, so its
+    # vertex transitivity comes from the automorphism search
+    (tmp_path / "moebius64.json").write_text(json.dumps(gr.moebius_ladder(64).to_json_dict()))
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    out = tmp_path / "duality.json"
+    assert cli.run(["duality", *flags, "--output", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["n"] == n and rep["vertex_transitive"] and rep["product_ok"]
+    assert rep["self_complementary"] is self_complementary
+    assert rep["self_complementary_theta_ok"] is (True if self_complementary else None)
+    if self_complementary:
+        assert rep["theta"] == pytest.approx(math.sqrt(n), abs=1e-5)
 
 
 def test_op_propagation_rows_all_pass():

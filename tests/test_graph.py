@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exgraph import excl
 from exgraph import graph as gr
 from oracles import iso_map_reference, k_subset_reference, random_graph
 
@@ -165,16 +166,52 @@ def test_non_isomorphic_same_degree_sequence():
     assert not gr.is_isomorphic(gr.cycle_graph(5), gr.cycle_graph(7))
 
 
-def test_isomorphism_tells_edge_counts_apart_above_the_search_cap():
+def test_isomorphism_runs_above_sixteen_vertices():
     c20 = gr.cycle_graph(20)
     assert not gr.is_isomorphic(c20, gr.complement(c20))
     assert gr.isomorphism_witness(c20, gr.complement(c20)) is None
     # the Paley graph on 17 vertices has as many edges as its complement,
-    # so telling the two apart needs the search, which stops at 16 vertices
+    # so only the search can tell that the two are isomorphic
     paley = gr.circulant_graph(17, (1, 2, 4, 8))
     assert paley.edge_count() == gr.complement(paley).edge_count()
-    with pytest.raises(gr.GraphError, match="isomorphism search unsupported above 16"):
-        gr.is_isomorphic(paley, gr.complement(paley))
+    assert gr.is_isomorphic(paley, gr.complement(paley))
+
+
+def test_isomorphism_backtracks_on_a_rigid_cubic_graph():
+    # the Frucht graph is 3-regular with no automorphism but the identity, so
+    # refinement leaves one cell and most individualisations must be undone
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    edges = [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + o) % 12) for i, o in enumerate(lcf)]
+    g = gr.from_edges(12, edges)
+    assert g.edge_count() == 18 and all(g.degree(v) == 3 for v in range(12))
+    assert not gr.is_vertex_transitive(g)
+    rng = random.Random(17)
+    for _ in range(10):
+        perm = list(range(12))
+        rng.shuffle(perm)
+        h = gr.from_edges(12, [(perm[i], perm[j]) for i, j in edges])
+        assert gr.isomorphism_witness(g, h) == perm
+
+
+def test_isomorphism_tells_strongly_regular_twins_apart():
+    # the 4x4 rook's graph and the Shrikhande graph are both strongly regular
+    # with parameters (16, 6, 2, 2), so refinement alone never splits them;
+    # two copies of one against one of each needs the search to skip targets
+    # that an automorphism takes to a failed one, or it runs for tens of seconds
+    pairs = list(itertools.combinations(range(16), 2))
+    rook = gr.from_edges(16, [(a, b) for a, b in pairs if a // 4 == b // 4 or a % 4 == b % 4])
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    shrikhande = gr.from_edges(16, [(a, b) for a, b in pairs if ((a // 4 - b // 4) % 4, (a % 4 - b % 4) % 4) in steps])
+    assert not gr.is_isomorphic(rook, shrikhande)
+    assert not gr.is_isomorphic(gr.disjoint_union(rook, rook), gr.disjoint_union(rook, shrikhande))
+    assert gr.is_isomorphic(gr.disjoint_union(rook, shrikhande), gr.disjoint_union(shrikhande, rook))
+    assert gr.is_vertex_transitive(shrikhande)
+    assert not gr.is_vertex_transitive(gr.disjoint_union(rook, shrikhande))
+
+
+def _is_witness(g, h, m):
+    """Whether m is an edge-preserving bijection g -> h."""
+    return sorted(m) == list(range(g.n)) and all(h.has_edge(m[i], m[j]) for i, j in g.edges())
 
 
 @st.composite
@@ -207,11 +244,37 @@ def _iso_cases(draw):
 def test_iso_map_matches_the_has_edge_search(case):
     g, h, swapped = case
     found = gr._iso_map(g, h)
-    assert found is not None and found == iso_map_reference(g, h)
+    assert found is not None and _is_witness(g, h, found)
     if swapped is not None:
-        assert gr._iso_map(g, swapped) == iso_map_reference(g, swapped)
+        found = gr._iso_map(g, swapped)
+        assert (found is None) == (iso_map_reference(g, swapped) is None)
+        assert found is None or _is_witness(g, swapped, found)
     for v in range(g.n):
-        assert gr._iso_map(g, g, fixed=(0, v)) == iso_map_reference(g, g, fixed=(0, v))
+        found = gr._iso_map(g, g, fixed=(0, v))
+        assert (found is None) == (iso_map_reference(g, g, fixed=(0, v)) is None)
+        assert found is None or (_is_witness(g, g, found) and found[0] == v)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(17, 64), st.sampled_from([0.1, 0.3, 0.5, 0.9]), st.integers(0, 2**32))
+def test_isomorphism_witness_holds_up_to_64_vertices(n, p, seed):
+    rng = random.Random(seed)
+    edges = random_graph(rng, n, p)
+    g = gr.from_edges(n, edges)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    h = gr.from_edges(n, [(perm[i], perm[j]) for i, j in edges])
+    found = gr.isomorphism_witness(g, h)
+    assert found is not None and _is_witness(g, h, found)
+    # one degree-preserving swap ab, cd -> ac, bd usually breaks the isomorphism;
+    # whatever the search returns must still be a witness
+    for (a, b), (c, d) in (rng.sample(edges, 2) for _ in range(20 if len(edges) > 1 else 0)):
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+            moved = [e for e in edges if e not in ((a, b), (c, d))] + [(a, c), (b, d)]
+            swapped = gr.from_edges(n, [(perm[i], perm[j]) for i, j in moved])
+            found = gr.isomorphism_witness(g, swapped)
+            assert found is None or _is_witness(g, swapped, found)
+            break
 
 
 @pytest.mark.parametrize(
@@ -222,6 +285,13 @@ def test_iso_map_matches_the_has_edge_search(case):
         (gr.prism_graph(5), True),
         (gr.path_graph(4), False),
         (gr.from_edges(4, [(0, 1), (1, 2), (1, 3)]), False),
+        # 64 vertices, none built as a circulant, so each answer is searched
+        (gr.prism_graph(32), True),
+        (excl.conormal_product(gr.cycle_graph(8), gr.cycle_graph(8)), True),
+        (gr.disjoint_union(gr.cycle_graph(32), gr.cycle_graph(32)), True),
+        (gr.from_edges(64, gr.moebius_ladder(64).edges()), True),
+        (gr.path_graph(64), False),
+        (gr.disjoint_union(gr.cycle_graph(30), gr.cycle_graph(34)), False),
     ],
 )
 def test_vertex_transitivity(g, expect):
