@@ -20,6 +20,7 @@ from .bounds import (
     fractional_packing,
     independence_number,
     lovasz_theta,
+    lovasz_theta_matrix,
     maximal_cliques,
     qstab_membership,
     stab_membership,
@@ -372,7 +373,7 @@ def criterion_13() -> CriterionResult:
                 break
 
     for n, offs in _CIRCULANT_SPECS:
-        sdp = lovasz_theta(gr.circulant_graph(n, offs))
+        sdp = lovasz_theta_matrix(gr.circulant_graph(n, offs))[0]
         lp = theta_circulant_oracle(n, offs)
         if abs(sdp - lp) > 1e-6:
             failures.append(f"Ci{n}{offs}: SDP {sdp!r} vs LP {lp!r}")

@@ -7,14 +7,17 @@ For a graph G the chain is
 
 with alpha the exact independence number (branch and bound), theta the
 semidefinite relaxation, and alpha* the fractional packing value over the
-maximal-clique inequalities.  The matching polytopes STAB <= TH <= QSTAB are
-tested pointwise with certificates where a certificate is cheap to produce.
+maximal-clique inequalities.  Unweighted theta of a graph that is a Cayley
+graph of an abelian group Z_a x Z_b in its own labelling (circulants,
+prisms, conormal products of circulants) is a linear program over the
+group's characters; every other theta program is an SDP.  The matching
+polytopes STAB <= TH <= QSTAB are tested pointwise with certificates where
+a certificate is cheap to produce.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -165,8 +168,83 @@ def _theta_sdp(n: int, rows: tuple[int, ...], w: np.ndarray, tol: float):
     return sdp_solve(np.sqrt(np.outer(w, w)), _edge_arrays(n, rows), tol=tol)
 
 
+def _cayley_group(n: int, rows: tuple[int, ...]) -> tuple[int, int] | None:
+    """(a, b) when the graph is a Cayley graph of Z_a x Z_b in its own
+    labelling, vertex u*b + v being the element (u, v), else None.
+
+    Circulants are found as (n, 1) and prisms as (2, n); the conormal
+    product of an a-vertex and a b-vertex circulant is a Cayley graph of
+    Z_a x Z_b.  The divisors b of n are tried in increasing order.  The two
+    unit translations generate the group, so it acts by automorphisms when
+    both map row i to the row of the translated vertex.  Each translation
+    of a row is one big-int rotation: (1, 0) rotates the whole row by b,
+    (0, 1) rotates inside each b-block.
+    """
+    degree = rows[0].bit_count()
+    if any(r.bit_count() != degree for r in rows):
+        return None
+    full = (1 << n) - 1
+    # b = n would be Z_n in the labelling that b = 1 already tries
+    for b in [d for d in range(1, n) if n % d == 0] or [1]:
+        if any(rows[(i + b) % n] != (r << b | r >> (n - b)) & full for i, r in enumerate(rows)):
+            continue
+        # (0, 1) takes vertex i to i + 1, or to i + 1 - b at a block's end
+        last = sum(1 << v for v in range(b - 1, n, b))
+        if all(rows[i + 1 - b * (i % b == b - 1)] == ((r & ~last) << 1 | (r & last) >> (b - 1))
+               for i, r in enumerate(rows)):
+            return n // b, b
+    return None
+
+
+def _theta_characters(n: int, rows: tuple[int, ...], a: int, b: int) -> float:
+    """theta of a Cayley graph of Z_a x Z_b (labelled as in _cayley_group)
+    by linear programming over its characters.
+
+    Averaging an optimal theta matrix over the group keeps it optimal
+    (de Klerk, Pasechnik and Schrijver, Math. Prog. 2007), so X_gh = x(h - g)
+    with x(0) = 1/n, x = 0 on the neighbours of 0 and x(g) = x(-g).  There
+    is one variable per orbit {g, -g} of the non-neighbours of 0, and X is
+    PSD iff every character sum 1/n + coef @ x is nonnegative; a character
+    and its conjugate give the same row.  theta = 1 + n mult.x, with mult
+    the orbit sizes.  The LP's primal and its row duals are replayed in
+    floating point before the value is returned; a failed replay raises
+    RuntimeError.
+    """
+    g = np.arange(n)
+    g1, g2 = g // b, g % b
+    neg = (-g1 % a) * b + (-g2 % b)
+    free = np.array([i for i in _bits(~rows[0] & ((1 << n) - 1)) if 0 < i <= neg[i]], dtype=np.intp)
+    if not free.size:
+        return 1.0
+    mult = np.where(neg[free] == free, 1.0, 2.0)
+    chars = np.flatnonzero(g <= neg)
+    # character k at element g is exp(2 pi i t / n), t = k1 g1 b + k2 g2 a
+    t = (np.outer(g1[chars], g1[free]) * b + np.outer(g2[chars], g2[free]) * a) % n
+    coef = mult * np.cos(2.0 * np.pi * t / n)
+    # The rows make X PSD, so |x| <= X_00 = 1/n holds without bound rows.
+    # In u = x + 1/n >= 0 the LP is min -n mult.u, coef @ u >= (coef.sum(1) - 1)/n.
+    lp = LinearProgram(c=-n * mult, a=coef, senses=(">=",) * chars.size, b=(coef.sum(1) - 1.0) / n)
+    res = lp_solve(lp)
+    if res.status != "optimal":
+        raise RuntimeError(f"character LP ended {res.status}")
+    u, y = res.x, res.y
+    if (
+        u.min() < -_REPLAY_TOL
+        or np.min(coef @ u - lp.b) < -_REPLAY_TOL
+        or y.min() < -_REPLAY_TOL
+        or np.max(y @ coef - lp.c) > _REPLAY_TOL
+        or abs(lp.c @ u - lp.b @ y) > _REPLAY_TOL
+    ):
+        raise RuntimeError("character LP primal and duals fail their floating-point replay")
+    return 1.0 - float(res.value) - float(mult.sum())
+
+
 @lru_cache(maxsize=_THETA_CACHE_SIZE)
 def _theta_cached(n: int, rows: tuple[int, ...], wkey: tuple[float, ...] | None, tol: float) -> float:
+    if wkey is None:
+        group = _cayley_group(n, rows)
+        if group is not None:
+            return _theta_characters(n, rows, *group)
     w = np.ones(n) if wkey is None else np.asarray(wkey, dtype=float)
     return _theta_sdp(n, rows, w, tol).value
 
@@ -183,8 +261,12 @@ def _checked_weights(g: Graph, weights) -> np.ndarray:
 def lovasz_theta(g: Graph, weights=None, tol: float = _THETA_TOL) -> float:
     """Semidefinite bound theta(G), optionally vertex-weighted.
 
-    The solver certifies a two-sided interval of width tol; the midpoint is
-    returned, so the absolute error is at most tol/2.  Results are memoized.
+    Unweighted theta of a Cayley graph of Z_a x Z_b in its own labelling
+    (circulants, prisms, conormal products of circulants; see _cayley_group)
+    is the optimum of a character LP, exact up to roundoff.  Every other
+    program goes to the SDP solver, which certifies a two-sided interval of
+    width tol; the midpoint is returned, so the absolute error is at most
+    tol/2.  Results are memoized.
     """
     wkey = None if weights is None else tuple(_checked_weights(g, weights).tolist())
     return _theta_cached(g.n, g.rows, wkey, tol)
@@ -192,49 +274,27 @@ def lovasz_theta(g: Graph, weights=None, tol: float = _THETA_TOL) -> float:
 
 def lovasz_theta_matrix(g: Graph, weights=None, tol: float = _THETA_TOL):
     """Like lovasz_theta but also returns the best feasible primal matrix,
-    from which optimizing vertex assignments can be extracted."""
+    from which optimizing vertex assignments can be extracted.  It always
+    solves the SDP, Cayley graphs included, so its value is the semidefinite
+    route's even where lovasz_theta takes the character LP."""
     w = np.ones(g.n) if weights is None else _checked_weights(g, weights)
     res = _theta_sdp(g.n, g.rows, w, tol)
     return res.value, res.x
 
 
 def theta_circulant_oracle(n: int, offsets) -> float:
-    """theta of a circulant graph by linear programming over circulant
-    feasible matrices (valid by symmetrization), independent of the
-    semidefinite route.
-    """
+    """theta of a circulant graph by its character LP (_theta_characters on
+    Z_n), independent of the semidefinite route."""
     offs = sorted(set(int(j) for j in offsets))
     half = n // 2
     for j in offs:
         if not 1 <= j <= half:
             raise ValueError(f"offset {j} outside 1..{half}")
-    free = [j for j in range(1, half + 1) if j not in offs]
-    if not free:
-        return 1.0
-    mult = np.array([1.0 if (n % 2 == 0 and j == half) else 2.0 for j in free])
-    rows = []
-    for m in range(half + 1):
-        row = []
-        for j in free:
-            if n % 2 == 0 and j == half:
-                row.append(float((-1) ** m))
-            else:
-                row.append(2.0 * math.cos(2.0 * math.pi * j * m / n))
-        rows.append(row)
-    coef = np.array(rows)
-    # theta = 1 + max n mult.x over the circulant X with X_00 = 1/n and
-    # X_0j = x_j, subject to the eigenvalue rows 1/n + coef @ x >= 0.  Those
-    # rows make X PSD, so |x_j| <= X_00 = 1/n holds without bound rows.  In
-    # u = x + 1/n >= 0 the LP is min -n mult.u, coef @ u >= (coef.sum(1) - 1)/n.
-    res = lp_solve(LinearProgram(
-        c=-n * mult,
-        a=coef,
-        senses=(">=",) * (half + 1),
-        b=(coef.sum(1) - 1.0) / n,
-    ))
-    if res.status != "optimal":
-        raise RuntimeError(f"circulant LP ended {res.status}")
-    return 1.0 - float(res.value) - float(mult.sum())
+    row0 = 0
+    for j in offs:
+        row0 |= 1 << j | 1 << (n - j)
+    rows = tuple((row0 << i | row0 >> (n - i)) & ((1 << n) - 1) for i in range(n))
+    return _theta_characters(n, rows, n, 1)
 
 
 def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarray, float | None]:

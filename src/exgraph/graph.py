@@ -12,6 +12,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 MAX_VERTICES = 64
 
 
@@ -51,10 +53,14 @@ class Graph:
                 raise GraphError(f"adjacency row {i} references vertices outside 0..{self.n - 1}")
             if row >> i & 1:
                 raise GraphError(f"self-loop at vertex {i}")
-        for i in range(self.n):
-            for j in _bits(self.rows[i]):
-                if not self.rows[j] >> i & 1:
-                    raise GraphError(f"adjacency not symmetric at ({i},{j})")
+        # bit matrix of the rows: adj[i, j] = bit j of row i; the first
+        # asymmetric pair in row-major order is the one to report
+        adj = np.unpackbits(np.array(self.rows, dtype="<u8").view(np.uint8), bitorder="little")
+        adj = adj.reshape(self.n, 64)[:, : self.n].astype(bool)
+        bad = np.argwhere(adj & ~adj.T)
+        if bad.size:
+            i, j = bad[0].tolist()
+            raise GraphError(f"adjacency not symmetric at ({i},{j})")
         if self.labels is not None and len(self.labels) != self.n:
             raise GraphError("label count does not match vertex count")
 
@@ -82,8 +88,6 @@ class Graph:
         return self.labels[i] if self.labels is not None else str(i)
 
     def adjacency_matrix(self):
-        import numpy as np
-
         a = np.zeros((self.n, self.n))
         for i, j in self.edges():
             a[i, j] = a[j, i] = 1.0

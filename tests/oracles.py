@@ -224,6 +224,17 @@ def ip_protocol_agreement_reference(seed, instances, bits):
     return agree / instances
 
 
+def first_asymmetric_pair(rows):
+    """The first (i, j) in row-major order with bit j set in row i but bit i
+    clear in row j, or None: the edge-by-edge loop that the graph
+    constructor ran before it compared bit matrices."""
+    for i, row in enumerate(rows):
+        for j in range(len(rows)):
+            if row >> j & 1 and not rows[j] >> i & 1:
+                return i, j
+    return None
+
+
 def conormal_reference(g, h):
     """Edges (a < b) and labels of the conormal product of g and h, pair
     (u, v) numbered u * h.n + v, tested pair by pair: (u1,v1) ~ (u2,v2) iff

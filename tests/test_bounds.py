@@ -208,7 +208,7 @@ def test_circulant_oracle_agrees_with_sdp():
     specs = [(5, (1,)), (7, (1,)), (8, (1, 4)), (10, (1, 2)), (10, (2, 5)), (9, (1, 3)), (12, (1, 6))]
     for n, offs in specs:
         lp_value = bd.theta_circulant_oracle(n, offs)
-        sdp_value = bd.lovasz_theta(gr.circulant_graph(n, offs))
+        sdp_value = bd.lovasz_theta_matrix(gr.circulant_graph(n, offs))[0]
         assert abs(lp_value - sdp_value) < 1e-6, (n, offs)
 
 
@@ -265,8 +265,103 @@ def test_violation_witness_of_a_sparse_graph_on_the_non_edge_side():
 
 def test_circulant_theta_at_the_size_cap():
     n, offs = gr.MAX_VERTICES, (1, 2, 5)
-    sdp_value = bd.lovasz_theta(gr.circulant_graph(n, offs))
+    sdp_value = bd.lovasz_theta_matrix(gr.circulant_graph(n, offs))[0]
     assert abs(sdp_value - bd.theta_circulant_oracle(n, offs)) < 1e-6
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return gr.from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges()])
+
+
+_CAYLEY_TABLE = [
+    ("cycle9", lambda: gr.cycle_graph(9), (9, 1)),
+    ("cycle9-from-edges", lambda: gr.from_edges(9, [(i, (i + 1) % 9) for i in range(9)]), (9, 1)),
+    *[(f"C{a}xC{b}", lambda a=a, b=b: excl.conormal_product(gr.cycle_graph(a), gr.cycle_graph(b)), (a, b))
+      for a, b in [(3, 7), (3, 9), (4, 4), (4, 5), (5, 5), (5, 7)]],
+    ("prism7", lambda: gr.prism_graph(7), (2, 7)),
+    ("moebius16", lambda: gr.moebius_ladder(16), (16, 1)),
+    ("circulant-complement", lambda: gr.complement(gr.circulant_graph(11, (1, 3))), (11, 1)),
+    ("K6", lambda: gr.complete_graph(6), (6, 1)),
+    ("edgeless7", lambda: gr.empty_graph(7), (7, 1)),
+    ("path8", lambda: gr.path_graph(8), None),
+    # K6 minus the matching 05, 12, 34: rotating the whole row by 2 is an
+    # automorphism, swapping inside the 2-blocks is not
+    ("octahedron-rotated-by-2", lambda: gr.complement(gr.from_edges(6, [(0, 5), (1, 2), (3, 4)])), None),
+    ("petersen", gr.petersen_graph, None),
+    ("J(6,2)", lambda: gr.johnson_graph(6, 2), None),
+    ("G(20,0.3)", lambda: gr.from_edges(20, random_graph(random.Random(5), 20, 0.3)), None),
+    ("C5xC5-relabelled", lambda: _relabelled(excl.conormal_product(gr.cycle_graph(5), gr.cycle_graph(5)), 3), None),
+]
+
+
+@pytest.mark.parametrize("build, group", [(b, grp) for _, b, grp in _CAYLEY_TABLE],
+                         ids=[name for name, _, _ in _CAYLEY_TABLE])
+def test_cayley_group_of_the_own_labelling(build, group):
+    g = build()
+    assert bd._cayley_group(g.n, g.rows) == group
+
+
+@st.composite
+def _abelian_cayley_rows(draw):
+    a = draw(st.integers(1, 24))
+    b = draw(st.integers(1, 24 // a))
+    n = a * b
+    neg = [(-(i // b) % a) * b + (-i % b) for i in range(n)]
+    conn = 0
+    for i in range(1, n):
+        if i <= neg[i] and draw(st.booleans()):
+            conn |= 1 << i | 1 << neg[i]
+    # row of (u, v) is the connection set translated by (u, v)
+    rows = tuple(
+        sum(1 << (((u + s // b) % a) * b + (v + s) % b) for s in range(n) if conn >> s & 1)
+        for u in range(a) for v in range(b)
+    )
+    return n, rows
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_abelian_cayley_rows())
+def test_character_lp_lies_in_the_certified_sdp_interval(case):
+    n, rows = case
+    group = bd._cayley_group(n, rows)
+    assert group is not None
+    value = bd._theta_characters(n, rows, *group)
+    res = bd.sdp_solve(np.ones((n, n)), bd._edge_arrays(n, rows))
+    assert res.lower - bd._REPLAY_TOL <= value <= res.upper + bd._REPLAY_TOL
+
+
+def test_cayley_bounds_need_no_sdp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta of a Cayley graph went to the SDP")
+
+    monkeypatch.setattr(bd, "sdp_solve", refuse)
+    bd._theta_cached.cache_clear()
+    c8 = gr.cycle_graph(8)
+    assert bd.bounds_report(excl.conormal_product(c8, c8)).theta == pytest.approx(16.0, abs=1e-9)
+    assert bd.bounds_report(gr.prism_graph(32)).theta == pytest.approx(32.0, abs=1e-9)
+
+
+def _per_offset_circulant_lp(n, offsets):
+    """The LP that theta_circulant_oracle built for itself before it called
+    the character LP builder: one column per free offset j <= n/2, one row
+    per frequency m <= n/2."""
+    half = n // 2
+    free = [j for j in range(1, half + 1) if j not in set(offsets)]
+    if not free:
+        return 1.0
+    mult = np.array([1.0 if 2 * j == n else 2.0 for j in free])
+    coef = np.array([[float((-1) ** m) if 2 * j == n else 2.0 * math.cos(2.0 * math.pi * j * m / n)
+                      for j in free] for m in range(half + 1)])
+    res = bd.lp_solve(bd.LinearProgram(c=-n * mult, a=coef, senses=(">=",) * (half + 1),
+                                       b=(coef.sum(1) - 1.0) / n))
+    return 1.0 - float(res.value) - float(mult.sum())
+
+
+def test_circulant_oracle_matches_the_per_offset_lp():
+    for n, offs in acceptance._CIRCULANT_SPECS:
+        assert abs(bd.theta_circulant_oracle(n, offs) - _per_offset_circulant_lp(n, offs)) <= 1e-12, (n, offs)
 
 
 def test_weighted_theta_scaling_and_special_cases():

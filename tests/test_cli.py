@@ -36,6 +36,15 @@ def test_bounds_cycle(capsys):
     assert data["witness_independent_set"] and len(data["witness_independent_set"]) == 2
 
 
+def test_cayley_inputs_print_the_character_lp_value(capsys):
+    # theta of a circulant is an LP optimum, exact up to roundoff, not the
+    # midpoint of a 5e-7 SDP interval
+    code, data = run_json(capsys, ["bounds", "--family", "cycle", "--n", "5"])
+    assert code == 0 and abs(data["theta"] - ROOT5) < 1e-12
+    code, data = run_json(capsys, ["duality", "--family", "circulant", "--n", "17", "--offsets", "1,2,4,8"])
+    assert code == 0 and data["product"] == 17.0
+
+
 def test_bounds_from_json_file(tmp_path, capsys):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from exgraph import excl
 from exgraph import graph as gr
-from oracles import iso_map_reference, k_subset_reference, random_graph
+from oracles import first_asymmetric_pair, iso_map_reference, k_subset_reference, random_graph
 
 
 def test_from_edges_basic():
@@ -20,6 +20,25 @@ def test_from_edges_basic():
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert not g.has_edge(0, 3)
     assert g.degree(1) == 2 and g.degree(0) == 1
+
+
+def test_asymmetric_rows_name_the_first_bad_pair():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(2, gr.MAX_VERTICES)
+        rows = [0] * n
+        for i, j in random_graph(rng, n, rng.uniform(0.05, 0.6)):
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.sample(range(n), 2)
+            rows[i] ^= 1 << j
+        pair = first_asymmetric_pair(rows)
+        if pair is None:
+            assert gr.Graph(n, tuple(rows)).rows == tuple(rows)
+        else:
+            with pytest.raises(gr.GraphError, match=r"^adjacency not symmetric at \(%d,%d\)$" % pair):
+                gr.Graph(n, tuple(rows))
 
 
 def test_from_edges_rejects_bad_input():
