@@ -258,6 +258,18 @@ def _checked_weights(g: Graph, weights) -> np.ndarray:
     return w
 
 
+def _checked_point(g: Graph, p, ndim: int = 1) -> np.ndarray:
+    """p as a float array of ndim axes whose last has one coordinate per
+    vertex of g, every coordinate finite; the membership tests call this
+    before any work."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != ndim or p.shape[-1] != g.n:
+        raise ValueError("one coordinate per vertex required")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("coordinates must be finite")
+    return p
+
+
 def lovasz_theta(g: Graph, weights=None, tol: float = _THETA_TOL) -> float:
     """Semidefinite bound theta(G), optionally vertex-weighted.
 
@@ -354,9 +366,7 @@ def stab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict]:
     where the certificate is a linear functional a.x <= beta valid on every
     indicator but exceeded by p.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (g.n,):
-        raise ValueError("one coordinate per vertex required")
+    p = _checked_point(g, p)
     masks = _independent_set_masks(g)
     bits = np.arange(g.n, dtype=np.uint64)[:, None]
     chi = (np.array(masks, dtype=np.uint64) >> bits & np.uint64(1)).astype(float)
@@ -377,20 +387,15 @@ def th_membership(g: Graph, p, tol: float = 1e-6) -> tuple[bool, float | None]:
     """Membership in the theta body of g: p >= 0 and the complement's
     weighted theta at p is at most 1.  Returns the theta value alongside;
     the one-row case of th_membership_many."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (g.n,):
-        raise ValueError("one coordinate per vertex required")
-    return th_membership_many(g, p[None], tol)[0]
+    return th_membership_many(g, _checked_point(g, p)[None], tol)[0]
 
 
 def th_membership_many(g: Graph, points, tol: float = 1e-6) -> list[tuple[bool, float | None]]:
-    """th_membership for each row of points: a row with a coordinate below
-    -tol is outside without a solve; the others are clipped at 0 and their
-    weighted thetas of the complement are solved together, as one stack of
-    programs on one graph."""
-    p = np.asarray(points, dtype=float)
-    if p.ndim != 2 or p.shape[1] != g.n:
-        raise ValueError("one coordinate per vertex required")
+    """th_membership for each row of points, every coordinate finite: a row
+    with a coordinate below -tol is outside without a solve; the others are
+    clipped at 0 and their weighted thetas of the complement are solved
+    together, as one stack of programs on one graph."""
+    p = _checked_point(g, points, ndim=2)
     outside = p.min(axis=1) < -tol
     w = np.clip(p[~outside], 0.0, None)
     edges = _edge_arrays(g.n, complement(g).rows)
@@ -410,11 +415,7 @@ def qstab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict | None]
     """Membership in the clique-constrained polytope of g: p >= 0 and
     p(Q) <= 1 for every maximal clique Q.  On failure the second element
     names the violated constraint."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (g.n,):
-        raise ValueError("one coordinate per vertex required")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("coordinates must be finite")
+    p = _checked_point(g, p)
     bad = int(np.argmin(p))
     if p[bad] < -tol:
         return False, {"kind": "negative", "vertex": bad, "value": float(p[bad])}

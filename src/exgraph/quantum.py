@@ -9,11 +9,12 @@ there is a single code path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BellScenario, Box, chsh_value
+from .boxes import _MAX_TRIALS, BellScenario, Box, chsh_value
 from .graph import Graph
 from .numkernel import is_hermitian, is_projector, tensor_product
 from .scenarios import EmpiricalModel, Inequality, ncycle_inequality, ncycle_scenario
@@ -22,6 +23,9 @@ IDENT2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# bell_qubit_hv_expectation draws and evaluates this many samples at a time
+_HV_CHUNK = 8192
 
 
 def paulis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,18 +272,51 @@ def bell_qubit_hv_expectation(a0: float, a_vec, n_vec, samples: int, seed: int) 
     """Monte-Carlo expectation of a0 + a.sigma on the pure state with Bloch
     vector n under the deterministic hidden-variable rule: the outcome is
     a0 + |a| when (m + n).a >= 0 and a0 - |a| otherwise, with m uniform on
-    the sphere.  Converges to a0 + a.n."""
+    the sphere.  Converges to a0 + a.n.
+
+    The draws m are read from default_rng(seed) as standard normals, three
+    per sample, and evaluated _HV_CHUNK samples at a time through buffers
+    allocated once per call, so memory stays O(_HV_CHUNK) for any sample
+    count.  The stream is read in the same order as one normal(size=(samples,
+    3)) draw and every sample's sign is computed by the same operations, so
+    the result equals the one-shot evaluation bit for bit.  Every input is
+    checked before the first draw: samples must be an integer in
+    1.._MAX_TRIALS, and a0, a and n must be finite.
+    """
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer, got {samples!r}") from None
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples > _MAX_TRIALS:
+        raise ValueError(f"at most {_MAX_TRIALS} samples, got {samples}")
+    a0 = float(a0)
     a_vec = np.asarray(a_vec, dtype=float)
     n_vec = np.asarray(n_vec, dtype=float)
     if a_vec.shape != (3,) or n_vec.shape != (3,):
         raise ValueError("need 3-vectors")
+    if not np.isfinite([a0, *a_vec, *n_vec]).all():
+        raise ValueError("a0, a and n must be finite")
     if abs(np.linalg.norm(n_vec) - 1.0) > 1e-9:
         raise ValueError("state direction must be a unit vector")
     norm_a = float(np.linalg.norm(a_vec))
+    na = float(n_vec @ a_vec)
     rng = np.random.default_rng(seed)
-    m = rng.normal(size=(samples, 3))
-    # (m/|m| + n).a >= 0 exactly when m.a + |m| (n.a) >= 0, since |m| > 0
-    plus = np.count_nonzero(m @ a_vec + np.sqrt(np.einsum("ij,ij->i", m, m)) * float(n_vec @ a_vec) >= 0.0)
+    chunk = min(samples, _HV_CHUNK)
+    m_buf = np.empty((chunk, 3))
+    ma_buf = np.empty(chunk)
+    r_buf = np.empty(chunk)
+    plus = 0
+    for start in range(0, samples, chunk):
+        c = min(chunk, samples - start)
+        m, ma, r = m_buf[:c], ma_buf[:c], r_buf[:c]
+        rng.standard_normal(out=m)
+        # (m/|m| + n).a >= 0 exactly when m.a + |m| (n.a) >= 0, since |m| > 0
+        np.matmul(m, a_vec, out=ma)
+        np.einsum("ij,ij->i", m, m, out=r)
+        np.sqrt(r, out=r)
+        r *= na
+        r += ma
+        plus += np.count_nonzero(r >= 0.0)
     return float(a0 + norm_a * ((2 * plus - samples) / samples))

@@ -3,6 +3,7 @@ and the three convex-body membership tests."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -582,6 +583,26 @@ def test_non_finite_weights_and_points_are_rejected(bad):
         bd.qstab_membership(g, w)
     with pytest.raises(ValueError, match="finite"):
         bd.qstab_membership(g, [math.nan] * 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_membership_tests_share_one_point_check(bad):
+    # shape first, then finiteness, before any LP or SDP sees the point
+    g = gr.cycle_graph(5)
+    p = [0.2, 0.2, bad, 0.2, 0.2]
+    checks = [
+        lambda q: bd.stab_membership(g, q),
+        lambda q: bd.th_membership(g, q),
+        lambda q: bd.th_membership_many(g, [q, q]),
+        lambda q: bd.qstab_membership(g, q),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in checks:
+            with pytest.raises(ValueError, match="^coordinates must be finite$"):
+                check(p)
+            with pytest.raises(ValueError, match="^one coordinate per vertex required$"):
+                check([0.2, bad, 0.2, 0.2])
 
 
 def test_qstab_membership_and_certificates():

@@ -89,6 +89,15 @@ def test_membership_rejects_non_numeric_p(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_membership_rejects_an_infinite_coordinate(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"graph": {"n": 5, "edges": [[0, 1]]}, "p": [math.inf, 0.1, 0.1, 0.1, 0.1]}))
+    assert cli.run(["membership", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coordinates must be finite" in captured.err
+
+
 def test_box_check_rejects_a_non_object_table(tmp_path, capsys):
     path = tmp_path / "box.json"
     path.write_text(json.dumps({"parties": 2, "settings": 2, "outcomes": 2, "table": "x"}))

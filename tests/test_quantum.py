@@ -2,14 +2,18 @@
 realizations, the singlet box, and the hidden-variable sampler."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exgraph import acceptance, quantum
 from exgraph import graph as gr
+from exgraph.boxes import _MAX_TRIALS
 from exgraph.quantum import (
+    _HV_CHUNK,
     bell_qubit_hv_expectation,
     kcbs_orthorep,
     ncycle_quantum_realization,
@@ -138,6 +142,52 @@ def test_hv_sampler_matches_the_normalising_loop_bit_for_bit(a0, a_vec, n_dir, s
     assert got == hv_reference(a0, a_vec, n_vec, samples, seed)
 
 
+_BOUNDARY_SAMPLES = (_HV_CHUNK - 1, _HV_CHUNK, _HV_CHUNK + 1, 3 * _HV_CHUNK + 17, 100_000)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.floats(-1.0, 1.0), st.tuples(_coordinate, _coordinate, _coordinate),
+       st.tuples(_coordinate, _coordinate, _coordinate).filter(lambda v: math.hypot(*v) > 1e-3),
+       st.sampled_from(_BOUNDARY_SAMPLES), st.integers(0, 2**32 - 1))
+def test_hv_sampler_matches_the_reference_across_chunk_boundaries(a0, a_vec, n_dir, samples, seed):
+    # the chunked stream must read the same draws, in the same order, as the
+    # one-shot normal(size=(samples, 3)) of the reference
+    n_vec = np.array(n_dir) / np.linalg.norm(n_dir)
+    got = bell_qubit_hv_expectation(a0, a_vec, n_vec, samples=samples, seed=seed)
+    assert got == hv_reference(a0, a_vec, n_vec, samples, seed)
+
+
+def test_hv_sampler_pins_the_values_criterion_13_computes(monkeypatch):
+    calls = []
+    sample = quantum.bell_qubit_hv_expectation
+
+    def recording(a0, a_vec, n_vec, samples, seed):
+        got = sample(a0, a_vec, n_vec, samples=samples, seed=seed)
+        calls.append((got, hv_reference(a0, a_vec, n_vec, samples, seed), samples, seed))
+        return got
+
+    monkeypatch.setattr(acceptance.quantum, "bell_qubit_hv_expectation", recording)
+    assert acceptance.criterion_13().passed
+    assert [seed for *_, seed in calls] == list(range(1000, 1020))
+    for got, want, samples, _ in calls:
+        assert samples == 100_000
+        assert got == want
+
+
+def test_hv_sampler_memory_stays_bounded_by_the_chunk():
+    a_vec = (0.4, -0.2, 0.5)
+    n_vec = np.array([1.0, 2.0, -1.0]) / math.sqrt(6.0)
+    bell_qubit_hv_expectation(0.1, a_vec, n_vec, samples=10, seed=3)
+    tracemalloc.start()
+    try:
+        bell_qubit_hv_expectation(0.1, a_vec, n_vec, samples=1_000_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one-shot evaluation of 10^6 samples peaks near 46 MB
+    assert peak < 2_000_000
+
+
 def test_hv_sampler_exact_when_observable_aligns_with_state():
     # with a parallel to n every hidden direction gives the + outcome
     val = bell_qubit_hv_expectation(0.3, (0.0, 0.0, 0.7), (0.0, 0.0, 1.0), samples=100, seed=1)
@@ -151,3 +201,28 @@ def test_hv_sampler_validation():
         bell_qubit_hv_expectation(0.0, (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), samples=10, seed=1)
     with pytest.raises(ValueError):
         bell_qubit_hv_expectation(0.0, (1.0, 0.0), (1.0, 0.0, 0.0), samples=10, seed=1)
+
+
+@pytest.mark.parametrize(
+    "a0, a_vec, n_vec, samples",
+    [
+        (math.nan, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 10),
+        (math.inf, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 10),
+        (0.0, (math.nan, 0.0, 0.0), (1.0, 0.0, 0.0), 10),
+        (0.0, (1.0, -math.inf, 0.0), (1.0, 0.0, 0.0), 10),
+        (0.0, (1.0, 0.0, 0.0), (math.nan, 0.0, 1.0), 10),
+        (0.0, (1.0, 0.0, 0.0), (0.0, math.inf, 0.0), 10),
+        (0.0, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2.5),
+        (0.0, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), "10"),
+        (0.0, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), _MAX_TRIALS + 1),
+    ],
+    ids=["nan-a0", "inf-a0", "nan-a", "inf-a", "nan-n", "inf-n", "float-samples", "str-samples",
+         "samples-over-cap"],
+)
+def test_hv_sampler_rejects_bad_input_before_drawing(monkeypatch, a0, a_vec, n_vec, samples):
+    def no_draws(seed):
+        raise AssertionError("the sampler drew before rejecting its input")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError):
+        bell_qubit_hv_expectation(a0, a_vec, n_vec, samples=samples, seed=1)
