@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph, _bits, complement
+from .graph import Graph, _bits, _cayley_group, circulant_graph, complement
 from .numkernel import LinearProgram, lp_solve, sdp_solve, sdp_solve_many
 
 # largest column count of a hull LP; both hull LPs have one row per
@@ -168,34 +168,6 @@ def _theta_sdp(n: int, rows: tuple[int, ...], w: np.ndarray, tol: float):
     return sdp_solve(np.sqrt(np.outer(w, w)), _edge_arrays(n, rows), tol=tol)
 
 
-def _cayley_group(n: int, rows: tuple[int, ...]) -> tuple[int, int] | None:
-    """(a, b) when the graph is a Cayley graph of Z_a x Z_b in its own
-    labelling, vertex u*b + v being the element (u, v), else None.
-
-    Circulants are found as (n, 1) and prisms as (2, n); the conormal
-    product of an a-vertex and a b-vertex circulant is a Cayley graph of
-    Z_a x Z_b.  The divisors b of n are tried in increasing order.  The two
-    unit translations generate the group, so it acts by automorphisms when
-    both map row i to the row of the translated vertex.  Each translation
-    of a row is one big-int rotation: (1, 0) rotates the whole row by b,
-    (0, 1) rotates inside each b-block.
-    """
-    degree = rows[0].bit_count()
-    if any(r.bit_count() != degree for r in rows):
-        return None
-    full = (1 << n) - 1
-    # b = n would be Z_n in the labelling that b = 1 already tries
-    for b in [d for d in range(1, n) if n % d == 0] or [1]:
-        if any(rows[(i + b) % n] != (r << b | r >> (n - b)) & full for i, r in enumerate(rows)):
-            continue
-        # (0, 1) takes vertex i to i + 1, or to i + 1 - b at a block's end
-        last = sum(1 << v for v in range(b - 1, n, b))
-        if all(rows[i + 1 - b * (i % b == b - 1)] == ((r & ~last) << 1 | (r & last) >> (b - 1))
-               for i, r in enumerate(rows)):
-            return n // b, b
-    return None
-
-
 def _theta_characters(n: int, rows: tuple[int, ...], a: int, b: int) -> float:
     """theta of a Cayley graph of Z_a x Z_b (labelled as in _cayley_group)
     by linear programming over its characters.
@@ -250,9 +222,13 @@ def _theta_cached(n: int, rows: tuple[int, ...], wkey: tuple[float, ...] | None,
 
 
 def _checked_weights(g: Graph, weights) -> np.ndarray:
+    """weights as one finite nonnegative float per vertex of g; the theta
+    programs call this before any work."""
     w = np.asarray([float(x) for x in weights])
     if w.shape != (g.n,):
         raise ValueError("one weight per vertex required")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if w.min() < 0:
         raise ValueError("weights must be nonnegative")
     return w
@@ -297,16 +273,7 @@ def lovasz_theta_matrix(g: Graph, weights=None, tol: float = _THETA_TOL):
 def theta_circulant_oracle(n: int, offsets) -> float:
     """theta of a circulant graph by its character LP (_theta_characters on
     Z_n), independent of the semidefinite route."""
-    offs = sorted(set(int(j) for j in offsets))
-    half = n // 2
-    for j in offs:
-        if not 1 <= j <= half:
-            raise ValueError(f"offset {j} outside 1..{half}")
-    row0 = 0
-    for j in offs:
-        row0 |= 1 << j | 1 << (n - j)
-    rows = tuple((row0 << i | row0 >> (n - i)) & ((1 << n) - 1) for i in range(n))
-    return _theta_characters(n, rows, n, 1)
+    return _theta_characters(n, circulant_graph(n, offsets).rows, n, 1)
 
 
 def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarray, float | None]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import string
 from dataclasses import dataclass, field
 
@@ -333,6 +334,20 @@ class ProtocolResult:
     details: dict = field(default_factory=dict)
 
 
+def _checked_count(value, cap: int, one: str, many: str) -> int:
+    """value as an int in 1..cap, or ValueError naming the count: a sampler
+    calls this on each of its counts before it draws anything."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{many} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"need at least one {one}")
+    if value > cap:
+        raise ValueError(f"at most {cap} {many}, got {value}")
+    return value
+
+
 def _mutual_information_bits(joint: np.ndarray) -> float:
     joint = np.asarray(joint, dtype=float)
     total = joint.sum()
@@ -359,10 +374,7 @@ def van_dam_ic(seed: int, trials: int, e: float = 1.0) -> ProtocolResult:
     I(a_0:guess|k=0) + I(a_1:guess|k=1) is computed exactly from the induced
     joint distribution; the success rate is a seeded simulation.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if trials > _MAX_TRIALS:
-        raise ValueError(f"at most {_MAX_TRIALS} trials, got {trials}")
+    trials = _checked_count(trials, _MAX_TRIALS, "trial", "trials")
     box = pr_box(2, e)
 
     info = 0.0
@@ -426,10 +438,7 @@ def nested_ic(d: int, e: float, levels: int) -> NestedIcResult:
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    if levels < 1:
-        raise ValueError("need at least one level")
-    if levels > _MAX_NESTED_LEVELS:
-        raise ValueError(f"at most {_MAX_NESTED_LEVELS} levels, got {levels}")
+    levels = _checked_count(levels, _MAX_NESTED_LEVELS, "level", "levels")
     if not 0.0 <= e <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
     q = 1.0
@@ -471,13 +480,11 @@ def ip_protocol_agreement(seed: int, instances: int, bits: int) -> float:
     one bit and returns the inner product mod 2 computed directly.
 
     One generator seeded with `seed` draws each instance's x, y and protocol
-    seed in turn.  Requests past the trial or bit cap raise ValueError
-    before any instance runs.
+    seed in turn.  Both counts must be integers from 1 up to the trial or
+    bit cap, else ValueError is raised before any instance runs.
     """
-    if instances > _MAX_TRIALS:
-        raise ValueError(f"at most {_MAX_TRIALS} trials, got {instances}")
-    if bits > _MAX_PROTOCOL_BITS:
-        raise ValueError(f"at most {_MAX_PROTOCOL_BITS} bits per instance, got {bits}")
+    instances = _checked_count(instances, _MAX_TRIALS, "trial", "trials")
+    bits = _checked_count(bits, _MAX_PROTOCOL_BITS, "bit per instance", "bits per instance")
     rng = np.random.default_rng(seed)
     agree = 0
     for _ in range(instances):

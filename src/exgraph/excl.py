@@ -20,11 +20,11 @@ import numpy as np
 from . import graph as gr
 from .bounds import (
     _THETA_TOL,
-    fractional_packing,
-    independence_number,
+    _checked_weights,
+    _max_clique,
+    bounds_report,
     lovasz_theta,
     lovasz_theta_matrix,
-    maximal_cliques,
 )
 
 
@@ -55,7 +55,7 @@ def one_round_symmetric_bound(g: gr.Graph) -> float:
     clique of the conormal square gives the strongest such bound.
     """
     product = conormal_product(g, g)
-    omega = max(len(c) for c in maximal_cliques(product))
+    omega, _ = _max_clique(product.rows, product.n)
     return g.n / math.sqrt(omega)
 
 
@@ -232,17 +232,15 @@ def circulant10_suite(tol: float = _THETA_TOL) -> dict:
     for name, g in census:
         if not gr.is_vertex_transitive(g):
             raise RuntimeError(f"census graph {name} is not vertex-transitive")
-        alpha, _ = independence_number(g)
-        theta = lovasz_theta(g, tol=tol)
-        alpha_star = fractional_packing(g)
+        rep = bounds_report(g, tol)
         rows.append({
             "graph": name,
             "n": g.n,
-            "alpha": alpha,
-            "theta": theta,
-            "alpha_star": alpha_star,
-            "theta_over_alpha": theta / alpha,
-            "gap": theta > alpha + 1e-6,
+            "alpha": rep.alpha,
+            "theta": rep.theta,
+            "alpha_star": rep.alpha_star,
+            "theta_over_alpha": rep.ratio,
+            "gap": rep.theta > rep.alpha + 1e-6,
         })
 
     by_name = dict(census)
@@ -309,11 +307,7 @@ def eprinciple_violation_witness(g: gr.Graph, p, tol: float = 1e-6):
     The optimizer of the weighted theta program on the complement yields the
     partner assignment; returns (theta, pbar) where theta = sum p_i pbar_i.
     """
-    p = np.asarray([float(x) for x in p])
-    if p.shape != (g.n,):
-        raise ValueError(f"expected {g.n} probabilities")
-    if p.min() < 0:
-        raise ValueError("probabilities must be nonnegative")
+    p = _checked_weights(g, p)
     gbar = gr.complement(g)
     theta, x = lovasz_theta_matrix(gbar, weights=p)
     if theta <= 1.0 + tol:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class Graph:
     n: int
     rows: tuple[int, ...]
     labels: tuple[str, ...] | None = None
-    # Set by the circulant builder (and preserved under complement) so that
-    # vertex-transitivity is known without an automorphism search.
-    circulant_offsets: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -174,7 +171,7 @@ def circulant_graph(n: int, offsets) -> Graph:
         for o in offs:
             rows[i] |= 1 << ((i + o) % n)
             rows[i] |= 1 << ((i - o) % n)
-    return Graph(n, tuple(rows), circulant_offsets=tuple(offs))
+    return Graph(n, tuple(rows))
 
 
 def prism_graph(n: int) -> Graph:
@@ -269,12 +266,7 @@ def build_family(family: str, **params) -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     rows = tuple((full ^ g.rows[i]) & ~(1 << i) for i in range(g.n))
-    offs = None
-    if g.circulant_offsets is not None:
-        offs = tuple(sorted(set(range(1, g.n // 2 + 1)) - set(g.circulant_offsets)))
-        if not offs:
-            offs = None  # complete graph complement of edgeless, or empty offset set
-    return Graph(g.n, rows, g.labels, circulant_offsets=offs)
+    return Graph(g.n, rows, g.labels)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -421,11 +413,39 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     return isomorphism_witness(g1, g2) is not None
 
 
+def _cayley_group(n: int, rows: tuple[int, ...]) -> tuple[int, int] | None:
+    """(a, b) when the graph is a Cayley graph of Z_a x Z_b in its own
+    labelling, vertex u*b + v being the element (u, v), else None.
+
+    Circulants are found as (n, 1) and prisms as (2, n); the conormal
+    product of an a-vertex and a b-vertex circulant is a Cayley graph of
+    Z_a x Z_b.  The divisors b of n are tried in increasing order.  The two
+    unit translations generate the group, so it acts by automorphisms when
+    both map row i to the row of the translated vertex.  Each translation
+    of a row is one big-int rotation: (1, 0) rotates the whole row by b,
+    (0, 1) rotates inside each b-block.
+    """
+    degree = rows[0].bit_count()
+    if any(r.bit_count() != degree for r in rows):
+        return None
+    full = (1 << n) - 1
+    # b = n would be Z_n in the labelling that b = 1 already tries
+    for b in [d for d in range(1, n) if n % d == 0] or [1]:
+        if any(rows[(i + b) % n] != (r << b | r >> (n - b)) & full for i, r in enumerate(rows)):
+            continue
+        # (0, 1) takes vertex i to i + 1, or to i + 1 - b at a block's end
+        last = sum(1 << v for v in range(b - 1, n, b))
+        if all(rows[i + 1 - b * (i % b == b - 1)] == ((r & ~last) << 1 | (r & last) >> (b - 1))
+               for i, r in enumerate(rows)):
+            return n // b, b
+    return None
+
+
 def is_vertex_transitive(g: Graph) -> bool:
-    if g.circulant_offsets is not None:
-        return True
-    m = g.edge_count()
-    if m == 0 or m == g.n * (g.n - 1) // 2:
+    """Whether the automorphisms of g act transitively on its vertices.
+    Cayley graphs are (Sabidussi, Proc. AMS 1958), so one that _cayley_group
+    finds in its own labelling needs no automorphism search."""
+    if _cayley_group(g.n, g.rows) is not None:
         return True
     # targets already in the orbit of vertex 0 under the automorphisms
     # found so far need no search of their own

@@ -9,12 +9,11 @@ there is a single code path.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import _MAX_TRIALS, BellScenario, Box, chsh_value
+from .boxes import _MAX_TRIALS, BellScenario, Box, _checked_count, chsh_value
 from .graph import Graph
 from .numkernel import is_hermitian, is_projector, tensor_product
 from .scenarios import EmpiricalModel, Inequality, ncycle_inequality, ncycle_scenario
@@ -283,14 +282,7 @@ def bell_qubit_hv_expectation(a0: float, a_vec, n_vec, samples: int, seed: int) 
     checked before the first draw: samples must be an integer in
     1.._MAX_TRIALS, and a0, a and n must be finite.
     """
-    try:
-        samples = operator.index(samples)
-    except TypeError:
-        raise ValueError(f"samples must be an integer, got {samples!r}") from None
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if samples > _MAX_TRIALS:
-        raise ValueError(f"at most {_MAX_TRIALS} samples, got {samples}")
+    samples = _checked_count(samples, _MAX_TRIALS, "sample", "samples")
     a0 = float(a0)
     a_vec = np.asarray(a_vec, dtype=float)
     n_vec = np.asarray(n_vec, dtype=float)

@@ -396,6 +396,25 @@ def test_weight_validation():
         bd.lovasz_theta(g, weights=(1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda g, w: bd.lovasz_theta(g, weights=w),
+        lambda g, w: bd.lovasz_theta_matrix(g, weights=w),
+        excl.eprinciple_violation_witness,
+    ],
+    ids=["theta", "theta-matrix", "violation-witness"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_are_rejected_before_the_sdp(monkeypatch, solve, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a non-finite weight reached the SDP")
+
+    monkeypatch.setattr(bd, "sdp_solve", refuse)
+    with pytest.raises(ValueError, match="finite"):
+        solve(gr.cycle_graph(5), [1.0, 1.0, bad, 1.0, 1.0])
+
+
 def test_theta_memo_is_bounded():
     # membership sweeps key the memo by weight tuples, so it must not grow
     # without limit; the acceptance battery memoizes about 570 programs

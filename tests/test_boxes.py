@@ -315,3 +315,29 @@ def test_ip_protocol_validation():
         ip_one_bit_protocol([0, 1], [1], seed=0)
     with pytest.raises(ValueError):
         ip_one_bit_protocol([0, 2], [1, 0], seed=0)
+
+
+@pytest.mark.parametrize(
+    "sampler, args, message",
+    [
+        (boxes.ip_protocol_agreement, (1, 0, 4), "at least one trial"),
+        (boxes.ip_protocol_agreement, (1, -3, 4), "at least one trial"),
+        (boxes.ip_protocol_agreement, (1, 4, 0), "at least one bit per instance"),
+        (boxes.ip_protocol_agreement, (1, 4, -2), "at least one bit per instance"),
+        (boxes.ip_protocol_agreement, (1, 2.5, 4), "trials must be an integer"),
+        (boxes.ip_protocol_agreement, (1, 4, 2.5), "bits per instance must be an integer"),
+        (boxes.ip_protocol_agreement, (1, 4, 4097), "at most 4096 bits per instance"),
+        (van_dam_ic, (1, 2.5), "trials must be an integer"),
+        (nested_ic, (2, 0.5, 2.5), "levels must be an integer"),
+        (nested_ic, (2, 0.5, 0), "at least one level"),
+    ],
+    ids=["ip-no-instances", "ip-negative-instances", "ip-no-bits", "ip-negative-bits", "ip-float-instances",
+         "ip-float-bits", "ip-bits-over-cap", "vandam-float-trials", "nested-float-levels", "nested-no-levels"],
+)
+def test_samplers_reject_bad_counts_before_drawing(monkeypatch, sampler, args, message):
+    def no_draws(seed):
+        raise AssertionError("the sampler drew before rejecting its counts")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=message):
+        sampler(*args)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from exgraph import excl
 from exgraph import graph as gr
 from oracles import first_asymmetric_pair, iso_map_reference, k_subset_reference, random_graph
+from test_bounds import _abelian_cayley_rows, _relabelled
 
 
 def test_from_edges_basic():
@@ -112,7 +114,7 @@ def test_cycles_are_circulants():
     for n in (3, 4, 5, 20, 64):
         g = gr.cycle_graph(n)
         assert g.rows == gr.from_edges(n, [(i, (i + 1) % n) for i in range(n)]).rows
-        assert g.circulant_offsets == (1,)
+        assert gr._cayley_group(n, g.rows) == (n, 1)
 
 
 def test_build_family_dispatch():
@@ -296,6 +298,12 @@ def test_isomorphism_witness_holds_up_to_64_vertices(n, p, seed):
             break
 
 
+_PRISM32 = gr.prism_graph(32)
+_C8_C8 = excl.conormal_product(gr.cycle_graph(8), gr.cycle_graph(8))
+_TWO_C32 = gr.disjoint_union(gr.cycle_graph(32), gr.cycle_graph(32))
+_M64 = gr.from_edges(64, gr.moebius_ladder(64).edges())
+
+
 @pytest.mark.parametrize(
     "g,expect",
     [
@@ -304,17 +312,59 @@ def test_isomorphism_witness_holds_up_to_64_vertices(n, p, seed):
         (gr.prism_graph(5), True),
         (gr.path_graph(4), False),
         (gr.from_edges(4, [(0, 1), (1, 2), (1, 3)]), False),
-        # 64 vertices, none built as a circulant, so each answer is searched
-        (gr.prism_graph(32), True),
-        (excl.conormal_product(gr.cycle_graph(8), gr.cycle_graph(8)), True),
-        (gr.disjoint_union(gr.cycle_graph(32), gr.cycle_graph(32)), True),
-        (gr.from_edges(64, gr.moebius_ladder(64).edges()), True),
+        # 64 vertices: the first four are Cayley graphs of Z_a x Z_b in their
+        # own labelling and skip the search; the next two, and the relabelled
+        # copies of the first four at the end, are searched
+        (_PRISM32, True),
+        (_C8_C8, True),
+        (_TWO_C32, True),
+        (_M64, True),
         (gr.path_graph(64), False),
         (gr.disjoint_union(gr.cycle_graph(30), gr.cycle_graph(34)), False),
+        (_relabelled(_PRISM32, 1), True),
+        (_relabelled(_C8_C8, 2), True),
+        (_relabelled(_TWO_C32, 3), True),
+        (_relabelled(_M64, 4), True),
     ],
 )
-def test_vertex_transitivity(g, expect):
+def test_vertex_transitivity(g, expect, monkeypatch):
+    searches = []
+    search = gr._iso_map
+    monkeypatch.setattr(gr, "_iso_map", lambda *args, **kw: searches.append(args) or search(*args, **kw))
     assert gr.is_vertex_transitive(g) is expect
+    assert bool(searches) == (gr._cayley_group(g.n, g.rows) is None)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _PRISM32,
+        _C8_C8,
+        _TWO_C32,
+        gr.cycle_graph(64),
+        gr.complete_graph(6),
+        gr.empty_graph(7),
+        gr.complement(gr.circulant_graph(11, (1, 3))),
+    ],
+    ids=["prism32", "C8xC8", "2xC32", "C64", "K6", "edgeless7", "circulant-complement"],
+)
+def test_cayley_labelled_graphs_are_vertex_transitive_without_a_search(g, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Cayley-labelled graph went to the automorphism search")
+
+    monkeypatch.setattr(gr, "_iso_map", refuse)
+    assert gr.is_vertex_transitive(g)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_abelian_cayley_rows(), st.integers(0, 2**32))
+def test_abelian_cayley_graphs_are_vertex_transitive_in_any_labelling(case, seed):
+    n, rows = case
+    g = gr.Graph(n, rows)
+    assert gr.is_vertex_transitive(g)
+    # the relabelled copy goes through the search, whatever its labelling
+    with mock.patch.object(gr, "_cayley_group", return_value=None):
+        assert gr.is_vertex_transitive(_relabelled(g, seed))
 
 
 def test_disjoint_union_and_cosum():
