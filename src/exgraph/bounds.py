@@ -18,13 +18,14 @@ a certificate is cheap to produce.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .graph import Graph, _bits, _cayley_group, circulant_graph, complement
-from .numkernel import LinearProgram, lp_solve, sdp_solve, sdp_solve_many
+from .numkernel import LinearProgram, lp_solve, replays, sdp_solve, sdp_solve_many
 
 # largest column count of a hull LP; both hull LPs have one row per
 # coordinate, so the cap bounds column enumeration and pivot work
@@ -133,28 +134,18 @@ def fractional_packing(g: Graph) -> float:
     members = np.fromiter(itertools.chain.from_iterable(cliques), dtype=np.intp, count=int(sizes.sum()))
     a = np.zeros((n, len(cliques)))
     a[members, np.repeat(np.arange(len(cliques)), sizes)] = 1.0
+    cover = LinearProgram(c=np.ones(len(cliques)), a=a, senses=(">=",) * n, b=np.ones(n))
     top = sizes == sizes.max()
     per_vertex = a[:, top].sum(axis=1)
     if per_vertex.min() == per_vertex.max():
         omega = int(sizes.max())
-        x, y, value = np.full(n, 1.0 / omega), top / per_vertex[0], n / omega
+        y, x, value = top / per_vertex[0], np.full(n, 1.0 / omega), n / omega
     else:
-        res = lp_solve(LinearProgram(
-            c=np.ones(len(cliques)),
-            a=a,
-            senses=(">=",) * n,
-            b=np.ones(n),
-        ))
+        res = lp_solve(cover)
         if res.status != "optimal":
             raise RuntimeError(f"clique-cover LP ended {res.status}")
-        x, y, value = res.y, res.x, float(res.value)
-    if (
-        x.min() < -_REPLAY_TOL
-        or np.max(x @ a) > 1.0 + _REPLAY_TOL
-        or y.min() < -_REPLAY_TOL
-        or np.min(a @ y) < 1.0 - _REPLAY_TOL
-        or abs(x.sum() - y.sum()) > _REPLAY_TOL
-    ):
+        y, x, value = res.x, res.y, float(res.value)
+    if not replays(cover, y, x, _REPLAY_TOL):
         raise RuntimeError("packing and clique cover fail their floating-point replay")
     return value
 
@@ -199,14 +190,7 @@ def _theta_characters(n: int, rows: tuple[int, ...], a: int, b: int) -> float:
     res = lp_solve(lp)
     if res.status != "optimal":
         raise RuntimeError(f"character LP ended {res.status}")
-    u, y = res.x, res.y
-    if (
-        u.min() < -_REPLAY_TOL
-        or np.min(coef @ u - lp.b) < -_REPLAY_TOL
-        or y.min() < -_REPLAY_TOL
-        or np.max(y @ coef - lp.c) > _REPLAY_TOL
-        or abs(lp.c @ u - lp.b @ y) > _REPLAY_TOL
-    ):
+    if not replays(lp, res.x, res.y, _REPLAY_TOL):
         raise RuntimeError("character LP primal and duals fail their floating-point replay")
     return 1.0 - float(res.value) - float(mult.sum())
 
@@ -224,7 +208,10 @@ def _theta_cached(n: int, rows: tuple[int, ...], wkey: tuple[float, ...] | None,
 def _checked_weights(g: Graph, weights) -> np.ndarray:
     """weights as one finite nonnegative float per vertex of g; the theta
     programs call this before any work."""
-    w = np.asarray([float(x) for x in weights])
+    try:
+        w = np.asarray([float(x) for x in weights])
+    except TypeError as exc:
+        raise ValueError(f"weights must be numbers: {exc}") from None
     if w.shape != (g.n,):
         raise ValueError("one weight per vertex required")
     if not np.all(np.isfinite(w)):
@@ -238,7 +225,10 @@ def _checked_point(g: Graph, p, ndim: int = 1) -> np.ndarray:
     """p as a float array of ndim axes whose last has one coordinate per
     vertex of g, every coordinate finite; the membership tests call this
     before any work."""
-    p = np.asarray(p, dtype=float)
+    try:
+        p = np.asarray(p, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"coordinates must be numbers: {exc}") from None
     if p.ndim != ndim or p.shape[-1] != g.n:
         raise ValueError("one coordinate per vertex required")
     if not np.all(np.isfinite(p)):
@@ -276,14 +266,37 @@ def theta_circulant_oracle(n: int, offsets) -> float:
     return _theta_characters(n, circulant_graph(n, offsets).rows, n, 1)
 
 
+def assignment_hull(sizes, contexts) -> np.ndarray:
+    """The deterministic hull of a scenario whose measurement i has sizes[i]
+    outcomes and whose contexts are tuples of measurement indices, as a 0/1
+    matrix.  One row per event (a context and one outcome per member):
+    contexts in order, outcome tuples in C order within each.  One column per
+    global assignment (one outcome per measurement), in C order.  An entry is
+    1 when the assignment gives the event's outcomes to its context."""
+    ncols = math.prod(sizes)
+    if ncols > _HULL_MAX_COLUMNS:
+        raise ValueError(f"{ncols} deterministic assignments exceed the supported limit of {_HULL_MAX_COLUMNS}")
+    outcomes = np.indices(sizes).reshape(len(sizes), ncols)
+    counts = [math.prod(sizes[m] for m in ctx) for ctx in contexts]
+    hull = np.zeros((sum(counts), ncols))
+    for ctx, first in zip(contexts, itertools.accumulate([0] + counts)):
+        # each column's event in this context: its outcomes there, raveled
+        event = np.zeros(ncols, dtype=np.intp)
+        for m in ctx:
+            event = event * sizes[m] + outcomes[m]
+        hull[first + event, np.arange(ncols)] = 1.0
+    return hull
+
+
 def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarray, float | None]:
     """Is point a convex combination of the 0/1 columns of vertices (d x k)?
 
     Returns (True, x, None) with x >= 0, sum(x) = 1 and vertices @ x = point,
     or (False, y, margin) with y = (a, c) a Farkas functional: a.v + c <= 0
     on every column v while a.point + c = margin > tol, normalised by
-    a in [-1, 1]^d and c in [-d, 1].  Either answer is replayed in floating
-    point before it is returned; a failed replay raises RuntimeError.
+    a in [-1, 1]^d and c in [-d, 1].  Either LP answer must replay (see
+    numkernel.replays) before it is returned; a failed replay raises
+    RuntimeError.
     """
     vertices = np.asarray(vertices, dtype=float)
     d, k = vertices.shape
@@ -293,27 +306,29 @@ def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarra
     if rhs.shape != (d + 1,):
         raise ValueError("one point coordinate per vertex row required")
     ext = np.vstack([vertices, np.ones(k)])
-    res = lp_solve(LinearProgram(c=np.zeros(k), a=ext, senses=("=",) * (d + 1), b=rhs))
+    lp = LinearProgram(c=np.zeros(k), a=ext, senses=("=",) * (d + 1), b=rhs)
+    res = lp_solve(lp)
     if res.status == "optimal":
-        x = res.x
-        if np.max(np.abs(ext @ x - rhs)) > _REPLAY_TOL or x.min() < -_REPLAY_TOL:
+        if not replays(lp, res.x, res.y, _REPLAY_TOL):
             raise RuntimeError("hull weights fail their floating-point replay")
-        return True, x, None
+        return True, res.x, None
     # The Farkas LP, max y.[p; 1] subject to y.[v; 1] <= 0 on every column
     # with y in [L, U], has one row per column.  Solve its dual instead:
     # min U.mu+ - L.mu- subject to [V; 1] lam + mu+ - mu- = [p; 1], with
-    # d + 1 rows.  Its value is the margin and its duals are the functional.
+    # d + 1 rows.  Its value is the margin and its duals are the functional;
+    # the replay's A^T y <= c is both the validity on every column and the
+    # normalisation box.
     upper = np.ones(d + 1)
     lower = np.append(np.full(d, -1.0), -float(d))
     eye = np.eye(d + 1)
-    res = lp_solve(LinearProgram(
+    lp = LinearProgram(
         c=np.concatenate([np.zeros(k), upper, -lower]), a=np.hstack([ext, eye, -eye]),
         senses=("=",) * (d + 1), b=rhs,
-    ))
-    y = res.y
-    if res.status != "optimal" or float(rhs @ y) <= tol or np.max(y @ ext) > _REPLAY_TOL:
+    )
+    res = lp_solve(lp)
+    if res.status != "optimal" or not replays(lp, res.x, res.y, _REPLAY_TOL) or float(rhs @ res.y) <= tol:
         raise RuntimeError("point outside the hull without a valid Farkas functional")
-    return False, y, float(rhs @ y)
+    return False, res.y, float(rhs @ res.y)
 
 
 def _independent_set_masks(g: Graph) -> list[int]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _HULL_MAX_COLUMNS, hull_membership
+from .bounds import assignment_hull, hull_membership
 
 _MAX_TABLE_ENTRIES = 1 << 24
 _MAX_NESTED_LEVELS = 1_000_000
@@ -162,34 +162,6 @@ def is_nosignaling(box: Box, tol: float = 1e-9) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _strategies(scn: BellScenario) -> list[tuple[tuple[int, ...], ...]]:
-    per_party = []
-    for m, o in zip(scn.settings, scn.outcomes):
-        per_party.append(list(itertools.product(range(o), repeat=m)))
-    return list(itertools.product(*per_party))
-
-
-def _strategy_matrix(scn: BellScenario) -> np.ndarray:
-    """One column per deterministic strategy, in the order of _strategies:
-    the strategy's table p(a|x) raveled in C order, settings outer and
-    outcomes inner.
-
-    Party i's one-hot table T_i[x_i, a_i, s_i] = [s_i(x_i) = a_i] has one
-    column per strategy s_i, and a joint strategy's table is the product of
-    its parties' entries, so the matrix is the Kronecker product of the T_i
-    with its rows reordered from (x_1, a_1, x_2, a_2, ...) to C order.
-    """
-    joint = np.ones((1, 1))
-    for m, o in zip(scn.settings, scn.outcomes):
-        own = np.array(list(itertools.product(range(o), repeat=m)))
-        onehot = own.T[:, None, :] == np.arange(o)[None, :, None]
-        joint = np.kron(joint, onehot.reshape(m * o, -1))
-    p = scn.parties
-    interleaved = joint.reshape(*(d for mo in zip(scn.settings, scn.outcomes) for d in mo), -1)
-    c_order = [*range(0, 2 * p, 2), *range(1, 2 * p, 2), 2 * p]
-    return interleaved.transpose(c_order).reshape(-1, joint.shape[1])
-
-
 def is_local(box: Box, tol: float = 1e-7) -> tuple[bool, dict]:
     """LP membership in the convex hull of deterministic strategies.
 
@@ -198,15 +170,18 @@ def is_local(box: Box, tol: float = 1e-7) -> tuple[bool, dict]:
     every deterministic strategy yet positive on the box.
     """
     scn = box.scenario
-    count = 1
-    for m, o in zip(scn.settings, scn.outcomes):
-        count *= o**m
-    if count > _HULL_MAX_COLUMNS:
-        raise ValueError(f"{count} deterministic strategies exceed the supported limit of {_HULL_MAX_COLUMNS}")
-    strategies = _strategies(scn)
-    local, y, margin = hull_membership(_strategy_matrix(scn), box.table.ravel(), tol)
+    # measurement (party i, setting x_i) is numbered party by party and the
+    # contexts are the setting tuples, so the rows are the raveled table
+    first = np.cumsum((0,) + scn.settings[:-1])
+    sizes = tuple(o for m, o in zip(scn.settings, scn.outcomes) for _ in range(m))
+    contexts = [tuple(first + x) for x in itertools.product(*(range(m) for m in scn.settings))]
+    local, y, margin = hull_membership(assignment_hull(sizes, contexts), box.table.ravel(), tol)
     if local:
-        return True, {"weights": {strat: float(w) for strat, w in zip(strategies, y) if w > tol}}
+        cols = np.flatnonzero(y > tol)
+        strategies = np.transpose(np.unravel_index(cols, sizes)).tolist()
+        weights = {tuple(tuple(s[f : f + m]) for f, m in zip(first, scn.settings)): float(y[col])
+                   for col, s in zip(cols, strategies)}
+        return True, {"weights": weights}
     coeffs = {}
     shape = scn.table_shape()
     for r, coef in enumerate(y[:-1]):
@@ -436,6 +411,10 @@ def nested_ic(d: int, e: float, levels: int) -> NestedIcResult:
     starting from q_0 = 1.  The flag reports the binary amplification
     condition 2e^2 > 1.
     """
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise ValueError(f"d must be an integer, got {d!r}") from None
     if d < 2:
         raise ValueError("need d >= 2")
     levels = _checked_count(levels, _MAX_NESTED_LEVELS, "level", "levels")

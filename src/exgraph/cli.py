@@ -326,12 +326,11 @@ def _cmd_box(args) -> int:
         params = _load_json(args.input) if args.input else {}
         if not isinstance(params, dict):
             raise CliInputError('ic-nested input must be an object {"d", "e", "levels"}')
+        d, levels = params.get("d", 2), params.get("levels", args.n or 6)
         try:
-            d = int(params.get("d", 2))
             e = float(params.get("e", 1.0))
-            levels = int(params.get("levels", args.n or 6))
         except (OverflowError, TypeError, ValueError) as exc:
-            raise CliInputError(f'"d", "e" and "levels" must be numbers: {exc}') from exc
+            raise CliInputError(f'"e" must be a number: {exc}') from exc
         res = boxes.nested_ic(d, e, levels)
         _emit({
             "d": d,

@@ -9,6 +9,7 @@ immutable; every operation returns a new Graph.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,6 +20,22 @@ MAX_VERTICES = 64
 
 class GraphError(ValueError):
     """Invalid construction parameters or an unsupported graph size."""
+
+
+def _index(value, what: str) -> int:
+    """value as a Python int if it is an integer (operator.index), else
+    GraphError: a float such as 1.7 is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GraphError(f"{what} {value!r} is not an integer") from None
+
+
+def _pair(e, what: str) -> tuple[int, int]:
+    try:
+        return operator.index(e[0]), operator.index(e[1])
+    except (IndexError, KeyError, TypeError) as exc:
+        raise GraphError(f"{what} {e!r} is not a pair of vertex indices") from exc
 
 
 def _bits(mask: int):
@@ -109,14 +126,12 @@ class Graph:
 
 
 def from_edges(n: int, edges, labels=None) -> Graph:
+    n = _index(n, "vertex count")
     if n > MAX_VERTICES:
         raise GraphError(f"graph size {n} exceeds the supported maximum {MAX_VERTICES}")
     rows = [0] * n
     for e in edges:
-        try:
-            i, j = int(e[0]), int(e[1])
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
-            raise GraphError(f"edge {e!r} is not a vertex pair") from exc
+        i, j = _pair(e, "edge")
         if i == j:
             raise GraphError(f"self-loop at vertex {i}")
         if not (0 <= i < n and 0 <= j < n):
@@ -128,8 +143,7 @@ def from_edges(n: int, edges, labels=None) -> Graph:
 
 def from_json_dict(d: dict) -> Graph:
     try:
-        n = int(d["n"])
-        edges = d["edges"]
+        n, edges = d["n"], d["edges"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"graph JSON needs 'n' and 'edges': {exc}") from exc
     return from_edges(n, edges, d.get("labels"))
@@ -160,7 +174,8 @@ def path_graph(n: int) -> Graph:
 
 
 def circulant_graph(n: int, offsets) -> Graph:
-    offs = sorted(set(int(o) for o in offsets))
+    n = _index(n, "vertex count")
+    offs = sorted(set(_index(o, "circulant offset") for o in offsets))
     if not offs:
         raise GraphError("circulant needs a nonempty offset set")
     for o in offs:
@@ -315,7 +330,7 @@ def partial_twinning(g: Graph, kept_cross_edges) -> Graph:
     base = duplication(g)
     rows = list(base.rows)
     for e in kept_cross_edges:
-        u, v = int(e[0]), int(e[1])
+        u, v = _pair(e, "cross pair")
         if not (0 <= u < g.n and 0 <= v < g.n):
             raise GraphError(f"cross pair ({u},{v}) outside vertex range")
         if not g.has_edge(u, v):

@@ -10,7 +10,8 @@ either a checked witness or the refutation trace.
 The operator-product (sign) proofs live here too: a proof spec lists
 plus/minus-one observables, lines of mutually commuting ones, and the
 expected product sign per line; verification checks the algebra and then
-exhaustively searches for a consistent plus/minus-one value assignment.
+decides by Gaussian elimination over GF(2) whether a consistent plus/minus-one
+value assignment exists.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .bounds import maximal_cliques
 from .graph import Graph, from_edges
 from .numkernel import is_hermitian, tensor_product
 from .quantum import IDENT2, SIGMA_X, SIGMA_Y, SIGMA_Z
-
-_MAX_PROOF_OPERATORS = 12
 
 
 @dataclass
@@ -408,8 +407,6 @@ class ProofReport:
 
 def verify_multiplicative_proof(spec: OperatorProofSpec, tol: float = 1e-9) -> ProofReport:
     k = len(spec.operators)
-    if k > _MAX_PROOF_OPERATORS:
-        raise ValueError(f"assignment search limited to {_MAX_PROOF_OPERATORS} operators")
     d = spec.operators[0].shape[0]
     eye = np.eye(d, dtype=complex)
 
@@ -431,12 +428,24 @@ def verify_multiplicative_proof(spec: OperatorProofSpec, tol: float = 1e-9) -> P
         if np.max(np.abs(prod - sign * eye)) > tol:
             products_match = False
 
-    line_masks = [sum(1 << i for i in line) for line in spec.lines]
-    want_odd = [s == -1 for s in spec.signs]
-    assignment_exists = False
-    for m in range(1 << k):
-        if all(((m & mask).bit_count() & 1) == odd for mask, odd in zip(line_masks, want_odd)):
-            assignment_exists = True
+    # A +-1 assignment v satisfies a line when the product of v over its
+    # operators is its sign: a parity equation over GF(2) in the bits
+    # v_i = -1.  An operator listed twice cancels (A A = I), so each line's
+    # mask is an XOR, with the wanted parity in bit k.  Elimination on the
+    # leading bit solves the system; it has no solution exactly when a line
+    # reduces to 0 = 1.
+    pivots: dict[int, int] = {}
+    assignment_exists = True
+    for line, sign in zip(spec.lines, spec.signs):
+        row = (sign == -1) << k
+        for i in line:
+            row ^= 1 << i
+        while (lead := (row & ((1 << k) - 1)).bit_length() - 1) in pivots:
+            row ^= pivots[lead]
+        if lead >= 0:
+            pivots[lead] = row
+        elif row:
+            assignment_exists = False
             break
     return ProofReport(operators_ok, lines_commute, products_match, assignment_exists)
 

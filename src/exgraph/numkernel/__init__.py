@@ -3,7 +3,7 @@
 a lockstep stack of programs on one graph), complex matrix helpers."""
 
 from .cmat import is_hermitian, is_projector, tensor_product
-from .lp import LinearProgram, LpError, LpResult, lp_solve
+from .lp import LinearProgram, LpError, LpResult, lp_solve, replays
 from .sdp import SdpError, SdpResult, sdp_solve, sdp_solve_many
 
 __all__ = [
@@ -14,6 +14,7 @@ __all__ = [
     "LpError",
     "LpResult",
     "lp_solve",
+    "replays",
     "SdpError",
     "SdpResult",
     "sdp_solve",

@@ -193,3 +193,20 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     # keeps a zero column, so its row reads 0.  Undo the row orientation.
     y = -tab[-1, unit_cols] * row_sign + 0.0
     return LpResult("optimal", value, x, y)
+
+
+def replays(lp: LinearProgram, x, y, tol: float) -> bool:
+    """Does (x, y) replay as an optimal primal-dual pair of lp, each check
+    within tol?  x >= 0 meets every row in its sense; y has each row's dual
+    sign (y >= 0 on ">=" rows, y <= 0 on "<=" rows); A^T y <= c; and the
+    gap |c.x - b.y| is at most tol, so both are optimal by weak duality."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    ge, le = (np.array([s == sense for s in lp.senses], dtype=bool) for sense in (">=", "<="))
+    slack = lp.a @ x - lp.b
+    return bool(
+        np.all(x >= -tol)
+        and np.all(slack[ge] >= -tol) and np.all(slack[le] <= tol) and np.all(np.abs(slack[~(ge | le)]) <= tol)
+        and np.all(y[ge] >= -tol) and np.all(y[le] <= tol)
+        and np.all(y @ lp.a - lp.c <= tol)
+        and abs(lp.c @ x - lp.b @ y) <= tol
+    )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _HULL_MAX_COLUMNS, hull_membership
+from .bounds import assignment_hull, hull_membership
 from .graph import Graph, from_edges
 
 
@@ -155,25 +155,21 @@ def has_global_section(model: EmpiricalModel, tol: float = 1e-7) -> tuple[bool, 
     assignment but positive on the model.
     """
     scn = model.scenario
-    nmeas = len(scn.measurements)
-    natoms = len(scn.outcomes) ** nmeas
-    if natoms > _HULL_MAX_COLUMNS:
-        raise ValueError(f"{natoms} global assignments exceed the supported limit of {_HULL_MAX_COLUMNS}")
     midx = {m: i for i, m in enumerate(scn.measurements)}
-    atoms = list(itertools.product(scn.outcomes, repeat=nmeas))
+    sizes = (len(scn.outcomes),) * len(scn.measurements)
+    vertices = assignment_hull(sizes, [tuple(midx[m] for m in ctx) for ctx in scn.contexts])
     events = [
         (ctx, outcome)
         for ctx in scn.contexts
         for outcome in itertools.product(scn.outcomes, repeat=len(ctx))
     ]
-    vertices = np.array(
-        [[all(atom[midx[m]] == o for m, o in zip(ctx, outcome)) for atom in atoms] for ctx, outcome in events],
-        dtype=float,
-    ).reshape(len(events), natoms)
     point = [model.prob(ctx, outcome) for ctx, outcome in events]
     exists, y, margin = hull_membership(vertices, point, tol)
     if exists:
-        dist = {tuple(zip(scn.measurements, atom)): float(w) for atom, w in zip(atoms, y) if w > tol}
+        cols = np.flatnonzero(y > tol)
+        atoms = np.transpose(np.unravel_index(cols, sizes)).tolist()
+        dist = {tuple((m, scn.outcomes[o]) for m, o in zip(scn.measurements, atom)): float(y[col])
+                for col, atom in zip(cols, atoms)}
         return True, {"distribution": dist}
     # y is a consistency inequality every global section obeys and the
     # model breaks

@@ -288,3 +288,33 @@ def exact_is_pd(a):
                 for j in range(k + 1, i + 1):
                     work[i][j] -= f * work[j][k]
     return True
+
+
+def global_section_matrix(scenario):
+    """Events x global assignments of a measurement scenario, entry 1 where
+    the assignment gives the event's outcomes, by the plain comprehension:
+    events are (context, outcome tuple) and assignments one outcome per
+    measurement, both listed in itertools.product order."""
+    midx = {m: i for i, m in enumerate(scenario.measurements)}
+    atoms = list(itertools.product(scenario.outcomes, repeat=len(scenario.measurements)))
+    events = [
+        (ctx, outcome)
+        for ctx in scenario.contexts
+        for outcome in itertools.product(scenario.outcomes, repeat=len(ctx))
+    ]
+    return np.array(
+        [[all(atom[midx[m]] == o for m, o in zip(ctx, outcome)) for atom in atoms] for ctx, outcome in events],
+        dtype=float,
+    ).reshape(len(events), len(atoms))
+
+
+def parity_assignment_exists(k, lines, signs):
+    """Whether +-1 values on k operators give every line the product of its
+    sign, by trying all 2^k assignments (k <= 16).  An operator listed twice
+    in a line counts twice."""
+    if k > 16:
+        raise ValueError("brute-force assignment search capped at 16 operators")
+    for mask in range(1 << k):
+        if all(sum(mask >> i & 1 for i in line) % 2 == (sign == -1) for line, sign in zip(lines, signs)):
+            return True
+    return False

@@ -714,3 +714,37 @@ def test_hull_membership_replays_the_lp_answer(monkeypatch):
         bd.hull_membership(np.eye(2), [0.5, 0.5])
     with pytest.raises(RuntimeError):
         bd.hull_membership(np.eye(2), [1.0, 1.0])
+
+
+def test_hull_membership_replays_the_whole_farkas_answer(monkeypatch):
+    solve = bd.lp_solve
+
+    def doubled(lp):
+        res = solve(lp)
+        if res.y is not None:
+            # still nonpositive on every column with twice the margin, but
+            # outside the normalisation box and off the LP's optimum
+            res.y = 2.0 * res.y
+        return res
+
+    monkeypatch.setattr(bd, "lp_solve", doubled)
+    with pytest.raises(RuntimeError):
+        bd.hull_membership(np.eye(2), [1.0, 1.0])
+
+
+_C5 = gr.cycle_graph(5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bd.lovasz_theta(_C5, [[1, 1]] * 5),
+    lambda: bd.lovasz_theta(_C5, [None] * 5),
+    lambda: bd.lovasz_theta_matrix(_C5, [{}] * 5),
+    lambda: bd.th_membership(_C5, [{}] * 5),
+    lambda: bd.th_membership_many(_C5, [[{}] * 5]),
+    lambda: bd.stab_membership(_C5, [{}] * 5),
+    lambda: bd.qstab_membership(_C5, [[0.1, 0.2]] + [0.1] * 4),
+], ids=["theta-lists", "theta-none", "theta-matrix-dicts", "th-dicts", "th-many-dicts", "stab-dicts",
+        "qstab-ragged"])
+def test_malformed_weights_and_points_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()

@@ -25,9 +25,8 @@ from exgraph.boxes import (
     product_box,
     uniform_box,
     van_dam_ic,
-    _strategies,
-    _strategy_matrix,
 )
+from exgraph.bounds import assignment_hull
 from oracles import inner_product_mod2, ip_protocol_agreement_reference, ip_protocol_reference, van_dam_reference
 
 
@@ -114,9 +113,16 @@ def test_locality_size_cap_is_checked_before_enumeration():
     ((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 3), (3, 2)), ((2, 2, 2), (2, 2, 2)), ((1, 4), (3, 1)),
 ])
 def test_strategy_matrix_stacks_the_deterministic_boxes(settings, outcomes):
+    # is_local's layout: measurement (party i, setting x) numbered party by
+    # party, one context per setting tuple; the columns then come in the
+    # order of the strategies listed party by party
     scn = BellScenario(settings, outcomes)
-    columns = [deterministic_box(scn, strat).table.ravel() for strat in _strategies(scn)]
-    assert np.array_equal(_strategy_matrix(scn), np.column_stack(columns))
+    first = np.cumsum((0,) + settings[:-1])
+    sizes = tuple(o for m, o in zip(settings, outcomes) for _ in range(m))
+    contexts = [tuple(first + x) for x in itertools.product(*(range(m) for m in settings))]
+    strategies = itertools.product(*(itertools.product(range(o), repeat=m) for m, o in zip(settings, outcomes)))
+    columns = [deterministic_box(scn, strat).table.ravel() for strat in strategies]
+    assert np.array_equal(assignment_hull(sizes, contexts), np.column_stack(columns))
 
 
 def test_pr_correlators():
@@ -330,9 +336,11 @@ def test_ip_protocol_validation():
         (van_dam_ic, (1, 2.5), "trials must be an integer"),
         (nested_ic, (2, 0.5, 2.5), "levels must be an integer"),
         (nested_ic, (2, 0.5, 0), "at least one level"),
+        (nested_ic, (2.5, 0.5, 2), "d must be an integer"),
     ],
     ids=["ip-no-instances", "ip-negative-instances", "ip-no-bits", "ip-negative-bits", "ip-float-instances",
-         "ip-float-bits", "ip-bits-over-cap", "vandam-float-trials", "nested-float-levels", "nested-no-levels"],
+         "ip-float-bits", "ip-bits-over-cap", "vandam-float-trials", "nested-float-levels", "nested-no-levels",
+         "nested-float-d"],
 )
 def test_samplers_reject_bad_counts_before_drawing(monkeypatch, sampler, args, message):
     def no_draws(seed):

@@ -17,6 +17,7 @@ from exgraph import bounds, cli
 from exgraph.boxes import BellScenario, pr_box, uniform_box
 from exgraph.kscolor import ks8_vectors
 from exgraph.scenarios import EmpiricalModel, ncycle_scenario, pentagon_extremal_model, triangle_overlap_model
+from test_kscolor import two_peres_mermin_squares
 
 ROOT5 = math.sqrt(5.0)
 
@@ -51,6 +52,18 @@ def test_bounds_from_json_file(tmp_path, capsys):
     code, data = run_json(capsys, ["bounds", "--input", str(path)])
     assert code == 0
     assert data["alpha"] == 2 and data["alpha_star"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": 3, "edges": [[0, 1.7]]},
+    {"n": 3.9, "edges": [[0, 1], [1, 2]]},
+], ids=["float-edge", "float-n"])
+def test_bounds_rejects_non_integer_vertex_indices(tmp_path, capsys, graph):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    assert cli.run(["bounds", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_output_flag_writes_file(tmp_path, capsys):
@@ -175,6 +188,15 @@ def test_ks_multiplicative_builtins(capsys, builtin):
     assert data["assignment_exists"] is False
 
 
+def test_ks_multiplicative_takes_more_than_twelve_operators(tmp_path, capsys):
+    path = tmp_path / "squares.json"
+    path.write_text(json.dumps(two_peres_mermin_squares().to_json_dict()))
+    code, data = run_json(capsys, ["ks", "multiplicative", "--input", str(path)])
+    assert code == 0
+    assert data["operators_ok"] and data["lines_commute"] and data["products_match"]
+    assert data["assignment_exists"] is False
+
+
 def test_scenario_check_and_global_section(tmp_path, capsys):
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(triangle_overlap_model().to_json_dict()))
@@ -250,6 +272,16 @@ def test_box_nested_rejects_a_non_object_or_non_scalar_input(tmp_path, capsys, d
     path.write_text(json.dumps(document))
     assert cli.run(["box", "ic-nested", "--input", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("document", [{"d": 2.5, "levels": 2.5}, {"d": 2.5}, {"levels": 2.5}, {"d": "3"}])
+def test_box_nested_rejects_non_integer_d_and_levels(tmp_path, capsys, document):
+    # 2.5 used to print as 2
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(document))
+    assert cli.run(["box", "ic-nested", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be an integer" in captured.err
 
 
 @pytest.mark.parametrize("levels", [1_000_001, 10**12])

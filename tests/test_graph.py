@@ -50,6 +50,33 @@ def test_from_edges_rejects_bad_input():
         gr.from_edges(3, [(0, 3)])
 
 
+_NON_INTEGER_INDICES = {
+    "edge-end": lambda: gr.from_edges(3, [(0, 1.7)]),
+    "edge-string": lambda: gr.from_edges(3, [("0", 1)]),
+    "vertex-count": lambda: gr.from_edges(3.9, [(0, 1)]),
+    "json-n": lambda: gr.from_json_dict({"n": 3.9, "edges": [[0, 1]]}),
+    "json-edge": lambda: gr.from_json_dict({"n": 3, "edges": [[0, 1.7]]}),
+    "circulant-offset": lambda: gr.circulant_graph(10, (2.5,)),
+    "circulant-n": lambda: gr.circulant_graph(10.0, (2,)),
+    "cross-pair": lambda: gr.partial_twinning(gr.cycle_graph(5), [(0, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_INTEGER_INDICES))
+def test_graph_indices_must_be_integers(name):
+    # a float index is refused, not truncated to a different graph
+    with pytest.raises(gr.GraphError, match="is not an integer|is not a pair of vertex indices"):
+        _NON_INTEGER_INDICES[name]()
+
+
+def test_numpy_integer_indices_are_accepted():
+    i64, i32 = np.int64, np.int32
+    assert gr.from_edges(i64(3), [(i64(0), i32(1))]) == gr.from_edges(3, [(0, 1)])
+    assert gr.circulant_graph(i64(10), np.array([2])) == gr.circulant_graph(10, (2,))
+    c5 = gr.cycle_graph(5)
+    assert gr.partial_twinning(c5, np.array([[0, 1]])) == gr.partial_twinning(c5, [(0, 1)])
+
+
 def test_json_roundtrip_keeps_labels():
     g = gr.from_edges(3, [(0, 1), (1, 2)], labels=("a", "b", "c"))
     g2 = gr.from_json_dict(g.to_json_dict())

@@ -9,6 +9,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exgraph import graph as gr
 from exgraph.kscolor import (
@@ -29,7 +31,8 @@ from exgraph.kscolor import (
     verify_coloring,
     verify_multiplicative_proof,
 )
-from oracles import brute_colorings
+from exgraph.quantum import IDENT2, SIGMA_Z
+from oracles import brute_colorings, parity_assignment_exists
 
 TRACE_EVENTS = {"pin", "propagate", "branch", "conflict", "backtrack"}
 
@@ -201,6 +204,49 @@ def test_flipped_sign_restores_classical_assignment():
     assert report.operators_ok and report.lines_commute
     assert not report.products_match
     assert report.assignment_exists
+
+
+def test_an_operator_listed_twice_cancels_in_its_line():
+    # Z Z = I matches the second line's +1 whatever Z's value, and -I = -1
+    # matches the first, so Z = +1, -I = -1 satisfies both lines
+    spec = OperatorProofSpec((SIGMA_Z, -IDENT2), ((1,), (0, 0)), (-1, 1))
+    report = verify_multiplicative_proof(spec)
+    assert report.products_match
+    assert report.assignment_exists
+    one_line = OperatorProofSpec(spec.operators, spec.lines[:1], spec.signs[:1])
+    assert verify_multiplicative_proof(one_line).assignment_exists
+
+
+@st.composite
+def _parity_systems(draw):
+    k = draw(st.integers(1, 10))
+    lines = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=5), min_size=1, max_size=8))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(lines), max_size=len(lines)))
+    return k, tuple(map(tuple, lines)), tuple(signs)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_parity_systems())
+def test_assignment_existence_matches_brute_force(case):
+    k, lines, signs = case
+    spec = OperatorProofSpec((np.eye(1, dtype=complex),) * k, lines, signs)
+    assert verify_multiplicative_proof(spec).assignment_exists == parity_assignment_exists(k, lines, signs)
+
+
+def two_peres_mermin_squares() -> OperatorProofSpec:
+    """Two squares on four qubits, one on qubits 1-2 and one on qubits 3-4:
+    18 operators, twelve lines, no consistent assignment."""
+    pm = peres_mermin_square()
+    eye4 = np.eye(4, dtype=complex)
+    ops = tuple(np.kron(op, eye4) for op in pm.operators) + tuple(np.kron(eye4, op) for op in pm.operators)
+    lines = pm.lines + tuple(tuple(i + 9 for i in line) for line in pm.lines)
+    return OperatorProofSpec(ops, lines, pm.signs * 2)
+
+
+def test_eighteen_operators_need_no_search_cap():
+    report = verify_multiplicative_proof(two_peres_mermin_squares())
+    assert report.operators_ok and report.lines_commute and report.products_match
+    assert not report.assignment_exists
 
 
 def test_proof_spec_validation():

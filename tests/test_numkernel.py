@@ -23,6 +23,7 @@ from exgraph.numkernel import (
     is_hermitian,
     is_projector,
     lp_solve,
+    replays,
     sdp_solve,
     sdp_solve_many,
     tensor_product,
@@ -177,6 +178,55 @@ class TestLpDuals(unittest.TestCase):
         # complementary slackness
         self.assertLessEqual(np.max(np.abs(y * (lp.b - lp.a @ x))), 1e-9)
         self.assertLessEqual(np.max(np.abs(x * reduced)), 1e-9)
+        self.assertTrue(replays(lp, x, y, 1e-9))
+
+
+def _tight_lp(sense):
+    """One tight row x1 + x2 (sense) 1 with a nonzero dual, and costs that
+    make the optimum and its dual unique: min x1 + 2 x2, or max x1 + 2 x2
+    as min -x1 - 2 x2 on a "<=" row."""
+    sign = -1.0 if sense == "<=" else 1.0
+    return LinearProgram(c=[sign, 2.0 * sign], a=[[1.0, 1.0]], senses=(sense,), b=[1.0])
+
+
+class TestReplays(unittest.TestCase):
+    def test_every_seeded_optimum_replays(self):
+        solved = 0
+        for lp in _seeded_lps(np.random.default_rng(2024)):
+            res = lp_solve(lp)
+            if res.status == "optimal":
+                solved += 1
+                self.assertTrue(replays(lp, res.x, res.y, 1e-9))
+        self.assertGreater(solved, 50)
+
+    def test_a_small_change_to_one_coordinate_fails(self):
+        for sense in ("<=", ">=", "="):
+            lp = _tight_lp(sense)
+            res = lp_solve(lp)
+            self.assertEqual(res.status, "optimal")
+            self.assertTrue(replays(lp, res.x, res.y, 1e-9), msg=sense)
+            for side in ("x", "y"):
+                for i in range(getattr(res, side).size):
+                    for step in (1e-6, -1e-6):
+                        x, y = res.x.copy(), res.y.copy()
+                        (x if side == "x" else y)[i] += step
+                        self.assertFalse(replays(lp, x, y, 1e-9), msg=f"{sense} {side}[{i}] {step:+g}")
+
+    def test_each_check_is_needed(self):
+        # x1 >= 1 with cost 1: x = 1, y = 1.  Each pair breaks one check only.
+        lp = LinearProgram(c=[1.0], a=[[1.0]], senses=(">=",), b=[1.0])
+        self.assertTrue(replays(lp, [1.0], [1.0], 1e-9))
+        for x, y in (([0.5], [0.5]), ([2.0], [2.0]), ([1.0], [0.5])):
+            self.assertFalse(replays(lp, x, y, 1e-9), msg=(x, y))
+        # a ">=" row with b = 0 that x leaves slack: a negative dual there is
+        # caught by the sign check alone
+        lp = LinearProgram(c=[1.0], a=[[1.0], [1.0]], senses=(">=", ">="), b=[1.0, 0.0])
+        self.assertTrue(replays(lp, [1.0], [1.0, 0.0], 1e-9))
+        self.assertFalse(replays(lp, [1.0], [1.0 + 1e-6, -1e-6], 1e-9))
+        # an x that meets the row and the gap but has a negative coordinate
+        lp = LinearProgram(c=[0.0, 0.0], a=[[1.0, 1.0]], senses=("=",), b=[1.0])
+        self.assertTrue(replays(lp, [1.0, 0.0], [0.0], 1e-9))
+        self.assertFalse(replays(lp, [1.0 + 1e-6, -1e-6], [0.0], 1e-9))
 
 
 PENTAGON_EDGES = (np.arange(5), (np.arange(5) + 1) % 5)

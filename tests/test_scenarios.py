@@ -4,9 +4,12 @@ inequality family."""
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from exgraph import graph as gr
+from exgraph.bounds import assignment_hull
+from exgraph.boxes import BellScenario, is_local, uniform_box
 from exgraph.scenarios import (
     EmpiricalModel,
     Scenario,
@@ -22,6 +25,7 @@ from exgraph.scenarios import (
     pentagon_inequality,
     triangle_overlap_model,
 )
+from oracles import global_section_matrix
 
 
 def test_scenario_validation():
@@ -132,6 +136,31 @@ def test_global_section_size_cap_is_checked_before_enumeration():
     # 2^40 assignments: enumerating them would never finish
     with pytest.raises(ValueError):
         has_global_section(_uniform_cycle_model(40))
+
+
+def test_both_hulls_share_one_cap_message():
+    cap = r"^\d+ deterministic assignments exceed the supported limit of 8192$"
+    with pytest.raises(ValueError, match=cap):
+        has_global_section(_uniform_cycle_model(14))
+    with pytest.raises(ValueError, match=cap):
+        is_local(uniform_box(BellScenario((4, 4), (4, 4))))
+
+
+_HULL_SCENARIOS = {
+    **{f"cycle{n}": (lambda n=n: ncycle_scenario(n)) for n in (3, 4, 5, 6, 7, 9)},
+    "three-outcome": lambda: Scenario(
+        ("A", "B", "C", "D"), (0, 1, 2), (("A", "B"), ("B", "C", "D"), ("D",), ("C", "A")),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HULL_SCENARIOS))
+def test_assignment_hull_matches_the_event_comprehension(name):
+    scn = _HULL_SCENARIOS[name]()
+    midx = {m: i for i, m in enumerate(scn.measurements)}
+    sizes = (len(scn.outcomes),) * len(scn.measurements)
+    hull = assignment_hull(sizes, [tuple(midx[m] for m in ctx) for ctx in scn.contexts])
+    assert np.array_equal(hull, global_section_matrix(scn))
 
 
 def test_global_section_distribution_reproduces_tables():
