@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graph import Graph, _bits, _cayley_group, circulant_graph, complement
-from .numkernel import LinearProgram, lp_solve, replays, sdp_solve, sdp_solve_many
+from .numkernel import LinearProgram, lp_solve, lp_solve_many, replays, sdp_solve, sdp_solve_many
 
 # largest column count of a hull LP; both hull LPs have one row per
 # coordinate, so the cap bounds column enumeration and pivot work
@@ -290,45 +290,68 @@ def assignment_hull(sizes, contexts) -> np.ndarray:
 
 def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarray, float | None]:
     """Is point a convex combination of the 0/1 columns of vertices (d x k)?
+    The one-point case of hull_membership_many."""
+    return hull_membership_many(vertices, np.asarray(point, dtype=float)[None], tol)[0]
 
-    Returns (True, x, None) with x >= 0, sum(x) = 1 and vertices @ x = point,
-    or (False, y, margin) with y = (a, c) a Farkas functional: a.v + c <= 0
-    on every column v while a.point + c = margin > tol, normalised by
-    a in [-1, 1]^d and c in [-d, 1].  Either LP answer must replay (see
-    numkernel.replays) before it is returned; a failed replay raises
-    RuntimeError.
+
+def hull_membership_many(vertices, points, tol: float = 1e-9) -> list[tuple[bool, np.ndarray, float | None]]:
+    """hull_membership for each row of points (B x d), as one stack of hull
+    LPs and one stack of Farkas LPs for the points outside.
+
+    Each verdict is (True, x, None) with x >= 0, sum(x) = 1 and
+    vertices @ x = point, or (False, y, margin) with y = (a, c) a Farkas
+    functional: a.v + c <= 0 on every column v while a.point + c = margin >
+    tol, normalised by a in [-1, 1]^d and c in [-d, 1].  Every LP answer must
+    replay (see numkernel.replays) before any is returned; a failed replay
+    raises RuntimeError.
     """
     vertices = np.asarray(vertices, dtype=float)
     d, k = vertices.shape
     if k > _HULL_MAX_COLUMNS:
         raise ValueError(f"{k} hull vertices exceed the supported limit of {_HULL_MAX_COLUMNS}")
-    rhs = np.append(np.asarray(point, dtype=float), 1.0)
-    if rhs.shape != (d + 1,):
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != d:
         raise ValueError("one point coordinate per vertex row required")
+    rhs = np.hstack([points, np.ones((len(points), 1))])
     ext = np.vstack([vertices, np.ones(k)])
-    lp = LinearProgram(c=np.zeros(k), a=ext, senses=("=",) * (d + 1), b=rhs)
-    res = lp_solve(lp)
-    if res.status == "optimal":
-        if not replays(lp, res.x, res.y, _REPLAY_TOL):
+    senses = ("=",) * (d + 1)
+    lp = LinearProgram(c=np.zeros(k), a=ext, senses=senses, b=rhs)
+    solved = lp_solve_many(lp, rhs)
+    inside = np.array([res.status == "optimal" for res in solved], dtype=bool)
+    verdicts: list = [None] * len(points)
+    if inside.any():
+        weights = [res for res, ok in zip(solved, inside) if ok]
+        held = lp if inside.all() else LinearProgram(c=lp.c, a=ext, senses=senses, b=rhs[inside])
+        if not replays(held, [res.x for res in weights], [res.y for res in weights], _REPLAY_TOL).all():
             raise RuntimeError("hull weights fail their floating-point replay")
-        return True, res.x, None
-    # The Farkas LP, max y.[p; 1] subject to y.[v; 1] <= 0 on every column
-    # with y in [L, U], has one row per column.  Solve its dual instead:
-    # min U.mu+ - L.mu- subject to [V; 1] lam + mu+ - mu- = [p; 1], with
-    # d + 1 rows.  Its value is the margin and its duals are the functional;
-    # the replay's A^T y <= c is both the validity on every column and the
-    # normalisation box.
-    upper = np.ones(d + 1)
-    lower = np.append(np.full(d, -1.0), -float(d))
-    eye = np.eye(d + 1)
-    lp = LinearProgram(
-        c=np.concatenate([np.zeros(k), upper, -lower]), a=np.hstack([ext, eye, -eye]),
-        senses=("=",) * (d + 1), b=rhs,
-    )
-    res = lp_solve(lp)
-    if res.status != "optimal" or not replays(lp, res.x, res.y, _REPLAY_TOL) or float(rhs @ res.y) <= tol:
-        raise RuntimeError("point outside the hull without a valid Farkas functional")
-    return False, res.y, float(rhs @ res.y)
+        for i, res in zip(np.flatnonzero(inside), weights):
+            verdicts[i] = (True, res.x, None)
+    outside = np.flatnonzero(~inside)
+    if outside.size:
+        # The Farkas LP, max y.[p; 1] subject to y.[v; 1] <= 0 on every
+        # column with y in [L, U], has one row per column.  Solve its dual
+        # instead: min U.mu+ - L.mu- subject to [V; 1] lam + mu+ - mu- =
+        # [p; 1], with d + 1 rows.  Its value is the margin and its duals are
+        # the functional; the replay's A^T y <= c is both the validity on
+        # every column and the normalisation box.
+        upper = np.ones(d + 1)
+        lower = np.append(np.full(d, -1.0), -float(d))
+        eye = np.eye(d + 1)
+        farkas = LinearProgram(
+            c=np.concatenate([np.zeros(k), upper, -lower]), a=np.hstack([ext, eye, -eye]),
+            senses=senses, b=rhs[outside],
+        )
+        solved = lp_solve_many(farkas, farkas.b)
+        if any(res.status != "optimal" for res in solved) or not replays(
+            farkas, [res.x for res in solved], [res.y for res in solved], _REPLAY_TOL
+        ).all():
+            raise RuntimeError("point outside the hull without a valid Farkas functional")
+        for i, b, res in zip(outside, farkas.b, solved):
+            margin = float(b @ res.y)
+            if margin <= tol:
+                raise RuntimeError("point outside the hull without a valid Farkas functional")
+            verdicts[i] = (False, res.y, margin)
+    return verdicts
 
 
 def _independent_set_masks(g: Graph) -> list[int]:
@@ -346,23 +369,36 @@ def stab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict]:
 
     Returns (True, {"weights": {set: coefficient}}) or (False, certificate)
     where the certificate is a linear functional a.x <= beta valid on every
-    indicator but exceeded by p.
+    indicator but exceeded by p.  The one-row case of stab_membership_many.
     """
-    p = _checked_point(g, p)
+    return stab_membership_many(g, _checked_point(g, p)[None], tol)[0]
+
+
+def stab_membership_many(g: Graph, points, tol: float = 1e-9) -> list[tuple[bool, dict]]:
+    """stab_membership for each row of points: the independent sets are
+    listed once, and the points go through hull_membership_many together."""
+    p = _checked_point(g, points, ndim=2)
     masks = _independent_set_masks(g)
     bits = np.arange(g.n, dtype=np.uint64)[:, None]
     chi = (np.array(masks, dtype=np.uint64) >> bits & np.uint64(1)).astype(float)
-    inside, y, _ = hull_membership(chi, p, tol)
-    if inside:
-        return True, {"weights": {tuple(_bits(m)): float(w) for m, w in zip(masks, y) if w > tol}}
-    # the functional is read off a reduced-cost row, so a zero coefficient
-    # can come back as roundoff; zero those, then replay the snapped
-    # functional on every independent set
-    y[: g.n][np.abs(y[: g.n]) <= tol] = 0.0
-    margin = float(np.append(p, 1.0) @ y)
-    if margin <= tol or np.max(y[: g.n] @ chi) + y[g.n] > _REPLAY_TOL:
-        raise RuntimeError("STAB separation fails its replay after zeroing roundoff")
-    return False, {"a": [float(v) for v in y[: g.n]], "beta": 0.0 - float(y[g.n]), "margin": margin}
+    hull = hull_membership_many(chi, p, tol)
+    verdicts: list[tuple[bool, dict] | None] = [
+        (True, {"weights": {tuple(_bits(masks[j])): float(w[j]) for j in np.flatnonzero(w > tol)}}) if inside else None
+        for inside, w, _ in hull
+    ]
+    outside = [i for i, (inside, _, _) in enumerate(hull) if not inside]
+    if outside:
+        # each functional is read off a reduced-cost row, so a zero
+        # coefficient can come back as roundoff; zero those, then replay the
+        # snapped functionals on every independent set
+        y = np.array([hull[i][1] for i in outside])
+        y[:, : g.n][np.abs(y[:, : g.n]) <= tol] = 0.0
+        margins = [float(np.append(p[i], 1.0) @ yi) for i, yi in zip(outside, y)]
+        if min(margins) <= tol or np.max(y[:, : g.n] @ chi + y[:, g.n :]) > _REPLAY_TOL:
+            raise RuntimeError("STAB separation fails its replay after zeroing roundoff")
+        for i, yi, margin in zip(outside, y, margins):
+            verdicts[i] = (False, {"a": [float(v) for v in yi[: g.n]], "beta": 0.0 - float(yi[g.n]), "margin": margin})
+    return verdicts
 
 
 def th_membership(g: Graph, p, tol: float = 1e-6) -> tuple[bool, float | None]:
@@ -396,21 +432,38 @@ def th_membership_many(g: Graph, points, tol: float = 1e-6) -> list[tuple[bool, 
 def qstab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict | None]:
     """Membership in the clique-constrained polytope of g: p >= 0 and
     p(Q) <= 1 for every maximal clique Q.  On failure the second element
-    names the violated constraint."""
-    p = _checked_point(g, p)
-    bad = int(np.argmin(p))
-    if p[bad] < -tol:
-        return False, {"kind": "negative", "vertex": bad, "value": float(p[bad])}
-    worst = None
-    worst_total = 1.0 + tol
-    for q in maximal_cliques(g):
-        total = float(sum(p[v] for v in q))
-        if total > worst_total:
-            worst = q
-            worst_total = total
-    if worst is not None:
-        return False, {"kind": "clique", "clique": list(worst), "total": worst_total}
-    return True, None
+    names the violated constraint.  The one-row case of
+    qstab_membership_many."""
+    return qstab_membership_many(g, _checked_point(g, p)[None], tol)[0]
+
+
+def qstab_membership_many(g: Graph, points, tol: float = 1e-9) -> list[tuple[bool, dict | None]]:
+    """qstab_membership for each row of points, with the maximal cliques
+    listed once.  A row with a coordinate below -tol names its smallest
+    coordinate; otherwise the first clique of greatest total above 1 + tol
+    is named, its total summed vertex by vertex in clique order."""
+    p = _checked_point(g, points, ndim=2)
+    cliques = maximal_cliques(g)
+    # one column per clique, padded with a zero coordinate past the last vertex
+    padded = np.hstack([p, np.zeros((len(p), 1))])
+    members = np.full((len(cliques), max(map(len, cliques))), g.n)
+    for q, clique in zip(members, cliques):
+        q[: len(clique)] = clique
+    totals = padded[:, members[:, 0]]
+    for col in members.T[1:]:
+        totals += padded[:, col]
+    bad = p.argmin(axis=1)
+    worst = totals.argmax(axis=1)
+    top = totals[np.arange(len(p)), worst]
+    verdicts: list[tuple[bool, dict | None]] = []
+    for row, v, w, total in zip(p, bad.tolist(), worst.tolist(), top.tolist()):
+        if row[v] < -tol:
+            verdicts.append((False, {"kind": "negative", "vertex": v, "value": float(row[v])}))
+        elif total > 1.0 + tol:
+            verdicts.append((False, {"kind": "clique", "clique": list(cliques[w]), "total": total}))
+        else:
+            verdicts.append((True, None))
+    return verdicts
 
 
 @dataclass

@@ -94,7 +94,7 @@ class Box:
 def _per_party(value, parties: int, name: str) -> tuple[int, ...]:
     if isinstance(value, int):
         return (value,) * parties
-    out = tuple(int(v) for v in value)
+    out = tuple(operator.index(v) for v in value)
     if len(out) != parties:
         raise ValueError(f"{name} must be a single integer or one per party")
     return out
@@ -111,7 +111,7 @@ def _table_key(key, sizes: tuple[int, ...], what: str) -> tuple[int, ...]:
 
 def box_from_json_dict(data: dict) -> Box:
     try:
-        parties = int(data["parties"])
+        parties = operator.index(data["parties"])
         settings = _per_party(data["settings"], parties, "settings")
         outcomes = _per_party(data["outcomes"], parties, "outcomes")
         scn = BellScenario(settings, outcomes)

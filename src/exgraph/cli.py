@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 
 import numpy as np
@@ -190,7 +191,7 @@ def _cmd_ks_check(args) -> int:
     data = _load_json(args.input)
     try:
         vs = kscolor.vector_system_from_json_dict(data)
-        pins = {int(k): int(v) for k, v in (data.get("pins") or {}).items()}
+        pins = {int(k): operator.index(v) for k, v in (data.get("pins") or {}).items()}
         problem = kscolor.coloring_problem(vs, pins)
     except (AttributeError, TypeError, ValueError) as exc:
         raise CliInputError(str(exc)) from exc

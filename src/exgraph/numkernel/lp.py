@@ -14,10 +14,18 @@ each LP on its short side (few rows, many columns).  The optimum carries the
 row duals read off the final tableau, so the other side of the LP comes for
 free: a caller that wants the long side solves the short one and reads the
 answer off `y`.
+
+`lp_solve_many` solves one LP for a stack of right-hand sides (one point
+per program in a membership test) by pivoting every program in lockstep:
+each step is one stacked numpy call per operation for the whole stack, and
+each program keeps its own choices, so its answer is that of a solve on its
+own.  `lp_solve` is the stack of one, and `replays` checks a stack of
+answers in one call.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,11 @@ import numpy as np
 FEAS_TOL = 1e-9
 COST_TOL = 1e-9
 DEGENERATE_LIMIT = 50
+# memory budget of one lp_solve_many call: a chunk's stacked tableau takes at
+# most an eighth, a pivot's rank-one temporary as much again, and the rest is
+# left for the answers
+_STACK_BYTES = 1 << 27
+_NO_INDEX = np.iinfo(np.intp).max
 
 
 class LpError(RuntimeError):
@@ -33,7 +46,8 @@ class LpError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """minimise c.x subject to a x (senses) b and x >= 0."""
+    """minimise c.x subject to a x (senses) b and x >= 0.  b may also be a
+    (B, m) stack of right-hand sides, one program per row, for replays."""
 
     c: np.ndarray
     a: np.ndarray
@@ -44,9 +58,9 @@ class LinearProgram:
         self.c = np.asarray(self.c, dtype=float)
         self.a = np.asarray(self.a, dtype=float).reshape(len(self.senses), -1) if len(self.senses) else np.zeros((0, self.c.size))
         self.b = np.asarray(self.b, dtype=float)
-        if self.a.shape != (self.b.size, self.c.size):
+        if self.b.ndim not in (1, 2) or self.a.shape != (self.b.shape[-1], self.c.size):
             raise ValueError(
-                f"inconsistent LP dimensions: A {self.a.shape}, b {self.b.size}, c {self.c.size}"
+                f"inconsistent LP dimensions: A {self.a.shape}, b {self.b.shape}, c {self.c.size}"
             )
         for s in self.senses:
             if s not in ("<=", "=", ">="):
@@ -67,146 +81,249 @@ class LpResult:
     y: np.ndarray | None = None
 
 
-def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    # one rank-one update; a multiplier of at most 1e-14 leaves its row as is
-    f = tab[:, col].copy()
-    f[row] = 0.0
+def _pivot(tab: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray, f: np.ndarray, at: np.ndarray) -> None:
+    """Pivot program i of the stack on (rows[i], cols[i]), for i in at =
+    arange(len(tab)); f[i] is program i's column cols[i] as it stands
+    before the pivot (it is overwritten)."""
+    pivot_rows = tab[at, rows]
+    pivot_rows /= f[at, rows][:, None]
+    # one rank-one update; a multiplier of at most 1e-14 leaves its row as
+    # is, so only rows with a larger one in some program are touched (all of
+    # them once that is more than half).  The pivot rows are then overwritten
     f[np.abs(f) <= 1e-14] = 0.0
-    tab -= f[:, None] * tab[row]
-    basis[row] = col
+    touched = np.logical_or.reduce(f, axis=0).nonzero()[0]
+    if 2 * touched.size <= f.shape[1]:
+        tab[:, touched] -= f[:, touched, None] * pivot_rows[:, None, :]
+    else:
+        tab -= f[:, :, None] * pivot_rows[:, None, :]
+    tab[at, rows] = pivot_rows
+    basis[at, rows] = cols
 
 
-def _run_simplex(tab: np.ndarray, basis: list[int], ncols: int, allowed: np.ndarray) -> str:
-    """Minimize the cost carried in the last tableau row over columns marked allowed.
+def _simplex(tab: np.ndarray, basis: np.ndarray, rows_ok: np.ndarray | None, ncols: int, caps: np.ndarray):
+    """Minimise the cost carried in the last tableau row of every program of
+    the stack, in lockstep, entering only the first ncols columns and
+    leaving only rows marked in rows_ok (every row when it is None).
 
-    Returns "optimal" or "unbounded"; raises LpError past the pivot cap.
+    A program stops when it is optimal or unbounded and then leaves the live
+    front of the stack, which every later pivot skips.  The stack and every
+    per-program array are permuted in place; returns the permutation (new
+    position i holds the program that was at perm[i]) and, in the new order,
+    which programs are unbounded.  Raises LpError when a program still runs
+    after its cap of pivots.
     """
-    m = tab.shape[0] - 1
-    degenerate_streak = 0
-    max_iter = 2000 + 200 * (m + ncols)
-    for _ in range(max_iter):
-        cost = tab[-1, :ncols]
-        eligible = np.where(allowed[:ncols] & (cost < -COST_TOL))[0]
-        if eligible.size == 0:
-            return "optimal"
-        if degenerate_streak >= DEGENERATE_LIMIT:
-            col = int(eligible[0])  # Bland: smallest index
-        else:
-            col = int(eligible[np.argmin(cost[eligible])])
-        colvals = tab[:m, col]
-        pos = np.where(colvals > FEAS_TOL)[0]
-        if pos.size == 0:
-            return "unbounded"
-        ratios = tab[pos, -1] / colvals[pos]
-        best = np.min(ratios)
-        ties = pos[ratios <= best + 1e-12]
+    m = basis.shape[1]
+    live = len(tab)
+    perm = np.arange(live)
+    unbounded = np.zeros(live, dtype=bool)
+    # the step after each program's last nondegenerate pivot: its run of
+    # degenerate pivots before step s is s - fresh
+    fresh = np.zeros(live, dtype=np.intp)
+    per_program = [arr for arr in (tab, basis, rows_ok, caps, perm, unbounded, fresh) if arr is not None]
+    if not ncols:  # no column may enter, so every program is optimal
+        return perm, unbounded
+    at, cap = perm.copy(), caps.min()
+    no_ratio = np.full((live, m), np.inf)
+    for step in itertools.count():
+        if step >= cap:
+            raise LpError(f"degenerate pivot limit: no convergence within {cap} pivots")
+        # Dantzig's column: the first of least reduced cost, eligible when
+        # that cost is below -COST_TOL
+        cost = tab[:live, -1, :ncols]
+        col = cost.argmin(axis=1)
+        if step >= DEGENERATE_LIMIT:
+            bland = step - fresh[:live] >= DEGENERATE_LIMIT
+            col[bland] = (cost[bland] < -COST_TOL).argmax(axis=1)  # Bland: smallest index
+        f = tab[at, :, col]  # each program's column, its reduced cost last
+        pos = f[:, :m] > FEAS_TOL
+        if rows_ok is not None:
+            pos &= rows_ok[:live]
+        # a program with no eligible column is optimal; one whose column has
+        # no positive entry is unbounded
+        entering = f[:, m] < -COST_TOL
+        go = entering & np.logical_or.reduce(pos, axis=1)
+        if not np.logical_and.reduce(go):
+            unbounded[:live] = entering & ~go
+            if not np.logical_or.reduce(go):
+                break
+            order = np.argsort(~go, kind="stable")  # the programs that go on first
+            for arr in per_program:
+                arr[:live] = arr[:live][order]
+            live = int(go.sum())
+            col, f, pos = col[go], f[go], pos[go]
+            at, cap = at[:live], caps[:live].min()
+        ratios = np.divide(tab[:live, :m, -1], f[:, :m], out=no_ratio[:live].copy(), where=pos)
+        best = ratios.min(axis=1)
         # break ties on the smallest basis index (anti-cycling with Bland)
-        row = int(min(ties, key=lambda r: basis[r]))
-        if best <= 1e-12:
-            degenerate_streak += 1
-        else:
-            degenerate_streak = 0
-        _pivot(tab, basis, row, col)
-    raise LpError(f"degenerate pivot limit: no convergence within {max_iter} pivots")
+        row = np.where(ratios <= best[:, None] + 1e-12, basis[:live], _NO_INDEX).argmin(axis=1)
+        fresh[:live][best > 1e-12] = step + 1
+        _pivot(tab[:live], basis[:live], row, col, f, at)
+    return perm, unbounded
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
+    """Solve lp for its own right-hand side: the stack of one."""
+    if lp.b.ndim != 1:
+        raise ValueError("lp_solve takes one right-hand side; lp_solve_many takes a stack")
+    return lp_solve_many(lp, lp.b[None])[0]
+
+
+def lp_solve_many(lp: LinearProgram, rhs) -> list[LpResult]:
+    """Solve lp's c, A and senses for each row of rhs, a (B, m) stack of
+    right-hand sides (lp.b is not read), pivoting all programs in lockstep.
+
+    Every program makes the choices a solve on its own makes (entering
+    column, ratio-test tie, Bland switch, phase-1 drive-out and dropped
+    rows, pivot cap), so each answer equals lp_solve's on that program bit
+    for bit.  A row whose right-hand side is negative is negated, which
+    swaps an inequality's sense and so the column layout, so programs are
+    grouped by layout; each group is solved in chunks whose stacked tableau
+    takes at most an eighth of _STACK_BYTES.  Raises LpError when any
+    program passes its pivot cap.
+    """
+    rhs = np.asarray(rhs, dtype=float)
     m, nstruct = lp.a.shape
-
+    if rhs.ndim != 2 or rhs.shape[1] != m:
+        raise ValueError(f"right-hand sides must form a (B, {m}) stack, got shape {rhs.shape}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("LP data must be finite")
+    if not len(rhs):
+        return []
     # orient rows so every rhs is nonnegative
-    row_sign = np.where(lp.b < 0, -1.0, 1.0)
-    a = lp.a * row_sign[:, None]
-    b = lp.b * row_sign
-    flip = {"<=": ">=", ">=": "<=", "=": "="}
-    senses = [flip[s] if sign < 0 else s for s, sign in zip(lp.senses, row_sign)]
+    row_sign = np.where(rhs < 0, -1.0, 1.0)
+    senses = np.array(lp.senses, dtype="<U2").reshape(m)
+    le = np.where(row_sign < 0, senses == ">=", senses == "<=")
+    if np.logical_and.reduce(le == le[:1], axis=None):  # one layout, as in every "=" stack
+        groups = [np.arange(len(rhs))]
+    else:
+        layouts: dict[bytes, list[int]] = {}
+        for i, layout in enumerate(le):
+            layouts.setdefault(layout.tobytes(), []).append(i)
+        groups = [np.array(members) for members in layouts.values()]
+    results: list[LpResult] = [None] * len(rhs)
+    ineq = senses != "="
+    for members in groups:
+        layout = le[members[0]]
+        width = nstruct + np.count_nonzero(ineq) + np.count_nonzero(~layout) + 1
+        chunk = max(1, _STACK_BYTES // (8 * 8 * (m + 1) * width))
+        for start in range(0, members.size, chunk):
+            sel = members[start : start + chunk]
+            sign = row_sign[sel]
+            for i, res in zip(sel.tolist(), _solve_stack(lp, ineq, layout, sign, rhs[sel] * sign)):
+                results[i] = res
+    return results
 
+
+def _solve_stack(lp: LinearProgram, ineq: np.ndarray, le: np.ndarray, sign: np.ndarray, b: np.ndarray) -> list[LpResult]:
+    """Two-phase simplex on a stack of programs that share lp's c and A up to
+    the row signs sign, with oriented right-hand sides b >= 0 and one
+    layout: row i is an inequality where ineq[i], and "<=" where le[i]."""
+    k = len(b)
+    m, nstruct = lp.a.shape
     # columns: structural, then one slack per inequality row (+1 on "<=",
     # -1 on ">="), then one artificial per ">=" or "=" row, each in row order
-    le = np.array([s == "<=" for s in senses], dtype=bool)
-    slack_rows = np.flatnonzero([s != "=" for s in senses])
-    art_rows = np.flatnonzero(~le)
-    nslack = slack_rows.size
-    nart = art_rows.size
-    ncols = nstruct + nslack + nart
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :nstruct] = a
-    tab[slack_rows, nstruct + np.arange(nslack)] = np.where(le[slack_rows], 1.0, -1.0)
-    tab[art_rows, nstruct + nslack + np.arange(nart)] = 1.0
-    tab[:m, -1] = b
+    slack_rows = ineq.nonzero()[0]
+    art_rows = (~le).nonzero()[0]
+    nslack, nart = slack_rows.size, art_rows.size
+    first_art = nstruct + nslack
+    ncols = first_art + nart
     # the start basis holds each row's unit column e_i: its slack, or its
     # artificial where there is one (a ">=" slack is -e_i).  The reduced cost
     # of that column is minus the row's dual
-    unit_cols = np.empty(m, dtype=int)
-    unit_cols[slack_rows] = nstruct + np.arange(nslack)
-    unit_cols[art_rows] = nstruct + nslack + np.arange(nart)
-    basis = unit_cols.tolist()
+    slack_cols = nstruct + np.arange(nslack)
+    art_cols = first_art + np.arange(nart)
+    unit_cols = np.empty(m, dtype=np.intp)
+    unit_cols[slack_rows] = slack_cols
+    unit_cols[art_rows] = art_cols
+    tab = np.zeros((k, m + 1, ncols + 1))
+    tab[:, :m, :nstruct] = lp.a * sign[:, :, None]
+    tab[:, slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
+    tab[:, art_rows, art_cols] = 1.0
+    tab[:, :m, -1] = b
+    basis = np.repeat(unit_cols[None], k, axis=0)
+    # rows a program may leave by, once phase 1 drops a redundant row
+    rows_ok = None
+    ids = np.arange(k)
+    results = [LpResult("infeasible") for _ in range(k)]
 
-    allowed = np.ones(ncols, dtype=bool)
-
-    # phase 1: minimize the artificial sum
+    # phase 1: minimize the artificial sum, its cost row reduced by each
+    # artificial's row in row order
     if nart:
-        tab[-1, :] = 0.0
-        tab[-1, nstruct + nslack : nstruct + nslack + nart] = 1.0
-        for r in range(m):
-            if basis[r] >= nstruct + nslack:
-                tab[-1] -= tab[r]
-        status = _run_simplex(tab, basis, ncols, allowed)
-        if status == "unbounded":  # cannot happen for a bounded-below phase-1 objective
+        tab[:, -1, first_art:ncols] = 1.0
+        tab[:, -1] = np.subtract.reduce(tab[:, np.concatenate(([m], art_rows))], axis=1)
+        perm, unbounded = _simplex(tab, basis, None, ncols, np.full(k, 2000 + 200 * (m + ncols)))
+        if unbounded.any():  # cannot happen for a bounded-below phase-1 objective
             raise LpError("phase 1 reported unbounded")
-        if -tab[-1, -1] > 1e-7:
-            return LpResult("infeasible")
-        # drive leftover artificials out of the basis
-        drop_rows = []
-        for r in range(m):
-            if basis[r] >= nstruct + nslack:
-                row = tab[r, : nstruct + nslack]
-                pivots = np.where(np.abs(row) > FEAS_TOL)[0]
-                if pivots.size:
-                    _pivot(tab, basis, r, int(pivots[np.argmax(np.abs(row[pivots]))]))
-                else:
-                    drop_rows.append(r)
-        if drop_rows:
-            keep = [r for r in range(m) if r not in drop_rows]
-            tab = np.vstack([tab[keep], tab[-1:]])
-            basis = [basis[r] for r in keep]
-            m = len(basis)
-        allowed[nstruct + nslack :] = False
+        ids, sign = ids[perm], sign[perm]
+        feasible = ~(-tab[:, -1, -1] > 1e-7)
+        if not feasible.all():
+            if not feasible.any():
+                return results
+            tab, basis, ids, sign = (arr[feasible] for arr in (tab, basis, ids, sign))
+        # drive leftover artificials out of the basis, row by row; a row with
+        # no other column to pivot on is redundant and is dropped
+        stuck_rows = basis >= first_art
+        for r in np.flatnonzero(stuck_rows.any(axis=0)):
+            stuck = np.flatnonzero(stuck_rows[:, r])
+            size = np.abs(tab[stuck, r, :first_art])
+            can = size > FEAS_TOL
+            movable = can.any(axis=1)
+            if not movable.all():
+                if rows_ok is None:
+                    rows_ok = np.ones((len(tab), m), dtype=bool)
+                rows_ok[stuck[~movable], r] = False
+            movers = stuck[movable]
+            if movers.size:
+                cols = np.where(can, size, -1.0)[movable].argmax(axis=1)
+                whole = movers.size == len(tab)
+                sub, sub_basis = (tab, basis) if whole else (tab[movers], basis[movers])
+                at = np.arange(movers.size)
+                _pivot(sub, sub_basis, np.full(movers.size, r), cols, sub[at, :, cols], at)
+                if not whole:
+                    tab[movers], basis[movers] = sub, sub_basis
 
-    # phase 2: the real objective
-    tab[-1, :] = 0.0
-    tab[-1, :nstruct] = lp.c
-    for r in range(m):
-        bc = basis[r]
-        if bc < nstruct and abs(lp.c[bc]) > 0:
-            tab[-1] -= lp.c[bc] * tab[r]
-    status = _run_simplex(tab, basis, ncols, allowed)
-    if status == "unbounded":
-        return LpResult("unbounded")
+    # phase 2: the real objective, its cost row reduced by each basic
+    # structural column's row in row order (a zero cost changes no entry)
+    tab[:, -1, :] = 0.0
+    tab[:, -1, :nstruct] = lp.c
+    coef = np.concatenate((lp.c, np.zeros(ncols - nstruct)))[basis]
+    if coef.any():
+        rows = np.concatenate([tab[:, -1:], coef[:, :, None] * tab[:, :m]], axis=1)
+        tab[:, -1] = np.subtract.reduce(rows, axis=1)
+    kept_rows = np.full(len(tab), m) if rows_ok is None else rows_ok.sum(axis=1)
+    perm, unbounded = _simplex(tab, basis, rows_ok, first_art, 2000 + 200 * (kept_rows + ncols))
+    ids, sign = ids[perm], sign[perm]
 
-    values = np.zeros(ncols)
-    values[basis] = tab[:m, -1]
-    x = values[:nstruct] + 0.0  # + 0.0 clears -0.0
-    value = float(lp.c @ x)
+    values = np.zeros((len(tab), ncols))
+    values[np.arange(len(tab))[:, None], basis] = tab[:, :m, -1]
+    x = values[:, :nstruct] + 0.0  # + 0.0 clears -0.0
     # the dual of row i is minus the reduced cost of its unit column.  When
     # phase 1 drops a redundant row, the artificial that was basic there
-    # keeps a zero column, so its row reads 0.  Undo the row orientation.
-    y = -tab[-1, unit_cols] * row_sign + 0.0
-    return LpResult("optimal", value, x, y)
+    # keeps a zero cost entry, so its row reads 0.  Undo the row orientation.
+    y = -tab[:, -1, unit_cols] * sign + 0.0
+    for i, xi, yi, unb in zip(ids.tolist(), x, y, unbounded.tolist()):
+        results[i] = LpResult("unbounded") if unb else LpResult("optimal", float(lp.c @ xi), xi, yi)
+    return results
 
 
-def replays(lp: LinearProgram, x, y, tol: float) -> bool:
+def replays(lp: LinearProgram, x, y, tol: float):
     """Does (x, y) replay as an optimal primal-dual pair of lp, each check
     within tol?  x >= 0 meets every row in its sense; y has each row's dual
     sign (y >= 0 on ">=" rows, y <= 0 on "<=" rows); A^T y <= c; and the
-    gap |c.x - b.y| is at most tol, so both are optimal by weak duality."""
+    gap |c.x - b.y| is at most tol, so both are optimal by weak duality.
+
+    x, y and lp.b may carry a leading stack axis, one program per row; the
+    answer is then one bool per program."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     ge, le = (np.array([s == sense for s in lp.senses], dtype=bool) for sense in (">=", "<="))
-    slack = lp.a @ x - lp.b
-    return bool(
-        np.all(x >= -tol)
-        and np.all(slack[ge] >= -tol) and np.all(slack[le] <= tol) and np.all(np.abs(slack[~(ge | le)]) <= tol)
-        and np.all(y[ge] >= -tol) and np.all(y[le] <= tol)
-        and np.all(y @ lp.a - lp.c <= tol)
-        and abs(lp.c @ x - lp.b @ y) <= tol
+    eq = ~(ge | le)
+    slack = x @ lp.a.T - lp.b
+    ok = (
+        np.all(x >= -tol, axis=-1)
+        & np.all(slack[..., ge] >= -tol, axis=-1) & np.all(slack[..., le] <= tol, axis=-1)
+        & np.all(np.abs(slack[..., eq]) <= tol, axis=-1)
+        & np.all(y[..., ge] >= -tol, axis=-1) & np.all(y[..., le] <= tol, axis=-1)
+        & np.all(y @ lp.a - lp.c <= tol, axis=-1)
+        & (np.abs(x @ lp.c - np.vecdot(lp.b, y)) <= tol)
     )
+    return bool(ok) if ok.ndim == 0 else ok

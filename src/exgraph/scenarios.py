@@ -15,6 +15,7 @@ exclusivity graph spanned by an inequality's favored events.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,7 @@ def model_from_json_dict(data: dict) -> EmpiricalModel:
     try:
         scenario = Scenario(
             tuple(data["measurements"]),
-            tuple(int(o) for o in data["outcomes"]),
+            tuple(operator.index(o) for o in data["outcomes"]),
             tuple(tuple(c) for c in data["contexts"]),
         )
         tables = {}

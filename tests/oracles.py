@@ -318,3 +318,15 @@ def parity_assignment_exists(k, lines, signs):
         if all(sum(mask >> i & 1 for i in line) % 2 == (sign == -1) for line, sign in zip(lines, signs)):
             return True
     return False
+
+
+def chain_points_reference(cliques, n, rng):
+    """Criterion 13's 100 points on a graph with these maximal cliques and
+    n vertices, one point at a time: positive weights scaled so the
+    heaviest clique sums to between 0.2 and 1.3."""
+    points = []
+    for _ in range(100):
+        w = rng.uniform(0.05, 1.0, size=n)
+        clique_max = max(w[list(q)].sum() for q in cliques)
+        points.append(w * rng.uniform(0.2, 1.3) / clique_max)
+    return points

@@ -3,6 +3,7 @@ and the three convex-body membership tests."""
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from exgraph import graph as gr
 from oracles import (
     brute_independence,
     brute_maximal_cliques,
+    chain_points_reference,
     cycle_alpha,
     cycle_alpha_star,
     cycle_theta,
@@ -495,13 +497,13 @@ def test_stab_columns_reach_the_top_vertex_bit(monkeypatch):
     g = gr.complement(gr.cycle_graph(64))
     masks = bd._independent_set_masks(g)
     seen = []
-    hull = bd.hull_membership
+    hull = bd.hull_membership_many
 
-    def capture(vertices, point, tol):
+    def capture(vertices, points, tol):
         seen.append(vertices)
-        return hull(vertices, point, tol)
+        return hull(vertices, points, tol)
 
-    monkeypatch.setattr(bd, "hull_membership", capture)
+    monkeypatch.setattr(bd, "hull_membership_many", capture)
     assert bd.stab_membership(g, np.full(64, 0.01))[0]
     assert np.array_equal(seen[0], np.array([[m >> v & 1 for m in masks] for v in range(64)], dtype=float))
 
@@ -544,6 +546,75 @@ def test_th_membership_many_matches_the_scalar_route_on_criterion_13():
             want_inside, want_theta = bd.th_membership(g, p)
             assert inside == want_inside
             assert abs(theta - want_theta) <= 1e-12
+
+
+def _criterion_13_points():
+    """(name, graph, points) for the 500 points criterion 13 draws, in its
+    order."""
+    rng = np.random.default_rng(2024)
+    for name, build in acceptance._SAMPLING_CORPUS:
+        g = build()
+        yield name, g, acceptance._chain_points(g, rng)
+
+
+def test_chain_points_are_the_per_point_draws():
+    rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+    for _, build in acceptance._SAMPLING_CORPUS:
+        g = build()
+        got = acceptance._chain_points(g, rng)
+        want = chain_points_reference(bd.maximal_cliques(g), g.n, ref)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_stab_and_qstab_stacks_equal_one_point_at_a_time_on_criterion_13():
+    for _, g, points in _criterion_13_points():
+        assert [repr(v) for v in bd.stab_membership_many(g, points)] == [repr(bd.stab_membership(g, p)) for p in points]
+        got = bd.qstab_membership_many(g, points, tol=1e-6)
+        assert [repr(v) for v in got] == [repr(bd.qstab_membership(g, p, tol=1e-6)) for p in points]
+
+
+def test_criterion_13_verdict_counts():
+    inside = {"K3": 82, "P3": 62, "C4": 68, "C5": 67, "C7": 78}
+    for name, g, points in _criterion_13_points():
+        stab = sum(v for v, _ in bd.stab_membership_many(g, points))
+        th = sum(v for v, _ in bd.th_membership_many(g, points))
+        qstab = sum(v for v, _ in bd.qstab_membership_many(g, points, tol=1e-6))
+        assert (stab, th, qstab) == (inside[name], 70 if name == "C5" else inside[name], th), name
+
+
+def test_qstab_membership_many_lists_the_cliques_once(monkeypatch):
+    calls = []
+    cliques = bd.maximal_cliques
+
+    def counted(g):
+        calls.append(g)
+        return cliques(g)
+
+    monkeypatch.setattr(bd, "maximal_cliques", counted)
+    points = [np.full(5, 0.4), np.full(5, 0.6), [-0.1, 0.2, 0.2, 0.2, 0.2]]
+    got = bd.qstab_membership_many(gr.cycle_graph(5), points)
+    assert len(calls) == 1
+    assert [v for v, _ in got] == [True, False, False]
+    assert got[1][1] == {"kind": "clique", "clique": [0, 1], "total": 1.2}
+
+
+def test_stab_membership_many_stays_inside_the_lp_memory_budget():
+    from exgraph.numkernel import lp as lp_kernel
+
+    # C15 has 1,364 independent sets: one stacked hull tableau of 2,000
+    # points would take 376 MB, so the stack must go in chunks
+    g = gr.cycle_graph(15)
+    rng = np.random.default_rng(15)
+    points = rng.uniform(0.05, 1.0, size=(2000, 15))
+    points *= rng.uniform(0.2, 1.3, size=(2000, 1)) / (points + np.roll(points, -1, axis=1)).max(axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        verdicts = bd.stab_membership_many(g, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {inside for inside, _ in verdicts} == {True, False}
+    assert peak < lp_kernel._STACK_BYTES
 
 
 def test_th_membership_many_screens_negative_rows_before_solving(monkeypatch):
@@ -699,37 +770,60 @@ def test_hull_membership_size_cap():
 
 
 def test_hull_membership_replays_the_lp_answer(monkeypatch):
-    solve = bd.lp_solve
+    solve = bd.lp_solve_many
 
-    def skewed(lp):
-        res = solve(lp)
-        if res.x is not None:
-            # the weights come from x and the Farkas functional from y
-            res.x = res.x + 1e-6
-            res.y = res.y + 1e-6
-        return res
+    def skewed(lp, rhs):
+        solved = solve(lp, rhs)
+        for res in solved:
+            if res.x is not None:
+                # the weights come from x and the Farkas functional from y
+                res.x = res.x + 1e-6
+                res.y = res.y + 1e-6
+        return solved
 
-    monkeypatch.setattr(bd, "lp_solve", skewed)
+    monkeypatch.setattr(bd, "lp_solve_many", skewed)
     with pytest.raises(RuntimeError):
         bd.hull_membership(np.eye(2), [0.5, 0.5])
     with pytest.raises(RuntimeError):
         bd.hull_membership(np.eye(2), [1.0, 1.0])
+    # a stack of answers is replayed as a stack
+    with pytest.raises(RuntimeError):
+        bd.hull_membership_many(np.eye(2), [[0.5, 0.5], [0.25, 0.75]])
+    with pytest.raises(RuntimeError):
+        bd.hull_membership_many(np.eye(2), [[1.0, 1.0], [2.0, 0.0]])
 
 
 def test_hull_membership_replays_the_whole_farkas_answer(monkeypatch):
-    solve = bd.lp_solve
+    solve = bd.lp_solve_many
 
-    def doubled(lp):
-        res = solve(lp)
-        if res.y is not None:
-            # still nonpositive on every column with twice the margin, but
-            # outside the normalisation box and off the LP's optimum
-            res.y = 2.0 * res.y
-        return res
+    def doubled(lp, rhs):
+        solved = solve(lp, rhs)
+        for res in solved:
+            if res.y is not None:
+                # still nonpositive on every column with twice the margin,
+                # but outside the normalisation box and off the LP's optimum
+                res.y = 2.0 * res.y
+        return solved
 
-    monkeypatch.setattr(bd, "lp_solve", doubled)
+    monkeypatch.setattr(bd, "lp_solve_many", doubled)
     with pytest.raises(RuntimeError):
         bd.hull_membership(np.eye(2), [1.0, 1.0])
+    with pytest.raises(RuntimeError):
+        bd.hull_membership_many(np.eye(2), [[1.0, 1.0], [2.0, 0.0]])
+
+
+def test_one_skewed_answer_in_a_stack_fails_the_stack(monkeypatch):
+    solve = bd.lp_solve_many
+
+    def skew_last(lp, rhs):
+        solved = solve(lp, rhs)
+        solved[-1].x = solved[-1].x + 1e-6
+        return solved
+
+    monkeypatch.setattr(bd, "lp_solve_many", skew_last)
+    points = [[0.5, 0.5], [0.25, 0.75], [0.0, 1.0]]
+    with pytest.raises(RuntimeError):
+        bd.hull_membership_many(np.eye(2), points)
 
 
 _C5 = gr.cycle_graph(5)

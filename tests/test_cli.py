@@ -127,6 +127,40 @@ def test_box_check_rejects_a_negative_table_key(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field, value", [("parties", 2.7), ("settings", [2.5, 2]), ("outcomes", [2, 2.0])])
+def test_box_check_refuses_non_integer_counts(tmp_path, capsys, field, value):
+    data = pr_box(2, 0.8).to_json_dict()
+    data[field] = value
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(data))
+    assert cli.run(["box", "check", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "malformed box" in captured.err and "integer" in captured.err
+
+
+def test_scenario_check_refuses_a_non_integer_outcome(tmp_path, capsys):
+    data = triangle_overlap_model().to_json_dict()
+    data["outcomes"][0] = 1.5
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    assert cli.run(["scenario", "check", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "malformed model" in captured.err and "integer" in captured.err
+
+
+def test_ks_check_refuses_a_non_integer_pin(tmp_path, capsys):
+    payload = ks8_vectors().to_json_dict()
+    payload["pins"] = {"0": 1.9, "7": 1}
+    path = tmp_path / "ks8.json"
+    path.write_text(json.dumps(payload))
+    assert cli.run(["ks", "check", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "integer" in captured.err
+
+
 def test_malformed_json_reports_location(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 3, "edges": [[0, 1],]}')

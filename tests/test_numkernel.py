@@ -23,6 +23,7 @@ from exgraph.numkernel import (
     is_hermitian,
     is_projector,
     lp_solve,
+    lp_solve_many,
     replays,
     sdp_solve,
     sdp_solve_many,
@@ -233,14 +234,16 @@ PENTAGON_EDGES = (np.arange(5), (np.arange(5) + 1) % 5)
 NO_EDGES = ((), ())
 
 
-def _row_loop_pivot(tab, basis, row, col):
-    """Reference pivot: one row at a time, skipping multipliers <= 1e-14."""
-    tab[row] /= tab[row, col]
-    piv = tab[row]
-    for r in range(tab.shape[0]):
-        if r != row and abs(tab[r, col]) > 1e-14:
-            tab[r] -= tab[r, col] * piv
-    basis[row] = col
+def _row_loop_pivot(tab, basis, rows, cols, f, at):
+    """Reference pivot: one program and one row at a time, skipping
+    multipliers <= 1e-14; it reads the pivot columns off tab, not f."""
+    for t, b, row, col in zip(tab, basis, rows, cols):
+        t[row] /= t[row, col]
+        piv = t[row]
+        for r in range(t.shape[0]):
+            if r != row and abs(t[r, col]) > 1e-14:
+                t[r] -= t[r, col] * piv
+        b[row] = col
 
 
 def _seeded_lps(rng):
@@ -278,6 +281,20 @@ class TestRankOnePivot(unittest.TestCase):
         with unittest.mock.patch.object(lp_kernel, "_pivot", counted):
             return lp_solve(lp), count[0]
 
+    def test_a_stack_matches_the_row_loop_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        ext = np.vstack([(rng.random((5, 20)) < 0.5).astype(float), np.ones(20)])
+        rhs = np.hstack([rng.dirichlet(np.ones(20), size=12) @ ext[:5].T, np.ones((12, 1))])
+        rhs[::2, :5] += rng.normal(0.0, 0.3, size=(6, 5))
+        lp = LinearProgram(c=np.zeros(20), a=ext, senses=("=",) * 6, b=rhs[0])
+        with unittest.mock.patch.object(lp_kernel, "_pivot", _row_loop_pivot):
+            want = lp_solve_many(lp, rhs)
+        for got, ref in zip(lp_solve_many(lp, rhs), want):
+            self.assertEqual(got.status, ref.status)
+            if got.status == "optimal":
+                self.assertEqual(got.x.tobytes(), ref.x.tobytes())
+                self.assertEqual(got.y.tobytes(), ref.y.tobytes())
+
     def test_matches_the_row_loop_bit_for_bit(self):
         statuses = set()
         for lp in _seeded_lps(np.random.default_rng(2024)):
@@ -290,6 +307,146 @@ class TestRankOnePivot(unittest.TestCase):
                 self.assertEqual(got.y.tobytes(), ref.y.tobytes())
                 self.assertEqual(got.value, ref.value)
         self.assertEqual(statuses, {"optimal", "infeasible", "unbounded"})
+
+
+@st.composite
+def _lp_stacks(draw):
+    """One c, A and senses with a stack of right-hand sides of mixed signs,
+    so a stack mixes column layouts; right-hand sides drawn apart from any
+    x make infeasible programs, and stacks without the bounding row
+    unbounded ones.  The degenerate-pivot limit is drawn too, low enough
+    that Bland's rule takes over in these small programs."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    a = np.array(draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)), dtype=float).reshape(m, n)
+    senses = tuple(draw(st.lists(st.sampled_from(("<=", ">=", "=")), min_size=m, max_size=m)))
+    count = draw(st.integers(1, 6))
+    rhs = np.array(draw(st.lists(st.integers(-3, 3), min_size=count * m, max_size=count * m)), dtype=float)
+    rhs = rhs.reshape(count, m)
+    if draw(st.booleans()):
+        a = np.vstack([a, np.ones(n)])
+        rhs = np.hstack([rhs, np.full((count, 1), float(draw(st.integers(0, 4))))])
+        senses += ("<=",)
+    c = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    limit = draw(st.sampled_from((1, 2, 3, lp_kernel.DEGENERATE_LIMIT)))
+    return LinearProgram(c=c, a=a, senses=senses, b=rhs[0]), rhs, limit
+
+
+def _solve_each(lp, rhs):
+    """lp_solve on each right-hand side alone; None where it raises LpError."""
+    out = []
+    for b in rhs:
+        try:
+            out.append(lp_solve(LinearProgram(c=lp.c, a=lp.a, senses=lp.senses, b=b)))
+        except LpError:
+            out.append(None)
+    return out
+
+
+class TestLockstep(unittest.TestCase):
+    def assert_same(self, got, want):
+        self.assertEqual(got.status, want.status)
+        if want.status == "optimal":
+            self.assertEqual(got.x.tobytes(), want.x.tobytes())
+            self.assertEqual(got.y.tobytes(), want.y.tobytes())
+            self.assertEqual(got.value, want.value)
+
+    def assert_stack_matches(self, lp, rhs):
+        want = _solve_each(lp, rhs)
+        try:
+            got = lp_solve_many(lp, rhs)
+        except LpError:
+            self.assertIn(None, want)
+            return []
+        self.assertNotIn(None, want)
+        for g, w in zip(got, want):
+            self.assert_same(g, w)
+        return got
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_lp_stacks())
+    def test_a_stack_equals_separate_solves_bit_for_bit(self, case):
+        lp, rhs, limit = case
+        with unittest.mock.patch.object(lp_kernel, "DEGENERATE_LIMIT", limit):
+            self.assert_stack_matches(lp, rhs)
+
+    def test_seeded_stacks_reach_every_status_and_blands_rule(self):
+        # Degenerate programs (most right-hand sides 0) run long streaks of
+        # degenerate pivots; with the real limit of 50 some switch to
+        # Bland's rule, which shows as a different pivot count when the
+        # switch is disabled.
+        rng = np.random.default_rng(2026)
+        statuses = set()
+        switched = 0
+        for trial in range(40):
+            m, n = int(rng.integers(10, 25)), int(rng.integers(10, 30))
+            a = rng.integers(-2, 3, size=(m, n)).astype(float)
+            senses = tuple(rng.choice(["<=", "<=", "<=", ">="], size=m))
+            rhs = np.where(rng.random((6, m)) < 0.85, 0.0, rng.integers(-1, 2, size=(6, m)))
+            if trial % 2:  # bounded by sum(x) <= 1, or infeasible where that row reads <= -1
+                a, senses = np.vstack([a, np.ones(n)]), senses + ("<=",)
+                rhs = np.hstack([rhs, np.where(rng.random((6, 1)) < 0.8, 1.0, -1.0)])
+            lp = LinearProgram(c=rng.integers(-3, 2, size=n), a=a, senses=senses, b=rhs[0])
+            statuses.update(res.status for res in self.assert_stack_matches(lp, rhs))
+            counts = []
+            for limit in (lp_kernel.DEGENERATE_LIMIT, 10**9):
+                pivots = [0]
+                pivot = lp_kernel._pivot
+
+                def counted(*args):
+                    pivots[0] += 1
+                    pivot(*args)
+
+                with unittest.mock.patch.object(lp_kernel, "DEGENERATE_LIMIT", limit), \
+                        unittest.mock.patch.object(lp_kernel, "_pivot", counted):
+                    lp_solve_many(lp, rhs)
+                counts.append(pivots[0])
+            switched += counts[0] != counts[1]
+        self.assertEqual(statuses, {"optimal", "infeasible", "unbounded"})
+        self.assertGreater(switched, 0)
+
+    def test_hull_stacks_with_redundant_rows(self):
+        # repeated rows leave an artificial basic at zero after phase 1:
+        # drive-out pivots and dropped rows, which differ across the stack
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            d, k = int(rng.integers(2, 6)), int(rng.integers(3, 25))
+            v = (rng.random((d, k)) < 0.5).astype(float)
+            ext = np.vstack([v, v[:1], np.ones(k)])
+            points = v @ rng.dirichlet(np.ones(k), size=8).T
+            points[:, ::3] += rng.normal(0.0, 0.3, size=(d, points[:, ::3].shape[1]))
+            rhs = np.vstack([points, points[:1], np.ones(8)]).T
+            lp = LinearProgram(c=np.zeros(k), a=ext, senses=("=",) * (d + 2), b=rhs[0])
+            self.assert_stack_matches(lp, rhs)
+
+    def test_empty_stack_and_bad_shapes(self):
+        lp = _tight_lp(">=")
+        self.assertEqual(lp_solve_many(lp, np.zeros((0, 1))), [])
+        with self.assertRaises(ValueError):
+            lp_solve_many(lp, [1.0])
+        with self.assertRaises(ValueError):
+            lp_solve_many(lp, [[1.0, 2.0]])
+        with self.assertRaises(ValueError):
+            lp_solve(LinearProgram(c=lp.c, a=lp.a, senses=lp.senses, b=[[1.0], [2.0]]))
+
+    def test_chunks_match_one_stack(self):
+        # a budget of one program per chunk gives the same answers
+        rng = np.random.default_rng(5)
+        ext = np.vstack([(rng.random((4, 12)) < 0.5).astype(float), np.ones(12)])
+        rhs = np.hstack([rng.uniform(0.0, 1.0, size=(20, 4)), np.ones((20, 1))])
+        lp = LinearProgram(c=np.zeros(12), a=ext, senses=("=",) * 5, b=rhs[0])
+        whole = lp_solve_many(lp, rhs)
+        with unittest.mock.patch.object(lp_kernel, "_STACK_BYTES", 1):
+            for got, want in zip(lp_solve_many(lp, rhs), whole):
+                self.assert_same(got, want)
+
+    def test_replays_checks_each_program_of_a_stack(self):
+        lp = LinearProgram(c=[1.0], a=[[1.0]], senses=(">=",), b=[[1.0], [2.0]])
+        solved = lp_solve_many(lp, lp.b)
+        x, y = [res.x for res in solved], [res.y for res in solved]
+        self.assertEqual(replays(lp, x, y, 1e-9).tolist(), [True, True])
+        self.assertEqual(replays(lp, [x[0], x[1] + 1e-6], y, 1e-9).tolist(), [True, False])
+        self.assertEqual(replays(lp, x, [y[0] - 1e-6, y[1]], 1e-9).tolist(), [False, True])
 
 
 class TestSdp(unittest.TestCase):
