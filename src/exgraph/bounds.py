@@ -316,7 +316,7 @@ def hull_membership_many(vertices, points, tol: float = 1e-9) -> list[tuple[bool
     ext = np.vstack([vertices, np.ones(k)])
     senses = ("=",) * (d + 1)
     lp = LinearProgram(c=np.zeros(k), a=ext, senses=senses, b=rhs)
-    solved = lp_solve_many(lp, rhs)
+    solved = lp_solve_many(lp)
     inside = np.array([res.status == "optimal" for res in solved], dtype=bool)
     verdicts: list = [None] * len(points)
     if inside.any():
@@ -341,7 +341,7 @@ def hull_membership_many(vertices, points, tol: float = 1e-9) -> list[tuple[bool
             c=np.concatenate([np.zeros(k), upper, -lower]), a=np.hstack([ext, eye, -eye]),
             senses=senses, b=rhs[outside],
         )
-        solved = lp_solve_many(farkas, farkas.b)
+        solved = lp_solve_many(farkas)
         if any(res.status != "optimal" for res in solved) or not replays(
             farkas, [res.x for res in solved], [res.y for res in solved], _REPLAY_TOL
         ).all():

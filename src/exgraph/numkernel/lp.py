@@ -47,7 +47,8 @@ class LpError(RuntimeError):
 @dataclass
 class LinearProgram:
     """minimise c.x subject to a x (senses) b and x >= 0.  b may also be a
-    (B, m) stack of right-hand sides, one program per row, for replays."""
+    (B, m) stack of right-hand sides, one program per row, for
+    lp_solve_many and replays."""
 
     c: np.ndarray
     a: np.ndarray
@@ -84,93 +85,89 @@ class LpResult:
 def _pivot(tab: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray, f: np.ndarray, at: np.ndarray) -> None:
     """Pivot program i of the stack on (rows[i], cols[i]), for i in at =
     arange(len(tab)); f[i] is program i's column cols[i] as it stands
-    before the pivot (it is overwritten)."""
+    before the pivot, which the pivot overwrites.  A program whose f[i] is
+    the unit vector at rows[i] and whose cols[i] is basic there is left as
+    it is."""
     pivot_rows = tab[at, rows]
     pivot_rows /= f[at, rows][:, None]
     # one rank-one update; a multiplier of at most 1e-14 leaves its row as
-    # is, so only rows with a larger one in some program are touched (all of
-    # them once that is more than half).  The pivot rows are then overwritten
+    # is.  einsum forms the same products as a broadcast multiply, faster.
+    # The pivot rows are then overwritten
     f[np.abs(f) <= 1e-14] = 0.0
-    touched = np.logical_or.reduce(f, axis=0).nonzero()[0]
-    if 2 * touched.size <= f.shape[1]:
-        tab[:, touched] -= f[:, touched, None] * pivot_rows[:, None, :]
-    else:
-        tab -= f[:, :, None] * pivot_rows[:, None, :]
+    tab -= np.einsum("ki,kj->kij", f, pivot_rows)
     tab[at, rows] = pivot_rows
     basis[at, rows] = cols
 
 
-def _simplex(tab: np.ndarray, basis: np.ndarray, rows_ok: np.ndarray | None, ncols: int, caps: np.ndarray):
+def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, caps: np.ndarray, carry: tuple[np.ndarray, ...]) -> np.ndarray:
     """Minimise the cost carried in the last tableau row of every program of
-    the stack, in lockstep, entering only the first ncols columns and
-    leaving only rows marked in rows_ok (every row when it is None).
+    the stack, in lockstep, entering only the first ncols columns.
 
     A program stops when it is optimal or unbounded and then leaves the live
-    front of the stack, which every later pivot skips.  The stack and every
-    per-program array are permuted in place; returns the permutation (new
-    position i holds the program that was at perm[i]) and, in the new order,
-    which programs are unbounded.  Raises LpError when a program still runs
-    after its cap of pivots.
+    front of the stack, which every later pivot skips.  The stack, basis,
+    caps and each array in carry (one entry per program) are permuted in
+    place alike; returns, in the new order, which programs are unbounded.
+    Raises LpError when a program still runs after its cap of pivots.
     """
-    m = basis.shape[1]
-    live = len(tab)
-    perm = np.arange(live)
-    unbounded = np.zeros(live, dtype=bool)
+    k, m = basis.shape
+    unbounded = np.zeros(k, dtype=bool)
+    if not ncols:  # no column may enter, so every program is optimal
+        return unbounded
     # the step after each program's last nondegenerate pivot: its run of
     # degenerate pivots before step s is s - fresh
-    fresh = np.zeros(live, dtype=np.intp)
-    per_program = [arr for arr in (tab, basis, rows_ok, caps, perm, unbounded, fresh) if arr is not None]
-    if not ncols:  # no column may enter, so every program is optimal
-        return perm, unbounded
-    at, cap = perm.copy(), caps.min()
-    no_ratio = np.full((live, m), np.inf)
+    fresh = np.zeros(k, dtype=np.intp)
+    per_program = (tab, basis, caps, unbounded, fresh, *carry)
+    live, at, cap = k, np.arange(k), caps.min()
+    # the live front: the whole stack until a program stops
+    stack, live_basis, live_fresh = tab, basis, fresh
+    cost, rhs = tab[:, -1, :ncols], tab[:, :m, -1]
+    no_ratio = np.full((k, m), np.inf)
     for step in itertools.count():
         if step >= cap:
             raise LpError(f"degenerate pivot limit: no convergence within {cap} pivots")
         # Dantzig's column: the first of least reduced cost, eligible when
         # that cost is below -COST_TOL
-        cost = tab[:live, -1, :ncols]
         col = cost.argmin(axis=1)
         if step >= DEGENERATE_LIMIT:
-            bland = step - fresh[:live] >= DEGENERATE_LIMIT
+            bland = step - live_fresh >= DEGENERATE_LIMIT
             col[bland] = (cost[bland] < -COST_TOL).argmax(axis=1)  # Bland: smallest index
-        f = tab[at, :, col]  # each program's column, its reduced cost last
+        f = stack[at, :, col]  # each program's column, its reduced cost last
         pos = f[:, :m] > FEAS_TOL
-        if rows_ok is not None:
-            pos &= rows_ok[:live]
         # a program with no eligible column is optimal; one whose column has
         # no positive entry is unbounded
         entering = f[:, m] < -COST_TOL
-        go = entering & np.logical_or.reduce(pos, axis=1)
-        if not np.logical_and.reduce(go):
+        go = entering & pos.any(axis=1)
+        if not go.all():
             unbounded[:live] = entering & ~go
-            if not np.logical_or.reduce(go):
+            if not go.any():
                 break
             order = np.argsort(~go, kind="stable")  # the programs that go on first
             for arr in per_program:
                 arr[:live] = arr[:live][order]
-            live = int(go.sum())
+            live = int(np.count_nonzero(go))
+            stack, live_basis, live_fresh = tab[:live], basis[:live], fresh[:live]
+            cost, rhs = stack[:, -1, :ncols], stack[:, :m, -1]
             col, f, pos = col[go], f[go], pos[go]
             at, cap = at[:live], caps[:live].min()
-        ratios = np.divide(tab[:live, :m, -1], f[:, :m], out=no_ratio[:live].copy(), where=pos)
+        ratios = np.divide(rhs, f[:, :m], out=no_ratio[:live].copy(), where=pos)
         best = ratios.min(axis=1)
         # break ties on the smallest basis index (anti-cycling with Bland)
-        row = np.where(ratios <= best[:, None] + 1e-12, basis[:live], _NO_INDEX).argmin(axis=1)
-        fresh[:live][best > 1e-12] = step + 1
-        _pivot(tab[:live], basis[:live], row, col, f, at)
-    return perm, unbounded
+        row = np.where(ratios <= best[:, None] + 1e-12, live_basis, _NO_INDEX).argmin(axis=1)
+        live_fresh[best > 1e-12] = step + 1
+        _pivot(stack, live_basis, row, col, f, at)
+    return unbounded
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
     """Solve lp for its own right-hand side: the stack of one."""
     if lp.b.ndim != 1:
         raise ValueError("lp_solve takes one right-hand side; lp_solve_many takes a stack")
-    return lp_solve_many(lp, lp.b[None])[0]
+    return _solve(lp, lp.b[None])[0]
 
 
-def lp_solve_many(lp: LinearProgram, rhs) -> list[LpResult]:
-    """Solve lp's c, A and senses for each row of rhs, a (B, m) stack of
-    right-hand sides (lp.b is not read), pivoting all programs in lockstep.
+def lp_solve_many(lp: LinearProgram) -> list[LpResult]:
+    """Solve lp's c, A and senses for each row of lp.b, a (B, m) stack of
+    right-hand sides, pivoting all programs in lockstep.
 
     Every program makes the choices a solve on its own makes (entering
     column, ratio-test tie, Bland switch, phase-1 drive-out and dropped
@@ -181,35 +178,31 @@ def lp_solve_many(lp: LinearProgram, rhs) -> list[LpResult]:
     takes at most an eighth of _STACK_BYTES.  Raises LpError when any
     program passes its pivot cap.
     """
-    rhs = np.asarray(rhs, dtype=float)
+    if lp.b.ndim != 2:
+        raise ValueError(f"lp_solve_many takes a (B, m) stack of right-hand sides, got shape {lp.b.shape}")
+    return _solve(lp, lp.b)
+
+
+def _solve(lp: LinearProgram, rhs: np.ndarray) -> list[LpResult]:
+    """lp_solve_many on the (B, m) stack rhs."""
     m, nstruct = lp.a.shape
-    if rhs.ndim != 2 or rhs.shape[1] != m:
-        raise ValueError(f"right-hand sides must form a (B, {m}) stack, got shape {rhs.shape}")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("LP data must be finite")
-    if not len(rhs):
-        return []
     # orient rows so every rhs is nonnegative
     row_sign = np.where(rhs < 0, -1.0, 1.0)
     senses = np.array(lp.senses, dtype="<U2").reshape(m)
     le = np.where(row_sign < 0, senses == ">=", senses == "<=")
-    if np.logical_and.reduce(le == le[:1], axis=None):  # one layout, as in every "=" stack
-        groups = [np.arange(len(rhs))]
-    else:
-        layouts: dict[bytes, list[int]] = {}
-        for i, layout in enumerate(le):
-            layouts.setdefault(layout.tobytes(), []).append(i)
-        groups = [np.array(members) for members in layouts.values()]
-    results: list[LpResult] = [None] * len(rhs)
     ineq = senses != "="
-    for members in groups:
+    layouts: dict[bytes, list[int]] = {}
+    for i, layout in enumerate(le):
+        layouts.setdefault(layout.tobytes(), []).append(i)
+    results: list[LpResult] = [None] * len(rhs)
+    for members in layouts.values():
         layout = le[members[0]]
         width = nstruct + np.count_nonzero(ineq) + np.count_nonzero(~layout) + 1
         chunk = max(1, _STACK_BYTES // (8 * 8 * (m + 1) * width))
-        for start in range(0, members.size, chunk):
+        for start in range(0, len(members), chunk):
             sel = members[start : start + chunk]
             sign = row_sign[sel]
-            for i, res in zip(sel.tolist(), _solve_stack(lp, ineq, layout, sign, rhs[sel] * sign)):
+            for i, res in zip(sel, _solve_stack(lp, ineq, layout, sign, rhs[sel] * sign)):
                 results[i] = res
     return results
 
@@ -222,16 +215,14 @@ def _solve_stack(lp: LinearProgram, ineq: np.ndarray, le: np.ndarray, sign: np.n
     m, nstruct = lp.a.shape
     # columns: structural, then one slack per inequality row (+1 on "<=",
     # -1 on ">="), then one artificial per ">=" or "=" row, each in row order
-    slack_rows = ineq.nonzero()[0]
-    art_rows = (~le).nonzero()[0]
-    nslack, nart = slack_rows.size, art_rows.size
-    first_art = nstruct + nslack
-    ncols = first_art + nart
+    slack_rows = np.flatnonzero(ineq)
+    art_rows = np.flatnonzero(~le)
+    first_art = nstruct + slack_rows.size
+    ncols = first_art + art_rows.size
     # the start basis holds each row's unit column e_i: its slack, or its
     # artificial where there is one (a ">=" slack is -e_i).  The reduced cost
     # of that column is minus the row's dual
-    slack_cols = nstruct + np.arange(nslack)
-    art_cols = first_art + np.arange(nart)
+    slack_cols, art_cols = np.arange(nstruct, first_art), np.arange(first_art, ncols)
     unit_cols = np.empty(m, dtype=np.intp)
     unit_cols[slack_rows] = slack_cols
     unit_cols[art_rows] = art_cols
@@ -241,65 +232,63 @@ def _solve_stack(lp: LinearProgram, ineq: np.ndarray, le: np.ndarray, sign: np.n
     tab[:, art_rows, art_cols] = 1.0
     tab[:, :m, -1] = b
     basis = np.repeat(unit_cols[None], k, axis=0)
-    # rows a program may leave by, once phase 1 drops a redundant row
-    rows_ok = None
     ids = np.arange(k)
     results = [LpResult("infeasible") for _ in range(k)]
+    # pivot caps, one per program; a row phase 1 drops lowers phase 2's
+    caps = np.full(k, 2000 + 200 * (m + ncols))
 
     # phase 1: minimize the artificial sum, its cost row reduced by each
     # artificial's row in row order
-    if nart:
+    if art_rows.size:
         tab[:, -1, first_art:ncols] = 1.0
         tab[:, -1] = np.subtract.reduce(tab[:, np.concatenate(([m], art_rows))], axis=1)
-        perm, unbounded = _simplex(tab, basis, None, ncols, np.full(k, 2000 + 200 * (m + ncols)))
-        if unbounded.any():  # cannot happen for a bounded-below phase-1 objective
-            raise LpError("phase 1 reported unbounded")
-        ids, sign = ids[perm], sign[perm]
-        feasible = ~(-tab[:, -1, -1] > 1e-7)
+        if _simplex(tab, basis, ncols, caps, (ids, sign)).any():
+            raise LpError("phase 1 reported unbounded")  # cannot happen: the objective is bounded below
+        feasible = -tab[:, -1, -1] <= 1e-7
         if not feasible.all():
             if not feasible.any():
                 return results
-            tab, basis, ids, sign = (arr[feasible] for arr in (tab, basis, ids, sign))
-        # drive leftover artificials out of the basis, row by row; a row with
-        # no other column to pivot on is redundant and is dropped
+            tab, basis, ids, sign, caps = tab[feasible], basis[feasible], ids[feasible], sign[feasible], caps[feasible]
+        # drive leftover artificials out of the basis, row by row, each on
+        # its largest entry among the other columns.  A row with no entry
+        # there is redundant and is dropped: it is zeroed, so no ratio test
+        # picks it and no pivot changes it.  The whole stack pivots at each
+        # such row: a program with nothing to drive out there pivots on its
+        # own basic column with a unit multiplier column, which leaves it
+        # as it is
+        at = np.arange(len(tab))
         stuck_rows = basis >= first_art
         for r in np.flatnonzero(stuck_rows.any(axis=0)):
-            stuck = np.flatnonzero(stuck_rows[:, r])
-            size = np.abs(tab[stuck, r, :first_art])
-            can = size > FEAS_TOL
-            movable = can.any(axis=1)
-            if not movable.all():
-                if rows_ok is None:
-                    rows_ok = np.ones((len(tab), m), dtype=bool)
-                rows_ok[stuck[~movable], r] = False
-            movers = stuck[movable]
-            if movers.size:
-                cols = np.where(can, size, -1.0)[movable].argmax(axis=1)
-                whole = movers.size == len(tab)
-                sub, sub_basis = (tab, basis) if whole else (tab[movers], basis[movers])
-                at = np.arange(movers.size)
-                _pivot(sub, sub_basis, np.full(movers.size, r), cols, sub[at, :, cols], at)
-                if not whole:
-                    tab[movers], basis[movers] = sub, sub_basis
+            size = np.abs(tab[:, r, :first_art])
+            cols = size.argmax(axis=1)
+            movers = stuck_rows[:, r] & (size[at, cols] > FEAS_TOL)
+            dropped = stuck_rows[:, r] > movers
+            if dropped.any():
+                tab[dropped, r] = 0.0
+                caps[dropped] -= 200
+            if movers.any():
+                cols = np.where(movers, cols, basis[:, r])
+                f = tab[at, :, cols]
+                f[~movers] = np.arange(m + 1) == r
+                _pivot(tab, basis, np.full(len(tab), r), cols, f, at)
 
     # phase 2: the real objective, its cost row reduced by each basic
     # structural column's row in row order (a zero cost changes no entry)
-    tab[:, -1, :] = 0.0
+    tab[:, -1] = 0.0
     tab[:, -1, :nstruct] = lp.c
     coef = np.concatenate((lp.c, np.zeros(ncols - nstruct)))[basis]
     if coef.any():
         rows = np.concatenate([tab[:, -1:], coef[:, :, None] * tab[:, :m]], axis=1)
         tab[:, -1] = np.subtract.reduce(rows, axis=1)
-    kept_rows = np.full(len(tab), m) if rows_ok is None else rows_ok.sum(axis=1)
-    perm, unbounded = _simplex(tab, basis, rows_ok, first_art, 2000 + 200 * (kept_rows + ncols))
-    ids, sign = ids[perm], sign[perm]
+    unbounded = _simplex(tab, basis, first_art, caps, (ids, sign))
 
     values = np.zeros((len(tab), ncols))
     values[np.arange(len(tab))[:, None], basis] = tab[:, :m, -1]
     x = values[:, :nstruct] + 0.0  # + 0.0 clears -0.0
     # the dual of row i is minus the reduced cost of its unit column.  When
-    # phase 1 drops a redundant row, the artificial that was basic there
-    # keeps a zero cost entry, so its row reads 0.  Undo the row orientation.
+    # phase 1 drops a redundant row, the artificial that was basic there has
+    # a zero column once the row is zeroed, so its row reads 0.  Undo the row
+    # orientation.
     y = -tab[:, -1, unit_cols] * sign + 0.0
     for i, xi, yi, unb in zip(ids.tolist(), x, y, unbounded.tolist()):
         results[i] = LpResult("unbounded") if unb else LpResult("optimal", float(lp.c @ xi), xi, yi)
@@ -324,6 +313,6 @@ def replays(lp: LinearProgram, x, y, tol: float):
         & np.all(np.abs(slack[..., eq]) <= tol, axis=-1)
         & np.all(y[..., ge] >= -tol, axis=-1) & np.all(y[..., le] <= tol, axis=-1)
         & np.all(y @ lp.a - lp.c <= tol, axis=-1)
-        & (np.abs(x @ lp.c - np.vecdot(lp.b, y)) <= tol)
+        & (np.abs(x @ lp.c - (lp.b * y).sum(axis=-1)) <= tol)
     )
     return bool(ok) if ok.ndim == 0 else ok

@@ -772,8 +772,8 @@ def test_hull_membership_size_cap():
 def test_hull_membership_replays_the_lp_answer(monkeypatch):
     solve = bd.lp_solve_many
 
-    def skewed(lp, rhs):
-        solved = solve(lp, rhs)
+    def skewed(lp):
+        solved = solve(lp)
         for res in solved:
             if res.x is not None:
                 # the weights come from x and the Farkas functional from y
@@ -796,8 +796,8 @@ def test_hull_membership_replays_the_lp_answer(monkeypatch):
 def test_hull_membership_replays_the_whole_farkas_answer(monkeypatch):
     solve = bd.lp_solve_many
 
-    def doubled(lp, rhs):
-        solved = solve(lp, rhs)
+    def doubled(lp):
+        solved = solve(lp)
         for res in solved:
             if res.y is not None:
                 # still nonpositive on every column with twice the margin,
@@ -815,8 +815,8 @@ def test_hull_membership_replays_the_whole_farkas_answer(monkeypatch):
 def test_one_skewed_answer_in_a_stack_fails_the_stack(monkeypatch):
     solve = bd.lp_solve_many
 
-    def skew_last(lp, rhs):
-        solved = solve(lp, rhs)
+    def skew_last(lp):
+        solved = solve(lp)
         solved[-1].x = solved[-1].x + 1e-6
         return solved
 

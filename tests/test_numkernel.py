@@ -286,10 +286,10 @@ class TestRankOnePivot(unittest.TestCase):
         ext = np.vstack([(rng.random((5, 20)) < 0.5).astype(float), np.ones(20)])
         rhs = np.hstack([rng.dirichlet(np.ones(20), size=12) @ ext[:5].T, np.ones((12, 1))])
         rhs[::2, :5] += rng.normal(0.0, 0.3, size=(6, 5))
-        lp = LinearProgram(c=np.zeros(20), a=ext, senses=("=",) * 6, b=rhs[0])
+        lp = LinearProgram(c=np.zeros(20), a=ext, senses=("=",) * 6, b=rhs)
         with unittest.mock.patch.object(lp_kernel, "_pivot", _row_loop_pivot):
-            want = lp_solve_many(lp, rhs)
-        for got, ref in zip(lp_solve_many(lp, rhs), want):
+            want = lp_solve_many(lp)
+        for got, ref in zip(lp_solve_many(lp), want):
             self.assertEqual(got.status, ref.status)
             if got.status == "optimal":
                 self.assertEqual(got.x.tobytes(), ref.x.tobytes())
@@ -329,13 +329,14 @@ def _lp_stacks(draw):
         senses += ("<=",)
     c = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
     limit = draw(st.sampled_from((1, 2, 3, lp_kernel.DEGENERATE_LIMIT)))
-    return LinearProgram(c=c, a=a, senses=senses, b=rhs[0]), rhs, limit
+    return LinearProgram(c=c, a=a, senses=senses, b=rhs), limit
 
 
-def _solve_each(lp, rhs):
-    """lp_solve on each right-hand side alone; None where it raises LpError."""
+def _solve_each(lp):
+    """lp_solve on each right-hand side of lp's stack alone; None where it
+    raises LpError."""
     out = []
-    for b in rhs:
+    for b in lp.b:
         try:
             out.append(lp_solve(LinearProgram(c=lp.c, a=lp.a, senses=lp.senses, b=b)))
         except LpError:
@@ -351,10 +352,10 @@ class TestLockstep(unittest.TestCase):
             self.assertEqual(got.y.tobytes(), want.y.tobytes())
             self.assertEqual(got.value, want.value)
 
-    def assert_stack_matches(self, lp, rhs):
-        want = _solve_each(lp, rhs)
+    def assert_stack_matches(self, lp):
+        want = _solve_each(lp)
         try:
-            got = lp_solve_many(lp, rhs)
+            got = lp_solve_many(lp)
         except LpError:
             self.assertIn(None, want)
             return []
@@ -366,9 +367,9 @@ class TestLockstep(unittest.TestCase):
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_lp_stacks())
     def test_a_stack_equals_separate_solves_bit_for_bit(self, case):
-        lp, rhs, limit = case
+        lp, limit = case
         with unittest.mock.patch.object(lp_kernel, "DEGENERATE_LIMIT", limit):
-            self.assert_stack_matches(lp, rhs)
+            self.assert_stack_matches(lp)
 
     def test_seeded_stacks_reach_every_status_and_blands_rule(self):
         # Degenerate programs (most right-hand sides 0) run long streaks of
@@ -386,8 +387,8 @@ class TestLockstep(unittest.TestCase):
             if trial % 2:  # bounded by sum(x) <= 1, or infeasible where that row reads <= -1
                 a, senses = np.vstack([a, np.ones(n)]), senses + ("<=",)
                 rhs = np.hstack([rhs, np.where(rng.random((6, 1)) < 0.8, 1.0, -1.0)])
-            lp = LinearProgram(c=rng.integers(-3, 2, size=n), a=a, senses=senses, b=rhs[0])
-            statuses.update(res.status for res in self.assert_stack_matches(lp, rhs))
+            lp = LinearProgram(c=rng.integers(-3, 2, size=n), a=a, senses=senses, b=rhs)
+            statuses.update(res.status for res in self.assert_stack_matches(lp))
             counts = []
             for limit in (lp_kernel.DEGENERATE_LIMIT, 10**9):
                 pivots = [0]
@@ -399,7 +400,7 @@ class TestLockstep(unittest.TestCase):
 
                 with unittest.mock.patch.object(lp_kernel, "DEGENERATE_LIMIT", limit), \
                         unittest.mock.patch.object(lp_kernel, "_pivot", counted):
-                    lp_solve_many(lp, rhs)
+                    lp_solve_many(lp)
                 counts.append(pivots[0])
             switched += counts[0] != counts[1]
         self.assertEqual(statuses, {"optimal", "infeasible", "unbounded"})
@@ -416,16 +417,37 @@ class TestLockstep(unittest.TestCase):
             points = v @ rng.dirichlet(np.ones(k), size=8).T
             points[:, ::3] += rng.normal(0.0, 0.3, size=(d, points[:, ::3].shape[1]))
             rhs = np.vstack([points, points[:1], np.ones(8)]).T
-            lp = LinearProgram(c=np.zeros(k), a=ext, senses=("=",) * (d + 2), b=rhs[0])
-            self.assert_stack_matches(lp, rhs)
+            lp = LinearProgram(c=np.zeros(k), a=ext, senses=("=",) * (d + 2), b=rhs)
+            self.assert_stack_matches(lp)
+
+    def test_a_drive_out_leaves_the_rest_of_the_stack_as_it_is(self):
+        # a point at a hull vertex ends phase 1 with an artificial basic at
+        # zero, which is driven out; the points inside pivot there on their
+        # own basic column with unit multipliers, which leaves them as they are
+        rng = np.random.default_rng(0)
+        v = (rng.random((3, 6)) < 0.5).astype(float)
+        points = np.vstack([v[:, 0], v @ rng.dirichlet(np.ones(6)), v[:, 1], v @ rng.dirichlet(np.ones(6))])
+        lp = LinearProgram(c=np.zeros(6), a=np.vstack([v, np.ones(6)]), senses=("=",) * 4,
+                           b=np.hstack([points, np.ones((4, 1))]))
+        pivot = lp_kernel._pivot
+        unit_programs = []
+
+        def spy(tab, basis, rows, cols, f, at):
+            unit = np.all(f == (np.arange(f.shape[1]) == rows[:, None]), axis=1)
+            unit_programs.append((int(unit.sum()), len(tab)))
+            pivot(tab, basis, rows, cols, f, at)
+
+        with unittest.mock.patch.object(lp_kernel, "_pivot", spy):
+            self.assert_stack_matches(lp)
+        self.assertTrue(any(0 < units < size for units, size in unit_programs))
 
     def test_empty_stack_and_bad_shapes(self):
         lp = _tight_lp(">=")
-        self.assertEqual(lp_solve_many(lp, np.zeros((0, 1))), [])
+        self.assertEqual(lp_solve_many(LinearProgram(c=lp.c, a=lp.a, senses=lp.senses, b=np.zeros((0, 1)))), [])
         with self.assertRaises(ValueError):
-            lp_solve_many(lp, [1.0])
+            lp_solve_many(lp)
         with self.assertRaises(ValueError):
-            lp_solve_many(lp, [[1.0, 2.0]])
+            LinearProgram(c=lp.c, a=lp.a, senses=lp.senses, b=[[1.0, 2.0]])
         with self.assertRaises(ValueError):
             lp_solve(LinearProgram(c=lp.c, a=lp.a, senses=lp.senses, b=[[1.0], [2.0]]))
 
@@ -434,15 +456,15 @@ class TestLockstep(unittest.TestCase):
         rng = np.random.default_rng(5)
         ext = np.vstack([(rng.random((4, 12)) < 0.5).astype(float), np.ones(12)])
         rhs = np.hstack([rng.uniform(0.0, 1.0, size=(20, 4)), np.ones((20, 1))])
-        lp = LinearProgram(c=np.zeros(12), a=ext, senses=("=",) * 5, b=rhs[0])
-        whole = lp_solve_many(lp, rhs)
+        lp = LinearProgram(c=np.zeros(12), a=ext, senses=("=",) * 5, b=rhs)
+        whole = lp_solve_many(lp)
         with unittest.mock.patch.object(lp_kernel, "_STACK_BYTES", 1):
-            for got, want in zip(lp_solve_many(lp, rhs), whole):
+            for got, want in zip(lp_solve_many(lp), whole):
                 self.assert_same(got, want)
 
     def test_replays_checks_each_program_of_a_stack(self):
         lp = LinearProgram(c=[1.0], a=[[1.0]], senses=(">=",), b=[[1.0], [2.0]])
-        solved = lp_solve_many(lp, lp.b)
+        solved = lp_solve_many(lp)
         x, y = [res.x for res in solved], [res.y for res in solved]
         self.assertEqual(replays(lp, x, y, 1e-9).tolist(), [True, True])
         self.assertEqual(replays(lp, [x[0], x[1] + 1e-6], y, 1e-9).tolist(), [True, False])
