@@ -113,13 +113,15 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, caps: np.ndarray, c
     unbounded = np.zeros(k, dtype=bool)
     if not ncols:  # no column may enter, so every program is optimal
         return unbounded
-    # the step after each program's last nondegenerate pivot: its run of
-    # degenerate pivots before step s is s - fresh
-    fresh = np.zeros(k, dtype=np.intp)
-    per_program = (tab, basis, caps, unbounded, fresh, *carry)
+    # each program's ratio-test minimum at its last DEGENERATE_LIMIT pivots,
+    # kept by step modulo the limit: once that many pivots are made, all of
+    # them at most 1e-12 is a run of that many degenerate pivots.  No
+    # program makes more pivots than its cap, so no longer window is kept
+    recent = np.zeros((k, min(DEGENERATE_LIMIT, caps.max())))
+    per_program = (tab, basis, caps, unbounded, recent, *carry)
     live, at, cap = k, np.arange(k), caps.min()
     # the live front: the whole stack until a program stops
-    stack, live_basis, live_fresh = tab, basis, fresh
+    stack, live_basis, live_recent = tab, basis, recent
     cost, rhs = tab[:, -1, :ncols], tab[:, :m, -1]
     no_ratio = np.full((k, m), np.inf)
     for step in itertools.count():
@@ -129,7 +131,7 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, caps: np.ndarray, c
         # that cost is below -COST_TOL
         col = cost.argmin(axis=1)
         if step >= DEGENERATE_LIMIT:
-            bland = step - live_fresh >= DEGENERATE_LIMIT
+            bland = np.logical_and.reduce(live_recent <= 1e-12, axis=1)
             col[bland] = (cost[bland] < -COST_TOL).argmax(axis=1)  # Bland: smallest index
         f = stack[at, :, col]  # each program's column, its reduced cost last
         pos = f[:, :m] > FEAS_TOL
@@ -138,14 +140,15 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, caps: np.ndarray, c
         entering = f[:, m] < -COST_TOL
         go = entering & pos.any(axis=1)
         if not go.all():
-            unbounded[:live] = entering & ~go
             if not go.any():
+                unbounded[:live] = entering
                 break
+            unbounded[:live] = entering & ~go
             order = np.argsort(~go, kind="stable")  # the programs that go on first
             for arr in per_program:
                 arr[:live] = arr[:live][order]
             live = int(np.count_nonzero(go))
-            stack, live_basis, live_fresh = tab[:live], basis[:live], fresh[:live]
+            stack, live_basis, live_recent = tab[:live], basis[:live], recent[:live]
             cost, rhs = stack[:, -1, :ncols], stack[:, :m, -1]
             col, f, pos = col[go], f[go], pos[go]
             at, cap = at[:live], caps[:live].min()
@@ -153,7 +156,7 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, caps: np.ndarray, c
         best = ratios.min(axis=1)
         # break ties on the smallest basis index (anti-cycling with Bland)
         row = np.where(ratios <= best[:, None] + 1e-12, live_basis, _NO_INDEX).argmin(axis=1)
-        live_fresh[best > 1e-12] = step + 1
+        live_recent[:, step % recent.shape[1]] = best
         _pivot(stack, live_basis, row, col, f, at)
     return unbounded
 
@@ -215,8 +218,8 @@ def _solve_stack(lp: LinearProgram, ineq: np.ndarray, le: np.ndarray, sign: np.n
     m, nstruct = lp.a.shape
     # columns: structural, then one slack per inequality row (+1 on "<=",
     # -1 on ">="), then one artificial per ">=" or "=" row, each in row order
-    slack_rows = np.flatnonzero(ineq)
-    art_rows = np.flatnonzero(~le)
+    slack_rows = ineq.nonzero()[0]
+    art_rows = (~le).nonzero()[0]
     first_art = nstruct + slack_rows.size
     ncols = first_art + art_rows.size
     # the start basis holds each row's unit column e_i: its slack, or its
@@ -258,7 +261,7 @@ def _solve_stack(lp: LinearProgram, ineq: np.ndarray, le: np.ndarray, sign: np.n
         # as it is
         at = np.arange(len(tab))
         stuck_rows = basis >= first_art
-        for r in np.flatnonzero(stuck_rows.any(axis=0)):
+        for r in stuck_rows.any(axis=0).nonzero()[0]:
             size = np.abs(tab[:, r, :first_art])
             cols = size.argmax(axis=1)
             movers = stuck_rows[:, r] & (size[at, cols] > FEAS_TOL)
@@ -288,8 +291,8 @@ def _solve_stack(lp: LinearProgram, ineq: np.ndarray, le: np.ndarray, sign: np.n
     # the dual of row i is minus the reduced cost of its unit column.  When
     # phase 1 drops a redundant row, the artificial that was basic there has
     # a zero column once the row is zeroed, so its row reads 0.  Undo the row
-    # orientation.
-    y = -tab[:, -1, unit_cols] * sign + 0.0
+    # orientation; 0.0 - v clears -0.0 as + 0.0 does.
+    y = 0.0 - tab[:, -1, unit_cols] * sign
     for i, xi, yi, unb in zip(ids.tolist(), x, y, unbounded.tolist()):
         results[i] = LpResult("unbounded") if unb else LpResult("optimal", float(lp.c @ xi), xi, yi)
     return results
