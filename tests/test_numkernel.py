@@ -421,14 +421,17 @@ class TestLockstep(unittest.TestCase):
             self.assert_stack_matches(lp)
 
     def test_a_drive_out_leaves_the_rest_of_the_stack_as_it_is(self):
-        # a point at a hull vertex ends phase 1 with an artificial basic at
-        # zero, which is driven out; the points inside pivot there on their
-        # own basic column with unit multipliers, which leaves them as they are
-        rng = np.random.default_rng(0)
-        v = (rng.random((3, 6)) < 0.5).astype(float)
-        points = np.vstack([v[:, 0], v @ rng.dirichlet(np.ones(6)), v[:, 1], v @ rng.dirichlet(np.ones(6))])
-        lp = LinearProgram(c=np.zeros(6), a=np.vstack([v, np.ones(6)]), senses=("=",) * 4,
-                           b=np.hstack([points, np.ones((4, 1))]))
+        # points at hull vertices end phase 1 with an artificial basic at
+        # zero, which is driven out; the other programs pivot there on their
+        # own basic column with unit multipliers, which leaves them as they
+        # are (that column read off the tableau differs from the unit vector
+        # by roundoff here, and pivoting on it would change their answers)
+        rng = np.random.default_rng(3)
+        v = rng.integers(0, 4, size=(5, 10)) / 3.0
+        points = rng.dirichlet(np.full(10, 0.3), size=12) @ v.T
+        points[::3] = v.T[rng.integers(0, 10, size=4)]
+        lp = LinearProgram(c=rng.normal(size=10), a=np.vstack([v, np.ones(10)]), senses=("=",) * 6,
+                           b=np.hstack([points, np.ones((12, 1))]))
         pivot = lp_kernel._pivot
         unit_programs = []
 
