@@ -30,6 +30,9 @@ from .numkernel import LinearProgram, lp_solve, lp_solve_many, replays, sdp_solv
 # largest column count of a hull LP; both hull LPs have one row per
 # coordinate, so the cap bounds column enumeration and pivot work
 _HULL_MAX_COLUMNS = 8192
+# most maximal cliques listed; the 64-vertex cocktail-party graph has 2^32,
+# G(64, 0.8) about 117,000
+_MAX_CLIQUES = 1 << 17
 # worst residual a hull answer may show when replayed in floating point
 _REPLAY_TOL = 1e-9
 # distinct (graph, weights, tol) programs memoized; the acceptance battery
@@ -91,13 +94,16 @@ def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All maximal cliques (Bron-Kerbosch with pivoting), sorted."""
+    """All maximal cliques (Bron-Kerbosch with pivoting), sorted.  Raises
+    ValueError as soon as more than _MAX_CLIQUES are found."""
     rows = g.rows
     found: list[int] = []
 
     def bk(r: int, p: int, x: int) -> None:
         if not p and not x:
             found.append(r)
+            if len(found) > _MAX_CLIQUES:
+                raise ValueError(f"more than {_MAX_CLIQUES} maximal cliques to enumerate")
             return
         pivot = max(_bits(p | x), key=lambda v: (p & rows[v]).bit_count())
         for v in _bits(p & ~rows[pivot]):

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import string
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import assignment_hull, hull_membership
+from .graph import _index
 
 _MAX_TABLE_ENTRIES = 1 << 24
+# a table has one axis per setting and per outcome of each party, and numpy
+# arrays have at most 64 axes
+_MAX_PARTIES = 32
 _MAX_NESTED_LEVELS = 1_000_000
 # sampling protocols run linearly in these, so larger requests are refused
 _MAX_TRIALS = 1_000_000
@@ -92,9 +95,9 @@ class Box:
 
 
 def _per_party(value, parties: int, name: str) -> tuple[int, ...]:
-    if isinstance(value, int):
-        return (value,) * parties
-    out = tuple(operator.index(v) for v in value)
+    if not isinstance(value, (list, tuple)):
+        return (_index(value, name),) * parties
+    out = tuple(_index(v, name) for v in value)
     if len(out) != parties:
         raise ValueError(f"{name} must be a single integer or one per party")
     return out
@@ -111,7 +114,7 @@ def _table_key(key, sizes: tuple[int, ...], what: str) -> tuple[int, ...]:
 
 def box_from_json_dict(data: dict) -> Box:
     try:
-        parties = operator.index(data["parties"])
+        parties = _index(data["parties"], "parties", 1, _MAX_PARTIES)
         settings = _per_party(data["settings"], parties, "settings")
         outcomes = _per_party(data["outcomes"], parties, "outcomes")
         scn = BellScenario(settings, outcomes)
@@ -227,8 +230,7 @@ def pr_box(d: int = 2, e: float = 1.0) -> Box:
     """Noisy d-outcome PR box: weight e on the correlated part
     (b - a = xy mod d) and 1-e on uniform noise.  Alice has d settings,
     Bob two."""
-    if d < 2:
-        raise ValueError("need d >= 2")
+    d = _index(d, "d", lo=2)
     if not 0.0 <= e <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
     scn = BellScenario((d, 2), (d, d))
@@ -309,20 +311,6 @@ class ProtocolResult:
     details: dict = field(default_factory=dict)
 
 
-def _checked_count(value, cap: int, one: str, many: str) -> int:
-    """value as an int in 1..cap, or ValueError naming the count: a sampler
-    calls this on each of its counts before it draws anything."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{many} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"need at least one {one}")
-    if value > cap:
-        raise ValueError(f"at most {cap} {many}, got {value}")
-    return value
-
-
 def _mutual_information_bits(joint: np.ndarray) -> float:
     joint = np.asarray(joint, dtype=float)
     total = joint.sum()
@@ -349,7 +337,7 @@ def van_dam_ic(seed: int, trials: int, e: float = 1.0) -> ProtocolResult:
     I(a_0:guess|k=0) + I(a_1:guess|k=1) is computed exactly from the induced
     joint distribution; the success rate is a seeded simulation.
     """
-    trials = _checked_count(trials, _MAX_TRIALS, "trial", "trials")
+    trials = _index(trials, "trials", 1, _MAX_TRIALS)
     box = pr_box(2, e)
 
     info = 0.0
@@ -411,13 +399,8 @@ def nested_ic(d: int, e: float, levels: int) -> NestedIcResult:
     starting from q_0 = 1.  The flag reports the binary amplification
     condition 2e^2 > 1.
     """
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise ValueError(f"d must be an integer, got {d!r}") from None
-    if d < 2:
-        raise ValueError("need d >= 2")
-    levels = _checked_count(levels, _MAX_NESTED_LEVELS, "level", "levels")
+    d = _index(d, "d", lo=2)
+    levels = _index(levels, "levels", 1, _MAX_NESTED_LEVELS)
     if not 0.0 <= e <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
     q = 1.0
@@ -439,8 +422,8 @@ def ip_one_bit_protocol(x, y, seed: int) -> IpProtocolResult:
     XOR of Alice's outputs (her single message bit) and Bob's outputs equals
     the inner product.
     """
-    xbits = [int(v) for v in x]
-    ybits = [int(v) for v in y]
+    xbits = [_index(v, "bit") for v in x]
+    ybits = [_index(v, "bit") for v in y]
     if len(xbits) != len(ybits):
         raise ValueError("bit strings must have equal length")
     if any(v not in (0, 1) for v in xbits + ybits):
@@ -462,8 +445,8 @@ def ip_protocol_agreement(seed: int, instances: int, bits: int) -> float:
     seed in turn.  Both counts must be integers from 1 up to the trial or
     bit cap, else ValueError is raised before any instance runs.
     """
-    instances = _checked_count(instances, _MAX_TRIALS, "trial", "trials")
-    bits = _checked_count(bits, _MAX_PROTOCOL_BITS, "bit per instance", "bits per instance")
+    instances = _index(instances, "trials", 1, _MAX_TRIALS)
+    bits = _index(bits, "bits per instance", 1, _MAX_PROTOCOL_BITS)
     rng = np.random.default_rng(seed)
     agree = 0
     for _ in range(instances):

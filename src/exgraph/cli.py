@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 
 import numpy as np
@@ -21,10 +20,6 @@ from . import acceptance, boxes, excl, kscolor, scenarios
 from . import graph as gr
 from .bounds import _THETA_TOL, bounds_report, qstab_membership, stab_membership, th_membership
 from .numkernel import LpError, SdpError
-
-
-class CliInputError(Exception):
-    pass
 
 
 def _round_floats(obj):
@@ -73,21 +68,34 @@ def _load_json(path: str):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise CliInputError(
+        raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _load(path: str, key: str, parse, what: str):
+    """parse() of the JSON document at path, or of its `key` field when the
+    document is an object that has one; a parse failure is an input error
+    that starts "bad {what} JSON"."""
+    data = _load_json(path)
+    if isinstance(data, dict) and key in data:
+        data = data[key]
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad {what} JSON: {exc}") from exc
 
 
 def _parse_offsets(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(",") if p.strip() != "")
     except ValueError as exc:
-        raise CliInputError(f"bad --offsets value {text!r}: {exc}") from exc
+        raise ValueError(f"bad --offsets value {text!r}: {exc}") from exc
 
 
-def _graph_from_args(args, data: dict | None = None) -> tuple[gr.Graph, str]:
+def _graph_from_args(args) -> tuple[gr.Graph, str]:
     """Build the graph either from --family flags or from JSON input."""
     if getattr(args, "family", None):
         params = {}
@@ -101,22 +109,11 @@ def _graph_from_args(args, data: dict | None = None) -> tuple[gr.Graph, str]:
                 params["q"], params["s"] = offs
             else:
                 params["offsets"] = offs
-        try:
-            g = gr.build_family(args.family, **params)
-        except (gr.GraphError, TypeError, ValueError) as exc:
-            raise CliInputError(str(exc)) from exc
         name = args.family if args.n is None else f"{args.family}({args.n})"
-        return g, name
-    if data is None and getattr(args, "input", None):
-        data = _load_json(args.input)
-    if isinstance(data, dict) and "graph" in data:
-        data = data["graph"]
-    if not isinstance(data, dict):
-        raise CliInputError("expected a graph object or --family flags")
-    try:
-        return gr.from_json_dict(data), "graph"
-    except (gr.GraphError, KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"bad graph JSON: {exc}") from exc
+        return gr.build_family(args.family, **params), name
+    if not getattr(args, "input", None):
+        raise ValueError("expected a graph object or --family flags")
+    return _load(args.input, "graph", gr.from_json_dict, "graph"), "graph"
 
 
 def _cmd_bounds(args) -> int:
@@ -128,17 +125,15 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_membership(args) -> int:
     data = _load_json(args.input)
-    if isinstance(data, dict) and "p" in data:
-        p = data["p"]
-        g, _ = _graph_from_args(args, data if "graph" in data else None)
-    else:
-        raise CliInputError('membership input must contain a "p" array')
+    if not (isinstance(data, dict) and "p" in data):
+        raise ValueError('membership input must contain a "p" array')
+    g, _ = _graph_from_args(args)
     try:
-        p = [float(x) for x in p]
+        p = [float(x) for x in data["p"]]
     except (TypeError, ValueError) as exc:
-        raise CliInputError(f'"p" must be an array of numbers: {exc}') from exc
+        raise ValueError(f'"p" must be an array of numbers: {exc}') from exc
     if len(p) != g.n:
-        raise CliInputError(f"p has {len(p)} entries for a {g.n}-vertex graph")
+        raise ValueError(f"p has {len(p)} entries for a {g.n}-vertex graph")
     in_stab, stab_cert = stab_membership(g, p)
     in_th, theta_c = th_membership(g, p, tol=args.tol or 1e-6)
     in_qstab, qstab_cert = qstab_membership(g, p)
@@ -191,10 +186,10 @@ def _cmd_ks_check(args) -> int:
     data = _load_json(args.input)
     try:
         vs = kscolor.vector_system_from_json_dict(data)
-        pins = {int(k): operator.index(v) for k, v in (data.get("pins") or {}).items()}
+        pins = {int(k): v for k, v in (data.get("pins") or {}).items()}
         problem = kscolor.coloring_problem(vs, pins)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CliInputError(str(exc)) from exc
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(str(exc)) from exc
     res = kscolor.classify_colorability(problem)
     out = {
         "status": res.status,
@@ -214,12 +209,9 @@ def _cmd_ks_multiplicative(args) -> int:
     if args.builtin:
         spec = _BUILTIN_PROOFS[args.builtin]()
     elif args.input:
-        try:
-            spec = kscolor.proof_spec_from_json_dict(_load_json(args.input))
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        spec = kscolor.proof_spec_from_json_dict(_load_json(args.input))
     else:
-        raise CliInputError("give --input FILE or --builtin square|star")
+        raise ValueError("give --input FILE or --builtin square|star")
     rep = kscolor.verify_multiplicative_proof(spec)
     _emit({
         "operators_ok": rep.operators_ok,
@@ -230,18 +222,8 @@ def _cmd_ks_multiplicative(args) -> int:
     return 0
 
 
-def _load_model(path: str) -> scenarios.EmpiricalModel:
-    data = _load_json(path)
-    if isinstance(data, dict) and "model" in data:
-        data = data["model"]
-    try:
-        return scenarios.model_from_json_dict(data)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise CliInputError(f"bad model JSON: {exc}") from exc
-
-
 def _cmd_scenario(args) -> int:
-    model = _load_model(args.input)
+    model = _load(args.input, "model", scenarios.model_from_json_dict, "model")
     if args.which == "check":
         ok, violations = scenarios.check_nondisturbance(model, tol=args.tol or 1e-9)
         _emit({"nondisturbing": ok, "violations": violations}, args.output)
@@ -260,11 +242,11 @@ def _cmd_scenario(args) -> int:
         return 0
     data = _load_json(args.input)
     if "gamma" not in data:
-        raise CliInputError('evaluate input needs a "gamma" array next to the model')
+        raise ValueError('evaluate input needs a "gamma" array next to the model')
     try:
-        gamma = tuple(int(x) for x in data["gamma"])
-    except (TypeError, ValueError) as exc:
-        raise CliInputError(f'"gamma" must be an array of 1 and -1: {exc}') from exc
+        gamma = tuple(data["gamma"])
+    except TypeError as exc:
+        raise ValueError(f'"gamma" must be an array of 1 and -1: {exc}') from exc
     ineq = scenarios.ncycle_inequality(len(gamma), gamma)
     form = data.get("form", "correlation")
     value = scenarios.evaluate_inequality(model, ineq, form=form)
@@ -279,20 +261,11 @@ def _cmd_scenario(args) -> int:
     return 0
 
 
-def _load_box(path: str) -> boxes.Box:
-    data = _load_json(path)
-    if isinstance(data, dict) and "box" in data:
-        data = data["box"]
-    try:
-        return boxes.box_from_json_dict(data)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise CliInputError(f"bad box JSON: {exc}") from exc
-
-
 def _cmd_box(args) -> int:
     which = args.which
+    if which in ("check", "chsh", "gyni", "lo"):
+        box = _load(args.input, "box", boxes.box_from_json_dict, "box") if args.input else None
     if which == "check":
-        box = _load_box(args.input)
         ns, ns_detail = boxes.is_nosignaling(box)
         local, cert = boxes.is_local(box)
         out = {"nosignaling": ns, "local": local}
@@ -303,14 +276,13 @@ def _cmd_box(args) -> int:
         _emit(out, args.output)
         return 0
     if which == "chsh":
-        _emit({"value": boxes.chsh_value(_load_box(args.input))}, args.output)
+        _emit({"value": boxes.chsh_value(box)}, args.output)
         return 0
     if which == "gyni":
-        _emit({"value": boxes.gyni_value(_load_box(args.input))}, args.output)
+        _emit({"value": boxes.gyni_value(box)}, args.output)
         return 0
     if which == "lo":
-        copy = _load_box(args.input) if args.input else None
-        _emit({"value": boxes.local_orthogonality_two_pr(copy)}, args.output)
+        _emit({"value": boxes.local_orthogonality_two_pr(box)}, args.output)
         return 0
     if which == "ic-vandam":
         res = boxes.van_dam_ic(seed=args.seed, trials=args.trials or 10_000,
@@ -326,12 +298,12 @@ def _cmd_box(args) -> int:
     if which == "ic-nested":
         params = _load_json(args.input) if args.input else {}
         if not isinstance(params, dict):
-            raise CliInputError('ic-nested input must be an object {"d", "e", "levels"}')
+            raise ValueError('ic-nested input must be an object {"d", "e", "levels"}')
         d, levels = params.get("d", 2), params.get("levels", args.n or 6)
         try:
             e = float(params.get("e", 1.0))
         except (OverflowError, TypeError, ValueError) as exc:
-            raise CliInputError(f'"e" must be a number: {exc}') from exc
+            raise ValueError(f'"e" must be a number: {exc}') from exc
         res = boxes.nested_ic(d, e, levels)
         _emit({
             "d": d,
@@ -366,12 +338,12 @@ def _cmd_plotdata(args) -> int:
         upper = args.n or 11
         builders = {"cycle": gr.cycle_graph, "prism": gr.prism_graph, "moebius": gr.moebius_ladder}
         if args.family not in builders:
-            raise CliInputError(f"plotdata family must be one of {sorted(builders)} or circulant10")
+            raise ValueError(f"plotdata family must be one of {sorted(builders)} or circulant10")
         lo = 4 if args.family == "moebius" else 3
         largest = {"cycle": upper, "prism": 2 * upper, "moebius": upper - upper % 2}[args.family]
         if largest > gr.MAX_VERTICES:
-            raise CliInputError(f"plotdata --n {upper} reaches a {args.family} graph on {largest} vertices, "
-                                f"above the supported maximum {gr.MAX_VERTICES}")
+            raise ValueError(f"plotdata --n {upper} reaches a {args.family} graph on {largest} vertices, "
+                             f"above the supported maximum {gr.MAX_VERTICES}")
         for n in range(lo, upper + 1):
             if args.family == "moebius" and n % 2:
                 continue
@@ -536,9 +508,6 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SdpError, LpError, RuntimeError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so this clause comes first
         print(f"computation failed: {exc}", file=sys.stderr)

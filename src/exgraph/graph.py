@@ -9,6 +9,7 @@ immutable; every operation returns a new Graph.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -22,20 +23,20 @@ class GraphError(ValueError):
     """Invalid construction parameters or an unsupported graph size."""
 
 
-def _index(value, what: str) -> int:
-    """value as a Python int if it is an integer (operator.index), else
-    GraphError: a float such as 1.7 is refused, not truncated."""
+def _index(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as a Python int in lo..hi (an end left as None is open), else
+    GraphError, which is a ValueError.  Every integer the package takes from
+    a caller or a JSON document is read here, before anything is built from
+    it: operator.index refuses a float such as 1.7 instead of truncating it."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
-        raise GraphError(f"{what} {value!r} is not an integer") from None
-
-
-def _pair(e, what: str) -> tuple[int, int]:
-    try:
-        return operator.index(e[0]), operator.index(e[1])
-    except (IndexError, KeyError, TypeError) as exc:
-        raise GraphError(f"{what} {e!r} is not a pair of vertex indices") from exc
+        raise GraphError(f"{what} must be an integer, got {value!r}") from None
+    if lo is not None and value < lo:
+        raise GraphError(f"{what} must be at least {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise GraphError(f"{what} must be at most {hi}, got {value}")
+    return value
 
 
 def _bits(mask: int):
@@ -55,10 +56,7 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphError("graph needs at least one vertex")
-        if self.n > MAX_VERTICES:
-            raise GraphError(f"graph size {self.n} exceeds the supported maximum {MAX_VERTICES}")
+        _index(self.n, "vertex count", 1, MAX_VERTICES)
         if len(self.rows) != self.n:
             raise GraphError("adjacency rows do not match vertex count")
         full = (1 << self.n) - 1
@@ -126,16 +124,12 @@ class Graph:
 
 
 def from_edges(n: int, edges, labels=None) -> Graph:
-    n = _index(n, "vertex count")
-    if n > MAX_VERTICES:
-        raise GraphError(f"graph size {n} exceeds the supported maximum {MAX_VERTICES}")
+    n = _index(n, "vertex count", 1, MAX_VERTICES)
     rows = [0] * n
-    for e in edges:
-        i, j = _pair(e, "edge")
+    for i, j in edges:
+        i, j = _index(i, "edge end", 0, n - 1), _index(j, "edge end", 0, n - 1)
         if i == j:
             raise GraphError(f"self-loop at vertex {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphError(f"edge ({i},{j}) outside 0..{n - 1}")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return Graph(n, tuple(rows), tuple(labels) if labels is not None else None)
@@ -153,34 +147,30 @@ def from_json_dict(d: dict) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
+    n = _index(n, "vertex count", 1, MAX_VERTICES)
     return Graph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
+    n = _index(n, "vertex count", 1, MAX_VERTICES)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << i) for i in range(n)))
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("cycle needs n >= 3")
-    return circulant_graph(n, (1,))
+    return circulant_graph(_index(n, "cycle length", 3, MAX_VERTICES), (1,))
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("path needs n >= 1")
+    n = _index(n, "path length", 1, MAX_VERTICES)
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def circulant_graph(n: int, offsets) -> Graph:
-    n = _index(n, "vertex count")
-    offs = sorted(set(_index(o, "circulant offset") for o in offsets))
+    n = _index(n, "vertex count", 1, MAX_VERTICES)
+    offs = sorted(set(_index(o, "circulant offset", 1, n // 2) for o in offsets))
     if not offs:
         raise GraphError("circulant needs a nonempty offset set")
-    for o in offs:
-        if not 1 <= o <= n // 2:
-            raise GraphError(f"circulant offset {o} outside 1..{n // 2}")
     rows = [0] * n
     for i in range(n):
         for o in offs:
@@ -191,8 +181,8 @@ def circulant_graph(n: int, offsets) -> Graph:
 
 def prism_graph(n: int) -> Graph:
     """Two aligned n-cycles joined by a perfect matching (2n vertices)."""
-    if n < 3:
-        raise GraphError("prism needs cycle length n >= 3")
+    n = _index(n, "prism cycle length", lo=3)
+    _index(2 * n, "prism vertex count", hi=MAX_VERTICES)
     edges = []
     for i in range(n):
         edges.append((i, (i + 1) % n))
@@ -204,36 +194,42 @@ def prism_graph(n: int) -> Graph:
 
 def moebius_ladder(m: int) -> Graph:
     """Cycle of even length m with all m/2 diameters added."""
-    if m < 4 or m % 2:
+    m = _index(m, "moebius ladder order", 4, MAX_VERTICES)
+    if m % 2:
         raise GraphError("moebius ladder needs even order m >= 4")
     return circulant_graph(m, {1, m // 2})
 
 
 def _k_subset_graph(m: int, k: int, meet: int, name: str) -> Graph:
-    """k-subsets of an m-set, adjacent iff they share exactly `meet`
-    elements, labelled by their members counted from 1."""
+    """k-subsets of an m-set (integers, 0 <= k <= m), adjacent iff they share
+    exactly `meet` elements, labelled by their members counted from 1.  The
+    vertex count C(m, k) is checked before any subset is listed."""
+    if 0 < k < m:
+        # C(m, k) >= m here, so a ground set above the cap is refused before
+        # math.comb, which takes seconds once m and k are in the millions
+        _index(m, f"{name} ground set", hi=MAX_VERTICES)
+    count = _index(math.comb(m, k), f"{name} vertex count", hi=MAX_VERTICES)
     verts = list(itertools.combinations(range(m), k))
-    if len(verts) > MAX_VERTICES:
-        raise GraphError(f"{name} on {len(verts)} vertices exceeds {MAX_VERTICES}")
     edges = [
         (a, b)
-        for a, b in itertools.combinations(range(len(verts)), 2)
+        for a, b in itertools.combinations(range(count), 2)
         if len(set(verts[a]) & set(verts[b])) == meet
     ]
     labels = ["".join(str(x + 1) for x in v) for v in verts]
-    return from_edges(len(verts), edges, labels)
+    return from_edges(count, edges, labels)
 
 
 def johnson_graph(m: int, k: int) -> Graph:
     """k-subsets of an m-set, adjacent iff the subsets share k-1 elements."""
-    if not 1 <= k <= m:
-        raise GraphError("johnson graph needs 1 <= k <= m")
+    m = _index(m, "johnson graph m", lo=1)
+    k = _index(k, "johnson graph k", 1, m)
     return _k_subset_graph(m, k, k - 1, "johnson graph")
 
 
 def kneser_graph(m: int, k: int) -> Graph:
     """k-subsets of an m-set, adjacent iff disjoint."""
-    return _k_subset_graph(m, k, 0, "kneser graph")
+    m = _index(m, "kneser graph m", lo=0)
+    return _k_subset_graph(m, _index(k, "kneser graph k", 0, m), 0, "kneser graph")
 
 
 def petersen_graph() -> Graph:
@@ -243,9 +239,9 @@ def petersen_graph() -> Graph:
 def subset_intersection_graph(q: int, s: int) -> Graph:
     """q-subsets of a 2q-set, adjacent iff the intersection has exactly s
     elements; unlabelled."""
-    if not 0 <= s < q:
-        raise GraphError("subset intersection family needs 0 <= s < q")
-    g = _k_subset_graph(2 * q, q, s, "family graph")
+    q = _index(q, "subset intersection family q", lo=1)
+    s = _index(s, "subset intersection family s", 0, q - 1)
+    g = _k_subset_graph(2 * q, q, s, "subset intersection family")
     return Graph(g.n, g.rows)
 
 
@@ -253,21 +249,21 @@ def build_family(family: str, **params) -> Graph:
     """Build a named family graph from CLI-style parameters."""
     try:
         if family == "cycle":
-            return cycle_graph(int(params["n"]))
+            return cycle_graph(params["n"])
         if family == "path":
-            return path_graph(int(params["n"]))
+            return path_graph(params["n"])
         if family == "complete":
-            return complete_graph(int(params["n"]))
+            return complete_graph(params["n"])
         if family == "prism":
-            return prism_graph(int(params["n"]))
+            return prism_graph(params["n"])
         if family == "moebius":
-            return moebius_ladder(int(params["n"]))
+            return moebius_ladder(params["n"])
         if family == "circulant":
-            return circulant_graph(int(params["n"]), params["offsets"])
+            return circulant_graph(params["n"], params["offsets"])
         if family == "johnson_gqs":
-            return subset_intersection_graph(int(params["q"]), int(params["s"]))
+            return subset_intersection_graph(params["q"], params["s"])
         if family == "johnson":
-            return johnson_graph(int(params["m"]), int(params["k"]))
+            return johnson_graph(params["m"], params["k"])
         if family == "petersen":
             return petersen_graph()
     except KeyError as exc:
@@ -329,10 +325,8 @@ def partial_twinning(g: Graph, kept_cross_edges) -> Graph:
     """
     base = duplication(g)
     rows = list(base.rows)
-    for e in kept_cross_edges:
-        u, v = _pair(e, "cross pair")
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise GraphError(f"cross pair ({u},{v}) outside vertex range")
+    for u, v in kept_cross_edges:
+        u, v = _index(u, "cross pair end", 0, g.n - 1), _index(v, "cross pair end", 0, g.n - 1)
         if not g.has_edge(u, v):
             raise GraphError(f"cross pair ({u},{v}) is not a legal twinning cross edge")
         rows[u] |= 1 << (g.n + v)

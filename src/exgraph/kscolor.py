@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import maximal_cliques
-from .graph import Graph, from_edges
+from .graph import MAX_VERTICES, Graph, _index, from_edges
 from .numkernel import is_hermitian, tensor_product
 from .quantum import IDENT2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -67,10 +67,12 @@ def _unit_ray(raw, tol: float, i: int) -> np.ndarray:
 
 def vector_system(vectors, tol: float = 1e-9, labels=None) -> VectorSystem:
     """Normalize, canonicalize (first nonzero coordinate positive), and
-    reject duplicate rays."""
+    reject duplicate rays.  The orthogonality graph has one vertex per ray,
+    so more than MAX_VERTICES rays are refused before the pairwise check."""
     vecs = [_unit_ray(raw, tol, i) for i, raw in enumerate(vectors)]
     if not vecs:
         raise ValueError("empty vector system")
+    _index(len(vecs), "ray count", hi=MAX_VERTICES)
     d = vecs[0].shape[0]
     if any(v.shape != (d,) for v in vecs):
         raise ValueError("vectors of mixed dimension")
@@ -87,7 +89,7 @@ def vector_system(vectors, tol: float = 1e-9, labels=None) -> VectorSystem:
 
 def vector_system_from_json_dict(data: dict) -> VectorSystem:
     try:
-        d = int(data["d"])
+        d = _index(data["d"], "dimension")
         tol = float(data.get("tol", 1e-9))
         labels = data.get("labels")
         vs = vector_system(
@@ -126,9 +128,8 @@ class ColoringProblem:
             for a, b in itertools.combinations(basis, 2):
                 if not self.graph.has_edge(a, b):
                     raise ValueError(f"basis {basis} is not a clique")
-        for v, val in self.pins.items():
-            if not 0 <= v < self.graph.n or val not in (0, 1):
-                raise ValueError(f"bad pin {v}={val}")
+        self.pins = {_index(v, "pinned ray", 0, self.graph.n - 1): _index(val, "pin value", 0, 1)
+                     for v, val in self.pins.items()}
 
 
 def coloring_problem(vs: VectorSystem, pins: dict[int, int] | None = None) -> ColoringProblem:
@@ -360,14 +361,15 @@ class OperatorProofSpec:
     signs: tuple[int, ...]
 
     def __post_init__(self):
+        k = len(self.operators)
+        if not k:
+            raise ValueError("a proof needs at least one operator")
+        self.lines = tuple(tuple(_index(i, "line index", 0, k - 1) for i in line) for line in self.lines)
+        self.signs = tuple(_index(s, "line sign") for s in self.signs)
         if len(self.lines) != len(self.signs):
             raise ValueError("one sign per line required")
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError("line signs must be +1 or -1")
-        k = len(self.operators)
-        for line in self.lines:
-            if any(not 0 <= i < k for i in line):
-                raise ValueError(f"line {line} references a missing operator")
         d = self.operators[0].shape[0]
         for i, op in enumerate(self.operators):
             if op.shape != (d, d):
@@ -390,11 +392,9 @@ def proof_spec_from_json_dict(data: dict) -> OperatorProofSpec:
             np.array([[complex(re, im) for re, im in row] for row in op])
             for op in data["operators"]
         )
-        lines = tuple(tuple(int(i) for i in line) for line in data["lines"])
-        signs = tuple(int(s) for s in data["signs"])
+        return OperatorProofSpec(ops, data["lines"], data["signs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed proof spec: {exc}") from exc
-    return OperatorProofSpec(ops, lines, signs)
 
 
 @dataclass

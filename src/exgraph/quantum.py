@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import _MAX_TRIALS, BellScenario, Box, _checked_count, chsh_value
-from .graph import Graph
+from .boxes import _MAX_TRIALS, BellScenario, Box, chsh_value
+from .graph import Graph, _index
 from .numkernel import is_hermitian, is_projector, tensor_product
 from .scenarios import EmpiricalModel, Inequality, ncycle_inequality, ncycle_scenario
 
@@ -222,9 +222,8 @@ def _even_cycle_realization(n: int) -> QuantumRealization:
 def ncycle_quantum_realization(n: int) -> QuantumRealization:
     """State and observables achieving the maximal quantum value of the
     cyclic correlation inequality: the umbrella construction in dimension 3
-    for odd n, two qubits in the singlet state for even n."""
-    if n < 4:
-        raise ValueError("need n >= 4 (use the five-cycle for the smallest odd case)")
+    for odd n, two qubits in the singlet state for even n, from n = 4 on."""
+    n = _index(n, "cycle length", lo=4)
     real = _odd_cycle_realization(n) if n % 2 else _even_cycle_realization(n)
     real.validate()
     return real
@@ -282,7 +281,7 @@ def bell_qubit_hv_expectation(a0: float, a_vec, n_vec, samples: int, seed: int) 
     checked before the first draw: samples must be an integer in
     1.._MAX_TRIALS, and a0, a and n must be finite.
     """
-    samples = _checked_count(samples, _MAX_TRIALS, "sample", "samples")
+    samples = _index(samples, "samples", 1, _MAX_TRIALS)
     a0 = float(a0)
     a_vec = np.asarray(a_vec, dtype=float)
     n_vec = np.asarray(n_vec, dtype=float)

@@ -15,13 +15,12 @@ exclusivity graph spanned by an inequality's favored events.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import assignment_hull, hull_membership
-from .graph import Graph, from_edges
+from .graph import Graph, _index, from_edges
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def model_from_json_dict(data: dict) -> EmpiricalModel:
     try:
         scenario = Scenario(
             tuple(data["measurements"]),
-            tuple(operator.index(o) for o in data["outcomes"]),
+            tuple(_index(o, "outcome") for o in data["outcomes"]),
             tuple(tuple(c) for c in data["contexts"]),
         )
         tables = {}
@@ -187,8 +186,7 @@ def has_global_section(model: EmpiricalModel, tol: float = 1e-7) -> tuple[bool, 
 
 def ncycle_scenario(n: int) -> Scenario:
     """n dichotomic measurements, adjacent pairs jointly measurable."""
-    if n < 3:
-        raise ValueError("need at least 3 measurements for a cycle")
+    n = _index(n, "cycle length", lo=3)
     names = tuple(f"M{i}" for i in range(n))
     contexts = tuple((names[i], names[(i + 1) % n]) for i in range(n))
     return Scenario(names, (1, -1), contexts)
@@ -213,7 +211,8 @@ class Inequality:
 
 
 def ncycle_inequality(n: int, gamma) -> Inequality:
-    gamma = tuple(int(g) for g in gamma)
+    n = _index(n, "cycle length")
+    gamma = tuple(_index(g, "cycle sign") for g in gamma)
     if len(gamma) != n or any(g not in (1, -1) for g in gamma):
         raise ValueError("gamma must be a length-n tuple over {1, -1}")
     if sum(1 for g in gamma if g == -1) % 2 == 0:

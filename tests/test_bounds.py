@@ -582,6 +582,16 @@ def test_criterion_13_verdict_counts():
         assert (stab, th, qstab) == (inside[name], 70 if name == "C5" else inside[name], th), name
 
 
+def test_maximal_cliques_stop_at_the_cap(monkeypatch):
+    # the cocktail-party graph on 2k vertices has 2^k maximal cliques
+    g = gr.circulant_graph(8, (1, 2, 3))
+    monkeypatch.setattr(bd, "_MAX_CLIQUES", 16)
+    assert len(bd.maximal_cliques(g)) == 16
+    monkeypatch.setattr(bd, "_MAX_CLIQUES", 15)
+    with pytest.raises(ValueError, match="more than 15 maximal cliques"):
+        bd.maximal_cliques(g)
+
+
 def test_qstab_membership_many_lists_the_cliques_once(monkeypatch):
     calls = []
     cliques = bd.maximal_cliques

@@ -3,6 +3,7 @@ communication protocols built on top of noisy PR boxes."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,18 @@ def test_box_json_roundtrip_with_scalar_and_per_party_fields():
         box_from_json_dict({"parties": 2, "settings": [2, 2, 2], "outcomes": 2, "table": {}})
 
 
+def test_box_json_party_count_is_capped_before_any_tuple_is_built():
+    # one count for every party used to be repeated a million times first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="parties must be at most 32"):
+            box_from_json_dict({"parties": 10**6, "settings": 1, "outcomes": 1, "table": {}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("level, key, bad", [
     ("settings", "1,1", "-1,-1"),
     ("settings", "1,1", "1"),
@@ -321,21 +334,24 @@ def test_ip_protocol_validation():
         ip_one_bit_protocol([0, 1], [1], seed=0)
     with pytest.raises(ValueError):
         ip_one_bit_protocol([0, 2], [1, 0], seed=0)
+    # 0.5 used to be truncated to the bit 0
+    with pytest.raises(ValueError, match="must be an integer"):
+        ip_one_bit_protocol([0.5], [1], 0)
 
 
 @pytest.mark.parametrize(
     "sampler, args, message",
     [
-        (boxes.ip_protocol_agreement, (1, 0, 4), "at least one trial"),
-        (boxes.ip_protocol_agreement, (1, -3, 4), "at least one trial"),
-        (boxes.ip_protocol_agreement, (1, 4, 0), "at least one bit per instance"),
-        (boxes.ip_protocol_agreement, (1, 4, -2), "at least one bit per instance"),
+        (boxes.ip_protocol_agreement, (1, 0, 4), "trials must be at least 1"),
+        (boxes.ip_protocol_agreement, (1, -3, 4), "trials must be at least 1"),
+        (boxes.ip_protocol_agreement, (1, 4, 0), "bits per instance must be at least 1"),
+        (boxes.ip_protocol_agreement, (1, 4, -2), "bits per instance must be at least 1"),
         (boxes.ip_protocol_agreement, (1, 2.5, 4), "trials must be an integer"),
         (boxes.ip_protocol_agreement, (1, 4, 2.5), "bits per instance must be an integer"),
-        (boxes.ip_protocol_agreement, (1, 4, 4097), "at most 4096 bits per instance"),
+        (boxes.ip_protocol_agreement, (1, 4, 4097), "bits per instance must be at most 4096"),
         (van_dam_ic, (1, 2.5), "trials must be an integer"),
         (nested_ic, (2, 0.5, 2.5), "levels must be an integer"),
-        (nested_ic, (2, 0.5, 0), "at least one level"),
+        (nested_ic, (2, 0.5, 0), "levels must be at least 1"),
         (nested_ic, (2.5, 0.5, 2), "d must be an integer"),
     ],
     ids=["ip-no-instances", "ip-negative-instances", "ip-no-bits", "ip-negative-bits", "ip-float-instances",

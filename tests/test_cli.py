@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from exgraph import bounds, cli
 from exgraph.boxes import BellScenario, pr_box, uniform_box
-from exgraph.kscolor import ks8_vectors
+from exgraph.kscolor import ks8_vectors, peres_mermin_square
 from exgraph.scenarios import EmpiricalModel, ncycle_scenario, pentagon_extremal_model, triangle_overlap_model
 from test_kscolor import two_peres_mermin_squares
 
@@ -159,6 +159,34 @@ def test_ks_check_refuses_a_non_integer_pin(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "integer" in captured.err
+
+
+_SQUARE = peres_mermin_square().to_json_dict()
+_REFUSED_DOCUMENTS = {
+    # each used to run to exit 0 on a truncated value, or to crash
+    "ks check d": (["ks", "check"], dict(ks8_vectors().to_json_dict(), d=3.7), "must be an integer"),
+    "ks multiplicative sign": (["ks", "multiplicative"],
+                               dict(_SQUARE, signs=[1.5, *_SQUARE["signs"][1:]]), "must be an integer"),
+    "ks multiplicative line": (["ks", "multiplicative"],
+                               dict(_SQUARE, lines=[[1.0, *_SQUARE["lines"][0][1:]], *_SQUARE["lines"][1:]]),
+                               "must be an integer"),
+    "ks multiplicative no operators": (["ks", "multiplicative"], {"operators": [], "lines": [], "signs": []},
+                                       "at least one operator"),
+    "scenario evaluate gamma": (["scenario", "evaluate"],
+                                {"model": pentagon_extremal_model().to_json_dict(), "gamma": [1.9, 1, 1, 1, -1]},
+                                "must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_DOCUMENTS))
+def test_bad_json_values_exit_2_with_nothing_printed(tmp_path, capsys, case):
+    argv, document, message = _REFUSED_DOCUMENTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert cli.run(argv + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_malformed_json_reports_location(tmp_path, capsys):
@@ -508,6 +536,9 @@ _FUZZ_CASES = {
     "box ic-nested": (["box", "ic-nested"], {"d": 3, "e": 0.5, "levels": 4}),
     "ks check": (["ks", "check"], {
         "d": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], "tol": 1e-9, "pins": {"0": 1},
+    }),
+    "ks multiplicative": (["ks", "multiplicative"], {
+        "operators": [[[[1, 0]]]], "lines": [[0]], "signs": [1],
     }),
 }
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -59,14 +60,33 @@ _NON_INTEGER_INDICES = {
     "circulant-offset": lambda: gr.circulant_graph(10, (2.5,)),
     "circulant-n": lambda: gr.circulant_graph(10.0, (2,)),
     "cross-pair": lambda: gr.partial_twinning(gr.cycle_graph(5), [(0, 1.0)]),
+    "family-n": lambda: gr.build_family("cycle", n=7.9),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_NON_INTEGER_INDICES))
 def test_graph_indices_must_be_integers(name):
     # a float index is refused, not truncated to a different graph
-    with pytest.raises(gr.GraphError, match="is not an integer|is not a pair of vertex indices"):
+    with pytest.raises(gr.GraphError, match="must be an integer"):
         _NON_INTEGER_INDICES[name]()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gr.complete_graph(20000),
+    lambda: gr.cycle_graph(20000),
+    lambda: gr.path_graph(300000),
+    lambda: gr.kneser_graph(22, 11),
+], ids=["complete", "cycle", "path", "kneser"])
+def test_family_builders_refuse_oversize_graphs_before_building(build):
+    # each used to allocate tens of MiB of rows, edges or subsets first
+    tracemalloc.start()
+    try:
+        with pytest.raises(gr.GraphError, match="must be at most 64"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_numpy_integer_indices_are_accepted():

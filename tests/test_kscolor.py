@@ -52,6 +52,9 @@ def test_vector_system_rejects_duplicates_and_degenerates():
         vector_system([(0, 0, 0), (1, 0, 0)])
     with pytest.raises(ValueError):
         vector_system([(1, 0, 0), (1, 0)])
+    # one graph vertex per ray: the cap comes before the pairwise duplicate check
+    with pytest.raises(ValueError, match="ray count must be at most 64"):
+        vector_system([(1, i, 0) for i in range(65)])
 
 
 def test_vector_system_json_roundtrip():
