@@ -30,7 +30,8 @@ from .numkernel import LinearProgram, lp_solve, lp_solve_many, replays, sdp_solv
 # largest column count of a hull LP; both hull LPs have one row per
 # coordinate, so the cap bounds column enumeration and pivot work
 _HULL_MAX_COLUMNS = 8192
-# most maximal cliques listed; the 64-vertex cocktail-party graph has 2^32,
+# most maximal cliques listed (alpha* of a graph that is not an abelian
+# Cayley graph, QSTAB); the 64-vertex cocktail-party graph has 2^32,
 # G(64, 0.8) about 117,000
 _MAX_CLIQUES = 1 << 17
 # worst residual a hull answer may show when replayed in floating point
@@ -64,9 +65,9 @@ def _color_order(rows: tuple[int, ...], p: int) -> list[tuple[int, int]]:
     return order
 
 
-def _max_clique(rows: tuple[int, ...], n: int) -> tuple[int, int]:
-    """Maximum clique (size, bitmask) via branch and bound with a coloring
-    bound (Tomita-style)."""
+def _max_clique(rows: tuple[int, ...], within: int) -> tuple[int, int]:
+    """Maximum clique (size, bitmask) among the vertices of bitset within,
+    via branch and bound with a coloring bound (Tomita-style)."""
     best_size = 0
     best_mask = 0
 
@@ -83,13 +84,13 @@ def _max_clique(rows: tuple[int, ...], n: int) -> tuple[int, int]:
                 expand(rmask | (1 << v), rsize + 1, newp)
             p ^= 1 << v
 
-    expand(0, 0, (1 << n) - 1)
+    expand(0, 0, within)
     return best_size, best_mask
 
 
 def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact independence number and one maximum independent set."""
-    size, mask = _max_clique(complement(g).rows, g.n)
+    size, mask = _max_clique(complement(g).rows, (1 << g.n) - 1)
     return size, tuple(i for i in range(g.n) if mask >> i & 1)
 
 
@@ -119,11 +120,17 @@ def fractional_packing(g: Graph) -> float:
     """alpha*(G): maximize sum(x) subject to x(Q) <= 1 over maximal cliques Q
     and x >= 0.
 
-    The packing LP has one row per maximal clique, so it is solved on its
-    short side: the minimum fractional clique cover, min sum(y) subject to
-    sum of y_Q over the cliques Q containing v >= 1 for every vertex v and
-    y >= 0, with one row per vertex.  Every vertex lies in a maximal clique,
-    so the packing needs no x <= 1 bounds.
+    On a Cayley graph of Z_a x Z_b in its own labelling (circulants, prisms,
+    conormal products of circulants; see _cayley_group) no clique is listed:
+    alpha* = n/omega comes from the translates of one maximum clique (see
+    _packing_by_translates).
+
+    Every other graph lists its maximal cliques.  The packing LP has one row
+    per maximal clique, so it is solved on its short side: the minimum
+    fractional clique cover, min sum(y) subject to sum of y_Q over the
+    cliques Q containing v >= 1 for every vertex v and y >= 0, with one row
+    per vertex.  Every vertex lies in a maximal clique, so the packing needs
+    no x <= 1 bounds.
 
     When every vertex lies in the same number r of maximum cliques (size
     omega), as on every vertex-transitive graph, no LP is solved: x = 1/omega
@@ -133,6 +140,9 @@ def fractional_packing(g: Graph) -> float:
     replayed in floating point before the value is returned; a failed replay
     raises RuntimeError.
     """
+    group = _cayley_group(g.n, g.rows)
+    if group is not None:
+        return _packing_by_translates(g.n, g.rows, *group)
     cliques = maximal_cliques(g)
     n = g.n
     # incidence a[v, col] = 1 for every vertex v of clique col, in one scatter
@@ -154,6 +164,33 @@ def fractional_packing(g: Graph) -> float:
     if not replays(cover, y, x, _REPLAY_TOL):
         raise RuntimeError("packing and clique cover fail their floating-point replay")
     return value
+
+
+def _packing_by_translates(n: int, rows: tuple[int, ...], a: int, b: int) -> float:
+    """alpha* = n/omega of a Cayley graph of Z_a x Z_b (labelled as in
+    _cayley_group) from the n translates of one maximum clique.
+
+    The group acts transitively by automorphisms, so vertex 0 lies in a
+    maximum clique Q, found by branch and bound on its neighbourhood.  The
+    packing x = 1/omega on every vertex meets every clique inequality, since
+    no clique is larger than omega.  Every translate Q + t is a clique, and
+    every vertex lies in exactly omega of them, so y = 1/omega on each
+    translate is a clique cover.  Both have value n/omega, so weak duality
+    makes them optimal.  Q is checked to be a clique and the coverage is
+    counted exactly before the value is returned; a failure raises
+    RuntimeError.
+    """
+    size, mask = _max_clique(rows, rows[0])
+    omega, q = size + 1, mask | 1
+    if any(q & ~rows[v] & ~(1 << v) for v in _bits(q)):
+        raise RuntimeError("the maximum clique through vertex 0 is not a clique")
+    members = np.fromiter(_bits(q), dtype=np.intp)
+    # row t is Q + t, element u*b + v being (u, v)
+    t = np.arange(n)[:, None]
+    translates = ((members // b + t // b) % a) * b + (members + t) % b
+    if np.any(np.bincount(translates.ravel(), minlength=n) != omega):
+        raise RuntimeError("the translates of the maximum clique do not cover every vertex omega times")
+    return n / omega
 
 
 def _edge_arrays(n: int, rows: tuple[int, ...]) -> np.ndarray:
@@ -491,7 +528,15 @@ class BoundsReport:
 
 
 def bounds_report(g: Graph, tol: float = _THETA_TOL) -> BoundsReport:
+    """alpha (exact, with a witness), theta and alpha* of g, and theta/alpha.
+
+    alpha and alpha* are computed first.  Since alpha <= theta <= alpha*
+    (Lovasz 1979), theta is pinned once alpha* - alpha <= tol/2, as on every
+    perfect graph: theta is reported as alpha, within the same tol/2 that
+    the certified midpoint of lovasz_theta carries, and no theta program is
+    solved.  Otherwise theta is lovasz_theta(g, tol=tol).
+    """
     alpha, witness = independence_number(g)
-    theta = lovasz_theta(g, tol=tol)
     alpha_star = fractional_packing(g)
+    theta = float(alpha) if alpha_star - alpha <= tol / 2 else lovasz_theta(g, tol=tol)
     return BoundsReport(alpha, theta, alpha_star, theta / alpha, witness)

@@ -55,7 +55,7 @@ def one_round_symmetric_bound(g: gr.Graph) -> float:
     clique of the conormal square gives the strongest such bound.
     """
     product = conormal_product(g, g)
-    omega, _ = _max_clique(product.rows, product.n)
+    omega, _ = _max_clique(product.rows, (1 << product.n) - 1)
     return g.n / math.sqrt(omega)
 
 

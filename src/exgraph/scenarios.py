@@ -22,6 +22,11 @@ import numpy as np
 from .bounds import assignment_hull, hull_membership
 from .graph import Graph, _index, from_edges
 
+# longest cycle whose tight inequalities are listed (2^12 = 4,096 of them):
+# its 2^13 deterministic assignments are the most a hull LP takes
+# (_HULL_MAX_COLUMNS), so no longer cycle's models can be tested anyway
+_MAX_INEQUALITY_CYCLE = 13
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -238,7 +243,9 @@ def ncycle_inequality(n: int, gamma) -> Inequality:
 
 
 def ncycle_inequalities(n: int) -> list[Inequality]:
-    """All 2^(n-1) tight correlation inequalities of the n-cycle scenario."""
+    """All 2^(n-1) tight correlation inequalities of the n-cycle scenario,
+    for 3 <= n <= _MAX_INEQUALITY_CYCLE."""
+    n = _index(n, "cycle length", 3, _MAX_INEQUALITY_CYCLE)
     out = []
     for gamma in itertools.product((1, -1), repeat=n):
         if sum(1 for g in gamma if g == -1) % 2 == 1:

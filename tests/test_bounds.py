@@ -307,9 +307,9 @@ def test_cayley_group_of_the_own_labelling(build, group):
 
 
 @st.composite
-def _abelian_cayley_rows(draw):
-    a = draw(st.integers(1, 24))
-    b = draw(st.integers(1, 24 // a))
+def _abelian_cayley_rows(draw, order=24):
+    a = draw(st.integers(1, order))
+    b = draw(st.integers(1, order // a))
     n = a * b
     neg = [(-(i // b) % a) * b + (-i % b) for i in range(n)]
     conn = 0
@@ -344,6 +344,133 @@ def test_cayley_bounds_need_no_sdp(monkeypatch):
     c8 = gr.cycle_graph(8)
     assert bd.bounds_report(excl.conormal_product(c8, c8)).theta == pytest.approx(16.0, abs=1e-9)
     assert bd.bounds_report(gr.prism_graph(32)).theta == pytest.approx(32.0, abs=1e-9)
+
+
+@st.composite
+def _abelian_cayley_graphs(draw):
+    """Cayley graphs of Z_a x Z_b with ab <= 30, in their own labelling."""
+    kind = draw(st.sampled_from(["circulant", "prism", "moebius", "conormal", "connection set"]))
+    if kind == "circulant":
+        n = draw(st.integers(2, 30))
+        return gr.circulant_graph(n, draw(st.sets(st.integers(1, n // 2), min_size=1)))
+    if kind == "prism":
+        return gr.prism_graph(draw(st.integers(3, 15)))
+    if kind == "moebius":
+        return gr.moebius_ladder(2 * draw(st.integers(2, 15)))
+    if kind == "conormal":
+        a = draw(st.integers(3, 10))
+        b = draw(st.integers(3, 30 // a))
+        return excl.conormal_product(gr.circulant_graph(a, draw(st.sets(st.integers(1, a // 2), min_size=1))),
+                                     gr.circulant_graph(b, draw(st.sets(st.integers(1, b // 2), min_size=1))))
+    n, rows = draw(_abelian_cayley_rows(order=30))
+    return gr.Graph(n, rows)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_abelian_cayley_graphs())
+def test_alpha_star_from_translates_equals_the_listed_cliques(g):
+    assert bd._cayley_group(g.n, g.rows) is not None
+    value = bd.fractional_packing(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bd, "_cayley_group", lambda n, rows: None)
+        listed = bd.fractional_packing(g)
+    assert value == listed
+
+
+@pytest.mark.parametrize("build", [
+    lambda: excl.conormal_product(gr.cycle_graph(8), gr.cycle_graph(8)),
+    lambda: gr.prism_graph(32),
+    lambda: gr.moebius_ladder(40),
+    lambda: gr.circulant_graph(64, range(1, 32)),  # 2^32 maximal cliques
+    lambda: gr.circulant_graph(13, (1, 5)),
+], ids=["C8xC8", "prism32", "moebius40", "cocktail-party64", "Ci13(1,5)"])
+def test_cayley_alpha_star_lists_no_cliques(monkeypatch, build):
+    def refuse(*args, **kwargs):
+        raise AssertionError("alpha* of a Cayley graph listed cliques or solved an LP")
+
+    g = build()
+    omega = bd._max_clique(g.rows, (1 << g.n) - 1)[0]
+    monkeypatch.setattr(bd, "maximal_cliques", refuse)
+    monkeypatch.setattr(bd, "lp_solve", refuse)
+    assert bd.fractional_packing(g) == g.n / omega
+
+
+@pytest.mark.parametrize("forged, message", [
+    (lambda size, mask: (size, 1 << 2), "not a clique"),  # {0, 2} is no edge of C9
+    (lambda size, mask: (size + 1, mask), "cover every vertex"),
+], ids=["not-a-clique", "wrong-coverage"])
+def test_cayley_alpha_star_checks_its_clique_and_coverage(monkeypatch, forged, message):
+    real = bd._max_clique
+    monkeypatch.setattr(bd, "_max_clique", lambda rows, within: forged(*real(rows, within)))
+    with pytest.raises(RuntimeError, match=message):
+        bd.fractional_packing(gr.cycle_graph(9))
+
+
+def _random_tree(seed, n):
+    rng = random.Random(seed)
+    return gr.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _random_bipartite(seed, n):
+    rng = random.Random(seed)
+    return gr.from_edges(n, [(u, v) for u in range(n // 2) for v in range(n // 2, n) if rng.random() < 0.4])
+
+
+def _random_chordal(seed, n):
+    # each new vertex joins a clique of the earlier ones, so the reverse of
+    # the build order is a perfect elimination ordering
+    rng = random.Random(seed)
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        clique = {u}
+        for w in rng.sample(sorted(adj[u]), len(adj[u])):
+            if rng.random() < 0.7 and clique <= adj[w]:
+                clique.add(w)
+        for w in clique:
+            adj[v].add(w)
+            adj[w].add(v)
+    return gr.from_edges(n, [(v, w) for v in range(n) for w in adj[v] if v < w])
+
+
+_PERFECT = {
+    **{f"P{n}": lambda n=n: gr.path_graph(n) for n in (1, 2, 5, 9, 16)},
+    **{f"tree{s}": lambda s=s: _random_tree(s, 8 + 2 * s) for s in range(4)},
+    **{f"bipartite{s}": lambda s=s: _random_bipartite(s, 8 + 2 * s) for s in range(4)},
+    **{f"chordal{s}": lambda s=s: _random_chordal(s, 8 + 2 * s) for s in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PERFECT))
+def test_perfect_graphs_pin_theta_without_a_solve(monkeypatch, name):
+    g = _PERFECT[name]()
+    reference, _ = bd.lovasz_theta_matrix(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta of a graph with alpha* = alpha was solved")
+
+    monkeypatch.setattr(bd, "sdp_solve", refuse)
+    monkeypatch.setattr(bd, "lovasz_theta", refuse)
+    rep = bd.bounds_report(g)
+    assert rep.alpha_star - rep.alpha <= bd._THETA_TOL / 2
+    assert rep.theta == float(rep.alpha) and rep.ratio == 1.0
+    assert abs(rep.theta - reference) <= bd._THETA_TOL / 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gr.cycle_graph(5),
+    gr.petersen_graph,
+    lambda: gr.from_edges(22, random_graph(random.Random(3), 22, 0.3)),
+], ids=["C5", "Petersen", "G(22,0.3)"])
+def test_theta_is_solved_when_alpha_star_exceeds_alpha(monkeypatch, build):
+    g = build()
+    expect = bd.lovasz_theta(g)  # bounds_report's theta at every alpha < alpha*
+    calls = []
+    real = bd.lovasz_theta
+    monkeypatch.setattr(bd, "lovasz_theta", lambda h, **kwargs: calls.append(h) or real(h, **kwargs))
+    rep = bd.bounds_report(g)
+    assert rep.alpha < rep.alpha_star and calls == [g]
+    assert rep.theta == expect and rep.ratio == expect / rep.alpha
 
 
 def _per_offset_circulant_lp(n, offsets):

@@ -46,6 +46,21 @@ def test_cayley_inputs_print_the_character_lp_value(capsys):
     assert code == 0 and data["product"] == 17.0
 
 
+def test_cocktail_party_bounds_at_the_size_cap(tmp_path, capsys):
+    # K64 minus a perfect matching has 2^32 maximal cliques: alpha* comes
+    # from the translates of one maximum clique and theta is pinned by
+    # alpha = alpha* = 2, but QSTAB still lists the cliques and stops
+    offsets = ",".join(map(str, range(1, 32)))
+    graph = ["--family", "circulant", "--n", "64", "--offsets", offsets]
+    code, data = run_json(capsys, ["bounds", *graph])
+    assert code == 0
+    assert (data["alpha"], data["theta"], data["alpha_star"]) == (2, 2.0, 2.0)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"p": [0.5] * 64}))
+    assert cli.run(["membership", *graph, "--input", str(path)]) == 2
+    assert "maximal cliques" in capsys.readouterr().err
+
+
 def test_bounds_from_json_file(tmp_path, capsys):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from exgraph import graph as gr
+from exgraph import scenarios
 from exgraph.bounds import assignment_hull
 from exgraph.boxes import BellScenario, is_local, uniform_box
 from exgraph.scenarios import (
@@ -195,6 +196,18 @@ def test_cycle_inequality_counts_and_constraints():
         ncycle_inequality(5, (1, 1, 1, -1, -1))
     with pytest.raises(ValueError):
         ncycle_inequality(4, (1, 1, 1))
+
+
+def test_cycle_inequalities_check_the_length_before_listing():
+    assert [i.name for i in ncycle_inequalities(5)] == [
+        "cycle5[++++-]", "cycle5[+++-+]", "cycle5[++-++]", "cycle5[++---]",
+        "cycle5[+-+++]", "cycle5[+-+--]", "cycle5[+--+-]", "cycle5[+---+]",
+        "cycle5[-++++]", "cycle5[-++--]", "cycle5[-+-+-]", "cycle5[-+--+]",
+        "cycle5[--++-]", "cycle5[--+-+]", "cycle5[---++]", "cycle5[-----]",
+    ]
+    for n in (2.5, 2, scenarios._MAX_INEQUALITY_CYCLE + 1, 10**9):
+        with pytest.raises(gr.GraphError, match="cycle length"):
+            ncycle_inequalities(n)
 
 
 def test_correlation_and_probability_forms_are_affinely_linked():
