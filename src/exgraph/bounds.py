@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph, _bits, _cayley_group, circulant_graph, complement
+from .graph import Graph, _bits, _cayley_group, _reals, circulant_graph, complement
 from .numkernel import LinearProgram, lp_solve, lp_solve_many, replays, sdp_solve, sdp_solve_many
 
 # largest column count of a hull LP; both hull LPs have one row per
@@ -248,37 +248,6 @@ def _theta_cached(n: int, rows: tuple[int, ...], wkey: tuple[float, ...] | None,
     return _theta_sdp(n, rows, w, tol).value
 
 
-def _checked_weights(g: Graph, weights) -> np.ndarray:
-    """weights as one finite nonnegative float per vertex of g; the theta
-    programs call this before any work."""
-    try:
-        w = np.asarray([float(x) for x in weights])
-    except TypeError as exc:
-        raise ValueError(f"weights must be numbers: {exc}") from None
-    if w.shape != (g.n,):
-        raise ValueError("one weight per vertex required")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if w.min() < 0:
-        raise ValueError("weights must be nonnegative")
-    return w
-
-
-def _checked_point(g: Graph, p, ndim: int = 1) -> np.ndarray:
-    """p as a float array of ndim axes whose last has one coordinate per
-    vertex of g, every coordinate finite; the membership tests call this
-    before any work."""
-    try:
-        p = np.asarray(p, dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"coordinates must be numbers: {exc}") from None
-    if p.ndim != ndim or p.shape[-1] != g.n:
-        raise ValueError("one coordinate per vertex required")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("coordinates must be finite")
-    return p
-
-
 def lovasz_theta(g: Graph, weights=None, tol: float = _THETA_TOL) -> float:
     """Semidefinite bound theta(G), optionally vertex-weighted.
 
@@ -289,7 +258,7 @@ def lovasz_theta(g: Graph, weights=None, tol: float = _THETA_TOL) -> float:
     width tol; the midpoint is returned, so the absolute error is at most
     tol/2.  Results are memoized.
     """
-    wkey = None if weights is None else tuple(_checked_weights(g, weights).tolist())
+    wkey = None if weights is None else tuple(_reals(weights, "weights", (g.n,), lo=0).tolist())
     return _theta_cached(g.n, g.rows, wkey, tol)
 
 
@@ -298,7 +267,7 @@ def lovasz_theta_matrix(g: Graph, weights=None, tol: float = _THETA_TOL):
     from which optimizing vertex assignments can be extracted.  It always
     solves the SDP, Cayley graphs included, so its value is the semidefinite
     route's even where lovasz_theta takes the character LP."""
-    w = np.ones(g.n) if weights is None else _checked_weights(g, weights)
+    w = np.ones(g.n) if weights is None else _reals(weights, "weights", (g.n,), lo=0)
     res = _theta_sdp(g.n, g.rows, w, tol)
     return res.value, res.x
 
@@ -334,7 +303,7 @@ def assignment_hull(sizes, contexts) -> np.ndarray:
 def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarray, float | None]:
     """Is point a convex combination of the 0/1 columns of vertices (d x k)?
     The one-point case of hull_membership_many."""
-    return hull_membership_many(vertices, np.asarray(point, dtype=float)[None], tol)[0]
+    return hull_membership_many(vertices, [point], tol)[0]
 
 
 def hull_membership_many(vertices, points, tol: float = 1e-9) -> list[tuple[bool, np.ndarray, float | None]]:
@@ -348,13 +317,11 @@ def hull_membership_many(vertices, points, tol: float = 1e-9) -> list[tuple[bool
     replay (see numkernel.replays) before any is returned; a failed replay
     raises RuntimeError.
     """
-    vertices = np.asarray(vertices, dtype=float)
+    vertices = _reals(vertices, "hull vertices", (None, None))
     d, k = vertices.shape
     if k > _HULL_MAX_COLUMNS:
         raise ValueError(f"{k} hull vertices exceed the supported limit of {_HULL_MAX_COLUMNS}")
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != d:
-        raise ValueError("one point coordinate per vertex row required")
+    points = _reals(points, "points", (None, d))
     rhs = np.hstack([points, np.ones((len(points), 1))])
     ext = np.vstack([vertices, np.ones(k)])
     senses = ("=",) * (d + 1)
@@ -414,13 +381,13 @@ def stab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict]:
     where the certificate is a linear functional a.x <= beta valid on every
     indicator but exceeded by p.  The one-row case of stab_membership_many.
     """
-    return stab_membership_many(g, _checked_point(g, p)[None], tol)[0]
+    return stab_membership_many(g, [p], tol)[0]
 
 
 def stab_membership_many(g: Graph, points, tol: float = 1e-9) -> list[tuple[bool, dict]]:
     """stab_membership for each row of points: the independent sets are
     listed once, and the points go through hull_membership_many together."""
-    p = _checked_point(g, points, ndim=2)
+    p = _reals(points, "coordinates", (None, g.n))
     masks = _independent_set_masks(g)
     bits = np.arange(g.n, dtype=np.uint64)[:, None]
     chi = (np.array(masks, dtype=np.uint64) >> bits & np.uint64(1)).astype(float)
@@ -448,7 +415,7 @@ def th_membership(g: Graph, p, tol: float = 1e-6) -> tuple[bool, float | None]:
     """Membership in the theta body of g: p >= 0 and the complement's
     weighted theta at p is at most 1.  Returns the theta value alongside;
     the one-row case of th_membership_many."""
-    return th_membership_many(g, _checked_point(g, p)[None], tol)[0]
+    return th_membership_many(g, [p], tol)[0]
 
 
 def th_membership_many(g: Graph, points, tol: float = 1e-6) -> list[tuple[bool, float | None]]:
@@ -456,7 +423,7 @@ def th_membership_many(g: Graph, points, tol: float = 1e-6) -> list[tuple[bool, 
     with a coordinate below -tol is outside without a solve; the others are
     clipped at 0 and their weighted thetas of the complement are solved
     together, as one stack of programs on one graph."""
-    p = _checked_point(g, points, ndim=2)
+    p = _reals(points, "coordinates", (None, g.n))
     outside = p.min(axis=1) < -tol
     w = np.clip(p[~outside], 0.0, None)
     edges = _edge_arrays(g.n, complement(g).rows)
@@ -477,7 +444,7 @@ def qstab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict | None]
     p(Q) <= 1 for every maximal clique Q.  On failure the second element
     names the violated constraint.  The one-row case of
     qstab_membership_many."""
-    return qstab_membership_many(g, _checked_point(g, p)[None], tol)[0]
+    return qstab_membership_many(g, [p], tol)[0]
 
 
 def qstab_membership_many(g: Graph, points, tol: float = 1e-9) -> list[tuple[bool, dict | None]]:
@@ -485,7 +452,7 @@ def qstab_membership_many(g: Graph, points, tol: float = 1e-9) -> list[tuple[boo
     listed once.  A row with a coordinate below -tol names its smallest
     coordinate; otherwise the first clique of greatest total above 1 + tol
     is named, its total summed vertex by vertex in clique order."""
-    p = _checked_point(g, points, ndim=2)
+    p = _reals(points, "coordinates", (None, g.n))
     cliques = maximal_cliques(g)
     # one column per clique, padded with a zero coordinate past the last vertex
     padded = np.hstack([p, np.zeros((len(p), 1))])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import assignment_hull, hull_membership
-from .graph import _index
+from .graph import _index, _reals
 
 _MAX_TABLE_ENTRIES = 1 << 24
 # a table has one axis per setting and per outcome of each party, and numpy
@@ -59,10 +59,7 @@ class Box:
     table: np.ndarray
 
     def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=float)
-        shape = self.scenario.table_shape()
-        if self.table.shape != shape:
-            raise ValueError(f"table shape {self.table.shape} does not match scenario {shape}")
+        self.table = _reals(self.table, "box table", self.scenario.table_shape())
 
     def validate(self, tol: float = 1e-9) -> None:
         if float(self.table.min()) < -tol:
@@ -122,7 +119,7 @@ def box_from_json_dict(data: dict) -> Box:
         for x_key, inner in data["table"].items():
             x = _table_key(x_key, scn.settings, "settings")
             for a_key, p in inner.items():
-                table[x + _table_key(a_key, scn.outcomes, "outcome")] = float(p)
+                table[x + _table_key(a_key, scn.outcomes, "outcome")] = p
     except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValueError(f"malformed box: {exc}") from exc
     box = Box(scn, table)
@@ -231,8 +228,7 @@ def pr_box(d: int = 2, e: float = 1.0) -> Box:
     (b - a = xy mod d) and 1-e on uniform noise.  Alice has d settings,
     Bob two."""
     d = _index(d, "d", lo=2)
-    if not 0.0 <= e <= 1.0:
-        raise ValueError("mixing weight must lie in [0, 1]")
+    e = _reals(e, "mixing weight", lo=0, hi=1)
     scn = BellScenario((d, 2), (d, d))
     table = np.full(scn.table_shape(), (1.0 - e) / (d * d))
     for x in range(d):
@@ -386,6 +382,7 @@ def van_dam_ic(seed: int, trials: int, e: float = 1.0) -> ProtocolResult:
 @dataclass
 class NestedIcResult:
     success: float
+    e: float
     levels: int
     ic_violation_condition: bool
 
@@ -397,16 +394,15 @@ def nested_ic(d: int, e: float, levels: int) -> NestedIcResult:
     A level passes its value down undisturbed with probability e and
     replaces it with uniform noise otherwise, so q_k = e*q_{k-1} + (1-e)/d
     starting from q_0 = 1.  The flag reports the binary amplification
-    condition 2e^2 > 1.
+    condition 2e^2 > 1, and e comes back as the float that was read.
     """
     d = _index(d, "d", lo=2)
     levels = _index(levels, "levels", 1, _MAX_NESTED_LEVELS)
-    if not 0.0 <= e <= 1.0:
-        raise ValueError("mixing weight must lie in [0, 1]")
+    e = _reals(e, "mixing weight", lo=0, hi=1)
     q = 1.0
     for _ in range(levels):
         q = e * q + (1.0 - e) / d
-    return NestedIcResult(success=q, levels=levels, ic_violation_condition=2.0 * e * e > 1.0)
+    return NestedIcResult(success=q, e=e, levels=levels, ic_violation_condition=2.0 * e * e > 1.0)
 
 
 @dataclass

@@ -75,11 +75,10 @@ def _load_json(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _load(path: str, key: str, parse, what: str):
-    """parse() of the JSON document at path, or of its `key` field when the
+def _parse(data, key: str, parse, what: str):
+    """parse() of a loaded JSON document, or of its `key` field when the
     document is an object that has one; a parse failure is an input error
     that starts "bad {what} JSON"."""
-    data = _load_json(path)
     if isinstance(data, dict) and key in data:
         data = data[key]
     try:
@@ -95,8 +94,10 @@ def _parse_offsets(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad --offsets value {text!r}: {exc}") from exc
 
 
-def _graph_from_args(args) -> tuple[gr.Graph, str]:
-    """Build the graph either from --family flags or from JSON input."""
+def _graph_from_args(args, data=None) -> tuple[gr.Graph, str]:
+    """Build the graph either from --family flags or from JSON input: the
+    document `data` when the caller has already loaded --input, else the
+    file."""
     if getattr(args, "family", None):
         params = {}
         if args.n is not None:
@@ -113,7 +114,9 @@ def _graph_from_args(args) -> tuple[gr.Graph, str]:
         return gr.build_family(args.family, **params), name
     if not getattr(args, "input", None):
         raise ValueError("expected a graph object or --family flags")
-    return _load(args.input, "graph", gr.from_json_dict, "graph"), "graph"
+    if data is None:
+        data = _load_json(args.input)
+    return _parse(data, "graph", gr.from_json_dict, "graph"), "graph"
 
 
 def _cmd_bounds(args) -> int:
@@ -124,16 +127,13 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_membership(args) -> int:
+    if not args.input:
+        raise ValueError('membership needs --input with a "p" array')
     data = _load_json(args.input)
     if not (isinstance(data, dict) and "p" in data):
         raise ValueError('membership input must contain a "p" array')
-    g, _ = _graph_from_args(args)
-    try:
-        p = [float(x) for x in data["p"]]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f'"p" must be an array of numbers: {exc}') from exc
-    if len(p) != g.n:
-        raise ValueError(f"p has {len(p)} entries for a {g.n}-vertex graph")
+    g, _ = _graph_from_args(args, data)
+    p = data["p"]
     in_stab, stab_cert = stab_membership(g, p)
     in_th, theta_c = th_membership(g, p, tol=args.tol or 1e-6)
     in_qstab, qstab_cert = qstab_membership(g, p)
@@ -149,9 +149,7 @@ def _cmd_membership(args) -> int:
             "beta": stab_cert["beta"],
         }
     if not in_qstab and qstab_cert:
-        out["qstab_failure"] = {
-            k: (list(v) if isinstance(v, tuple) else v) for k, v in qstab_cert.items()
-        }
+        out["qstab_failure"] = qstab_cert
     _emit(out, args.output)
     return 0
 
@@ -223,7 +221,8 @@ def _cmd_ks_multiplicative(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    model = _load(args.input, "model", scenarios.model_from_json_dict, "model")
+    data = _load_json(args.input)
+    model = _parse(data, "model", scenarios.model_from_json_dict, "model")
     if args.which == "check":
         ok, violations = scenarios.check_nondisturbance(model, tol=args.tol or 1e-9)
         _emit({"nondisturbing": ok, "violations": violations}, args.output)
@@ -240,7 +239,6 @@ def _cmd_scenario(args) -> int:
             out["separating_functional"] = cert
         _emit(out, args.output)
         return 0
-    data = _load_json(args.input)
     if "gamma" not in data:
         raise ValueError('evaluate input needs a "gamma" array next to the model')
     try:
@@ -264,15 +262,13 @@ def _cmd_scenario(args) -> int:
 def _cmd_box(args) -> int:
     which = args.which
     if which in ("check", "chsh", "gyni", "lo"):
-        box = _load(args.input, "box", boxes.box_from_json_dict, "box") if args.input else None
+        box = _parse(_load_json(args.input), "box", boxes.box_from_json_dict, "box") if args.input else None
     if which == "check":
         ns, ns_detail = boxes.is_nosignaling(box)
         local, cert = boxes.is_local(box)
         out = {"nosignaling": ns, "local": local}
         if not ns and ns_detail:
-            out["signaling_detail"] = {
-                k: (list(v) if isinstance(v, tuple) else v) for k, v in ns_detail.items()
-            }
+            out["signaling_detail"] = ns_detail
         _emit(out, args.output)
         return 0
     if which == "chsh":
@@ -300,17 +296,13 @@ def _cmd_box(args) -> int:
         if not isinstance(params, dict):
             raise ValueError('ic-nested input must be an object {"d", "e", "levels"}')
         d, levels = params.get("d", 2), params.get("levels", args.n or 6)
-        try:
-            e = float(params.get("e", 1.0))
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ValueError(f'"e" must be a number: {exc}') from exc
-        res = boxes.nested_ic(d, e, levels)
+        res = boxes.nested_ic(d, params.get("e", 1.0), levels)
         _emit({
             "d": d,
-            "e": e,
+            "e": res.e,
             "levels": res.levels,
             "success": res.success,
-            "closed_form": ((d - 1) * e**levels + 1) / d,
+            "closed_form": ((d - 1) * res.e**levels + 1) / d,
             "ic_violation_condition": res.ic_violation_condition,
         }, args.output)
         return 0
@@ -364,12 +356,9 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
 
 def _tolerance(text: str) -> float:
     try:
-        tol = float(text)
-    except ValueError:
-        tol = float("nan")
-    if not 0.0 < tol < float("inf"):
-        raise argparse.ArgumentTypeError(f"--tol must be a positive finite number, got {text!r}")
-    return tol
+        return gr._tolerance(text, "--tol")
+    except gr.GraphError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _count(text: str) -> int:
@@ -382,9 +371,11 @@ def _count(text: str) -> int:
     return count
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, tol: bool = False) -> None:
+    """--output, and --tol on the subcommands that read it."""
     p.add_argument("--output", help="write to this file instead of standard output")
-    p.add_argument("--tol", type=_tolerance, help="numeric tolerance override (positive)")
+    if tol:
+        p.add_argument("--tol", type=_tolerance, help="numeric tolerance override (positive)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,21 +388,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="alpha, theta, alpha* of a graph",
                        description='Output: {"alpha", "theta", "alpha_star", "ratio", "witness_independent_set"}.')
     _add_graph_flags(p)
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("membership", help="STAB/TH/QSTAB membership of an assignment",
                        description='Input JSON: {"graph": {n, edges}, "p": [..]} (or --family flags plus {"p": [..]}). '
                                    'Output: {"stab", "th", "theta_complement", "qstab"} plus certificates on rejection.')
     _add_graph_flags(p)
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(fn=_cmd_membership)
 
     p = sub.add_parser("duality", help="complement-duality report of a graph",
                        description='Output: DualityReport fields {"graph", "n", "theta", "theta_complement", "product", '
                                    '"vertex_transitive", "self_complementary", "e_principle_max", pass/fail flags}.')
     _add_graph_flags(p)
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(fn=_cmd_duality)
 
     p = sub.add_parser("suite", help="run a verification suite",
@@ -450,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sc.add_parser(which, help=helptext, description=desc)
         p.add_argument("--input", required=True)
-        _add_common(p)
+        _add_common(p, tol=which != "evaluate")
         p.set_defaults(fn=_cmd_scenario)
 
     bx = sub.add_parser("box", help="Bell-box operations").add_subparsers(dest="which", required=True)
@@ -493,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "--family cycle|prism|moebius with --n upper bound, or --family circulant10.")
     p.add_argument("--family", default="cycle")
     p.add_argument("--n", type=_count)
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(fn=_cmd_plotdata)
 
     return ap

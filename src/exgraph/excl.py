@@ -20,7 +20,6 @@ import numpy as np
 from . import graph as gr
 from .bounds import (
     _THETA_TOL,
-    _checked_weights,
     _max_clique,
     bounds_report,
     lovasz_theta,
@@ -79,10 +78,8 @@ def pentagon_eprinciple_bound() -> float:
 def eprinciple_pair_test(g: gr.Graph, p, pbar, tol: float = 1e-9) -> bool:
     """True iff sum_i p_i * pbar_i <= 1 + tol, with pbar read on the
     complement graph (exclusive there means compatible here)."""
-    p = [float(x) for x in p]
-    pbar = [float(x) for x in pbar]
-    if len(p) != g.n or len(pbar) != g.n:
-        raise ValueError(f"expected {g.n} entries, got {len(p)} and {len(pbar)}")
+    p = gr._reals(p, "p", (g.n,)).tolist()
+    pbar = gr._reals(pbar, "pbar", (g.n,)).tolist()
     return sum(a * b for a, b in zip(p, pbar)) <= 1.0 + tol
 
 
@@ -307,7 +304,7 @@ def eprinciple_violation_witness(g: gr.Graph, p, tol: float = 1e-6):
     The optimizer of the weighted theta program on the complement yields the
     partner assignment; returns (theta, pbar) where theta = sum p_i pbar_i.
     """
-    p = _checked_weights(g, p)
+    p = gr._reals(p, "weights", (g.n,), lo=0)
     gbar = gr.complement(g)
     theta, x = lovasz_theta_matrix(gbar, weights=p)
     if theta <= 1.0 + tol:

@@ -39,6 +39,40 @@ def _index(value, what: str, lo: int | None = None, hi: int | None = None) -> in
     return value
 
 
+def _reals(value, what: str, shape=(), lo: float | None = None, hi: float | None = None):
+    """value as a float when shape is (), else as a float array of that shape
+    (an axis given as None may have any length), every entry finite and in
+    lo..hi (an end left as None is open); else GraphError, which is a
+    ValueError.  Every real number the package takes from a caller or a JSON
+    document is read here, before any work is done with it: a NaN passes
+    every comparison, so it would otherwise reach an answer."""
+    # numpy casts a complex array to float by dropping the imaginary part
+    if isinstance(value, np.ndarray | np.generic) and value.dtype.kind == "c":
+        raise GraphError(f"{what} must be real numbers, got {value.dtype}")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"{what} must be real numbers: {exc}") from None
+    if arr.ndim != len(shape) or any(s is not None and s != m for s, m in zip(shape, arr.shape)):
+        dims = ", ".join("any" if s is None else str(s) for s in shape)
+        raise GraphError(f"{what} must have shape ({dims}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise GraphError(f"{what} must be finite")
+    if lo is not None and (arr < lo).any():
+        raise GraphError(f"{what} must be at least {lo}, got {arr.min()}")
+    if hi is not None and (arr > hi).any():
+        raise GraphError(f"{what} must be at most {hi}, got {arr.max()}")
+    return arr if arr.ndim else float(arr)
+
+
+def _tolerance(value, what: str) -> float:
+    """A positive tolerance, read through _reals."""
+    tol = _reals(value, what)
+    if tol <= 0:
+        raise GraphError(f"{what} must be positive, got {tol}")
+    return tol
+
+
 def _bits(mask: int):
     """Iterate set bit positions of a mask, ascending."""
     while mask:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import maximal_cliques
-from .graph import MAX_VERTICES, Graph, _index, from_edges
+from .graph import MAX_VERTICES, Graph, _index, _reals, _tolerance, from_edges
 from .numkernel import is_hermitian, tensor_product
 from .quantum import IDENT2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -52,9 +52,7 @@ class VectorSystem:
 def _unit_ray(raw, tol: float, i: int) -> np.ndarray:
     """Vector i scaled to unit length, with its first coordinate above `tol`
     made positive so that vectors on one line come out equal."""
-    v = np.asarray(raw, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"vector {i} is not one-dimensional")
+    v = _reals(raw, f"vector {i}", (None,))
     norm = float(np.linalg.norm(v))
     if norm <= tol:
         raise ValueError(f"vector {i} is zero")
@@ -68,7 +66,9 @@ def _unit_ray(raw, tol: float, i: int) -> np.ndarray:
 def vector_system(vectors, tol: float = 1e-9, labels=None) -> VectorSystem:
     """Normalize, canonicalize (first nonzero coordinate positive), and
     reject duplicate rays.  The orthogonality graph has one vertex per ray,
-    so more than MAX_VERTICES rays are refused before the pairwise check."""
+    so more than MAX_VERTICES rays are refused before the pairwise check.
+    The coordinates must be finite and tol positive."""
+    tol = _tolerance(tol, "tol")
     vecs = [_unit_ray(raw, tol, i) for i, raw in enumerate(vectors)]
     if not vecs:
         raise ValueError("empty vector system")
@@ -90,11 +90,7 @@ def vector_system(vectors, tol: float = 1e-9, labels=None) -> VectorSystem:
 def vector_system_from_json_dict(data: dict) -> VectorSystem:
     try:
         d = _index(data["d"], "dimension")
-        tol = float(data.get("tol", 1e-9))
-        labels = data.get("labels")
-        vs = vector_system(
-            [np.asarray(v, dtype=float) for v in data["vectors"]], tol=tol, labels=labels
-        )
+        vs = vector_system(data["vectors"], tol=data.get("tol", 1e-9), labels=data.get("labels"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed vector system: {exc}") from exc
     if vs.dimension != d:
@@ -388,10 +384,9 @@ class OperatorProofSpec:
 
 def proof_spec_from_json_dict(data: dict) -> OperatorProofSpec:
     try:
-        ops = tuple(
-            np.array([[complex(re, im) for re, im in row] for row in op])
-            for op in data["operators"]
-        )
+        # an entry is its [re, im] pair, viewed as one complex number
+        ops = tuple(_reals(op, f"operator {i}", (None, None, 2)).view(complex)[..., 0]
+                    for i, op in enumerate(data["operators"]))
         return OperatorProofSpec(ops, data["lines"], data["signs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed proof spec: {exc}") from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import _MAX_TRIALS, BellScenario, Box, chsh_value
-from .graph import Graph, _index
+from .graph import Graph, _index, _reals
 from .numkernel import is_hermitian, is_projector, tensor_product
 from .scenarios import EmpiricalModel, Inequality, ncycle_inequality, ncycle_scenario
 
@@ -41,6 +41,9 @@ class OrthoRep:
     def __post_init__(self):
         self.psi = np.asarray(self.psi, dtype=complex)
         self.vectors = tuple(np.asarray(v, dtype=complex) for v in self.vectors)
+        # a NaN passes the unit-length comparisons below
+        if not all(np.isfinite(v).all() for v in (self.psi, *self.vectors)):
+            raise ValueError("handle and vectors must be finite")
         d = self.psi.shape[0]
         if abs(np.linalg.norm(self.psi) - 1.0) > 1e-9:
             raise ValueError("handle vector must be unit length")
@@ -77,10 +80,11 @@ class OrthoRep:
 
 def orthorep_from_json_dict(data: dict) -> OrthoRep:
     try:
+        # a complex entry is its [re, im] pair, viewed as one complex number
         if data.get("complex"):
-            dec = lambda vec: np.array([complex(re, im) for re, im in vec])
+            dec = lambda vec: _reals(vec, "vector", (None, 2)).view(complex)[:, 0]
         else:
-            dec = lambda vec: np.array([float(x) for x in vec], dtype=complex)
+            dec = lambda vec: _reals(vec, "vector", (None,)).astype(complex)
         return OrthoRep(dec(data["psi"]), tuple(dec(v) for v in data["vectors"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed orthonormal representation: {exc}") from exc
@@ -282,13 +286,9 @@ def bell_qubit_hv_expectation(a0: float, a_vec, n_vec, samples: int, seed: int) 
     1.._MAX_TRIALS, and a0, a and n must be finite.
     """
     samples = _index(samples, "samples", 1, _MAX_TRIALS)
-    a0 = float(a0)
-    a_vec = np.asarray(a_vec, dtype=float)
-    n_vec = np.asarray(n_vec, dtype=float)
-    if a_vec.shape != (3,) or n_vec.shape != (3,):
-        raise ValueError("need 3-vectors")
-    if not np.isfinite([a0, *a_vec, *n_vec]).all():
-        raise ValueError("a0, a and n must be finite")
+    a0 = _reals(a0, "a0")
+    a_vec = _reals(a_vec, "a", (3,))
+    n_vec = _reals(n_vec, "n", (3,))
     if abs(np.linalg.norm(n_vec) - 1.0) > 1e-9:
         raise ValueError("state direction must be a unit vector")
     norm_a = float(np.linalg.norm(a_vec))

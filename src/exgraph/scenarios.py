@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import assignment_hull, hull_membership
-from .graph import Graph, _index, from_edges
+from .graph import Graph, _index, _reals, from_edges
 
 # longest cycle whose tight inequalities are listed (2^12 = 4,096 of them):
 # its 2^13 deterministic assignments are the most a hull LP takes
@@ -64,8 +64,10 @@ class EmpiricalModel:
         for ctx in self.scenario.contexts:
             if ctx not in self.tables:
                 raise ValueError(f"missing table for context {ctx}")
+            table = self.tables[ctx]
+            probs = _reals(list(table.values()), f"probabilities at {ctx}", (None,))
             total = 0.0
-            for key, p in self.tables[ctx].items():
+            for key, p in zip(table, probs.tolist()):
                 if len(key) != len(ctx):
                     raise ValueError(f"outcome tuple {key} does not match context {ctx}")
                 if any(o not in outcomes for o in key):
@@ -73,7 +75,7 @@ class EmpiricalModel:
                 if p < -tol:
                     raise ValueError(f"negative probability {p} at {ctx}:{key}")
                 total += p
-            if abs(total - 1.0) > max(tol, 1e-9 * len(self.tables[ctx])):
+            if abs(total - 1.0) > max(tol, 1e-9 * len(table)):
                 raise ValueError(f"table for {ctx} sums to {total}")
         for ctx in self.tables:
             if ctx not in self.scenario.contexts:
@@ -114,10 +116,9 @@ def model_from_json_dict(data: dict) -> EmpiricalModel:
         )
         tables = {}
         for ctx_key, table in data["tables"].items():
-            ctx = tuple(ctx_key.split(","))
-            tables[ctx] = {
-                tuple(int(tok) for tok in out_key.split(",")): float(p)
-                for out_key, p in table.items()
+            probs = _reals(list(table.values()), f"probabilities at {ctx_key}", (None,))
+            tables[tuple(ctx_key.split(","))] = {
+                tuple(int(tok) for tok in out_key.split(",")): p for out_key, p in zip(table, probs.tolist())
             }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model: {exc}") from exc

@@ -110,6 +110,13 @@ def test_membership_requires_p(tmp_path, capsys):
     assert '"p"' in capsys.readouterr().err
 
 
+def test_membership_without_input_is_an_input_error(capsys):
+    # it used to end in a TypeError traceback and exit 1
+    assert cli.run(["membership", "--family", "cycle", "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and '"p"' in captured.err
+
+
 def test_membership_rejects_non_numeric_p(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"graph": {"n": 5, "edges": [[0, 1]]}, "p": [0.1, 0.1, 0.1, 0.1, {"a": 1}]}))
@@ -448,6 +455,94 @@ def test_tol_must_be_positive_and_finite(monkeypatch, capsys, tol):
     monkeypatch.setattr(cli, "bounds_report", never)
     assert cli.run(["bounds", "--family", "cycle", "--n", "5", "--tol", tol]) == 2
     assert "--tol" in capsys.readouterr().err
+
+
+_TOL_READERS = [["bounds", "--family", "cycle", "--n", "5"], ["membership"], ["duality", "--family", "cycle", "--n", "5"],
+                ["scenario", "check"], ["scenario", "global-section"], ["plotdata", "theta-alpha", "--n", "5"]]
+_TOL_IGNORERS = [["suite", "ops"], ["ks", "check"], ["ks", "multiplicative"], ["scenario", "evaluate"],
+                 ["box", "check"], ["box", "chsh"], ["box", "gyni"], ["box", "lo"], ["box", "ic-vandam"],
+                 ["box", "ic-nested"], ["box", "ip-protocol"]]
+
+
+def test_tol_is_offered_only_where_it_is_read(capsys):
+    for argv in _TOL_READERS:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv + ["--tol", "0.5", "--help"])
+        assert exc.value.code == 0 and "--tol" in capsys.readouterr().out
+    for argv in _TOL_IGNORERS:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv + ["--help"])
+        assert exc.value.code == 0 and "--tol" not in capsys.readouterr().out
+
+
+def test_tol_is_refused_where_it_is_not_read_and_used_where_it_is(monkeypatch, capsys):
+    assert cli.run(["box", "lo", "--tol", "1"]) == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+    tols = []
+    real = cli.bounds_report
+
+    def recorded(g, tol):
+        tols.append(tol)
+        return real(g, tol=tol)
+
+    monkeypatch.setattr(cli, "bounds_report", recorded)
+    code, data = run_json(capsys, ["bounds", "--family", "cycle", "--n", "5", "--tol", "1e-3"])
+    assert code == 0 and tols == [1e-3]
+    assert data["theta"] == pytest.approx(ROOT5, abs=1e-3)
+
+
+def _with(document, path, value):
+    doc = json.loads(json.dumps(document))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    assert isinstance(inner[path[-1]], (int, float))
+    inner[path[-1]] = value
+    return doc
+
+
+_KS8_PINNED = dict(ks8_vectors().to_json_dict(), pins={"0": 1, "7": 1})
+_EVALUATE = {"model": pentagon_extremal_model().to_json_dict(), "gamma": [1, 1, 1, 1, -1]}
+_REAL_FIELDS = {
+    # command: (argv, valid document, path to one real field)
+    "box chsh": (["box", "chsh"], pr_box().to_json_dict(), ("table", "0,0", "0,0")),
+    "box lo": (["box", "lo"], pr_box().to_json_dict(), ("table", "1,1", "0,1")),
+    "box check": (["box", "check"], pr_box().to_json_dict(), ("table", "0,1", "1,1")),
+    "scenario check": (["scenario", "check"], triangle_overlap_model().to_json_dict(), ("tables", "M0,M1", "1,1")),
+    "scenario evaluate": (["scenario", "evaluate"], _EVALUATE, ("model", "tables", "M2,M3", "-1,-1")),
+    "scenario global-section": (["scenario", "global-section"], triangle_overlap_model().to_json_dict(),
+                                ("tables", "M2,M0", "-1,1")),
+    "ks check coordinate": (["ks", "check"], _KS8_PINNED, ("vectors", 3, 1)),
+    "ks check tol": (["ks", "check"], _KS8_PINNED, ("tol",)),
+    "ks multiplicative operator": (["ks", "multiplicative"], _SQUARE, ("operators", 4, 1, 0, 1)),
+    "membership p": (["membership"], {"graph": {"n": 5, "edges": [[0, 1]]}, "p": [0.1, 0.2, 0.3, 0.4, 0.5]},
+                     ("p", 2)),
+    "ic-nested e": (["box", "ic-nested"], {"d": 3, "e": 0.5, "levels": 4}, ("e",)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", sorted(_REAL_FIELDS))
+def test_a_non_finite_real_exits_2_with_nothing_printed(tmp_path, capsys, case, bad):
+    argv, document, field = _REAL_FIELDS[case]
+    assert _with(document, field, 0.5) != _with(document, field, bad)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_with(document, field, bad)))
+    assert cli.run(argv + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+
+
+def test_a_ray_system_tolerance_must_be_positive(tmp_path, capsys):
+    # the pinned 8-ray system is uncolourable; a tolerance of -1 made every
+    # pair non-orthogonal, so it used to come back colourable
+    for tol in (-1, 0):
+        path = tmp_path / "ks8.json"
+        path.write_text(json.dumps(dict(_KS8_PINNED, tol=tol)))
+        assert cli.run(["ks", "check", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tol must be positive" in captured.err
 
 
 def test_box_ic_vandam_and_determinism(tmp_path):

@@ -103,6 +103,16 @@ def test_pair_test():
         eprinciple_pair_test(c5, [0.5] * 4, [0.5] * 5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pair_test_refuses_a_non_finite_entry(bad):
+    # a NaN product compares false, so it used to read as "no violation"
+    c5 = gr.cycle_graph(5)
+    with pytest.raises(ValueError, match="must be finite"):
+        eprinciple_pair_test(c5, [0.5, 0.5, bad, 0.5, 0.5], [0.5] * 5)
+    with pytest.raises(ValueError, match="must be finite"):
+        eprinciple_pair_test(c5, [0.5] * 5, [bad, 0.5, 0.5, 0.5, 0.5])
+
+
 def test_duality_suite_pentagon():
     rep = duality_suite(gr.cycle_graph(5), graph_id="C5")
     assert rep.graph_id == "C5"

@@ -97,6 +97,48 @@ def test_numpy_integer_indices_are_accepted():
     assert gr.partial_twinning(c5, np.array([[0, 1]])) == gr.partial_twinning(c5, [(0, 1)])
 
 
+def test_reals_reads_scalars_and_arrays_with_free_axes():
+    assert gr._reals(1, "x") == 1.0 and type(gr._reals(1, "x")) is float
+    assert gr._reals("0.25", "x") == 0.25
+    rows = gr._reals([[1, 2], [3, 4], [5, 6]], "x", (None, 2))
+    assert rows.dtype == float and rows.shape == (3, 2)
+    assert gr._reals([], "x", (None,), lo=0).shape == (0,)
+    with pytest.raises(gr.GraphError, match=r"^x must have shape \(any, 3\), got \(3, 2\)$"):
+        gr._reals(rows, "x", (None, 3))
+    with pytest.raises(gr.GraphError, match=r"^x must have shape \(\), got \(1,\)$"):
+        gr._reals([1.0], "x")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None])
+def test_reals_refuses_non_finite_values(bad):
+    with pytest.raises(gr.GraphError, match="^weights must be finite$"):
+        gr._reals([0.5, bad], "weights", (2,))
+    with pytest.raises(ValueError, match="^e must be finite$"):
+        gr._reals(bad, "e", lo=0, hi=1)
+
+
+def test_reals_checks_each_end_of_the_range():
+    assert gr._reals([0, 0.5, 1], "e", (3,), lo=0, hi=1).tolist() == [0.0, 0.5, 1.0]
+    with pytest.raises(gr.GraphError, match=r"^e must be at least 0, got -1e-12$"):
+        gr._reals([0.5, -1e-12], "e", (2,), lo=0, hi=1)
+    with pytest.raises(gr.GraphError, match=r"^e must be at most 1, got 1.5$"):
+        gr._reals(1.5, "e", lo=0, hi=1)
+
+
+@pytest.mark.parametrize("bad", [[1.0, [2.0, 3.0]], "one", [0.5, "x"], {"a": 1}, 1 + 2j,
+                                 np.array([1.0, 2.0j]), np.complex128(1.0)])
+def test_reals_refuses_ragged_lists_and_non_numbers(bad):
+    with pytest.raises(gr.GraphError, match="^p must be real numbers"):
+        gr._reals(bad, "p", (None,) if isinstance(bad, (list, np.ndarray)) else ())
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf", "tiny", 0.0, -1e-300])
+def test_tolerances_must_be_positive_and_finite(bad):
+    with pytest.raises(gr.GraphError, match="^tol must be "):
+        gr._tolerance(bad, "tol")
+    assert gr._tolerance("1e-9", "tol") == 1e-9
+
+
 def test_json_roundtrip_keeps_labels():
     g = gr.from_edges(3, [(0, 1), (1, 2)], labels=("a", "b", "c"))
     g2 = gr.from_json_dict(g.to_json_dict())

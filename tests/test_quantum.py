@@ -61,6 +61,31 @@ def test_orthorep_json_roundtrip():
     assert ok
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["psi", "vector"])
+def test_orthorep_refuses_non_finite_entries(bad, where):
+    # a NaN passes the unit-length check, and witness_value() was then nan
+    psi, vectors = [1.0, 0.0, 0.0], [[1.0, 0.0, 0.0]] * 5
+    if where == "psi":
+        psi = [bad, 0.0, 0.0]
+    else:
+        vectors = [[0.0, bad, 0.0], *vectors[1:]]
+    with pytest.raises(ValueError, match="finite"):
+        quantum.OrthoRep(np.array(psi), tuple(np.array(v) for v in vectors))
+    with pytest.raises(ValueError, match="finite"):
+        orthorep_from_json_dict({"psi": psi, "vectors": vectors, "complex": False})
+    pairs = lambda vec: [[x, 0.0] for x in vec]
+    with pytest.raises(ValueError, match="finite"):
+        orthorep_from_json_dict({"psi": pairs(psi), "vectors": [pairs(v) for v in vectors], "complex": True})
+
+
+def test_orthorep_json_reads_complex_entries_bit_for_bit():
+    v = np.array([0.6 - 0.0j, -0.0 + 0.8j, 0.0])
+    again = orthorep_from_json_dict(quantum.OrthoRep(v, (v, v)).to_json_dict())
+    assert again.psi.tobytes() == v.tobytes()
+    assert all(w.tobytes() == v.tobytes() for w in again.vectors)
+
+
 def test_verify_orthorep_rejects_wrong_length():
     with pytest.raises(ValueError):
         verify_orthorep(gr.cycle_graph(4), kcbs_orthorep())
