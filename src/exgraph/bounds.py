@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph, _bits, _cayley_group, _reals, circulant_graph, complement
+from .graph import Graph, _bits, _cayley_group, _reals, _tolerance, circulant_graph, complement
 from .numkernel import LinearProgram, lp_solve, lp_solve_many, replays, sdp_solve, sdp_solve_many
 
 # largest column count of a hull LP; both hull LPs have one row per
@@ -258,6 +258,7 @@ def lovasz_theta(g: Graph, weights=None, tol: float = _THETA_TOL) -> float:
     width tol; the midpoint is returned, so the absolute error is at most
     tol/2.  Results are memoized.
     """
+    tol = _tolerance(tol, "tol")
     wkey = None if weights is None else tuple(_reals(weights, "weights", (g.n,), lo=0).tolist())
     return _theta_cached(g.n, g.rows, wkey, tol)
 
@@ -267,6 +268,7 @@ def lovasz_theta_matrix(g: Graph, weights=None, tol: float = _THETA_TOL):
     from which optimizing vertex assignments can be extracted.  It always
     solves the SDP, Cayley graphs included, so its value is the semidefinite
     route's even where lovasz_theta takes the character LP."""
+    tol = _tolerance(tol, "tol")
     w = np.ones(g.n) if weights is None else _reals(weights, "weights", (g.n,), lo=0)
     res = _theta_sdp(g.n, g.rows, w, tol)
     return res.value, res.x
@@ -300,22 +302,35 @@ def assignment_hull(sizes, contexts) -> np.ndarray:
     return hull
 
 
-def hull_membership(vertices, point, tol: float = 1e-9) -> tuple[bool, np.ndarray, float | None]:
-    """Is point a convex combination of the 0/1 columns of vertices (d x k)?
+def hull_membership(vertices, point) -> tuple[bool, np.ndarray, float | None]:
+    """Is point a convex combination of the columns of vertices (d x k)?
     The one-point case of hull_membership_many."""
-    return hull_membership_many(vertices, [point], tol)[0]
+    return hull_membership_many(vertices, [point])[0]
 
 
-def hull_membership_many(vertices, points, tol: float = 1e-9) -> list[tuple[bool, np.ndarray, float | None]]:
-    """hull_membership for each row of points (B x d), as one stack of hull
-    LPs and one stack of Farkas LPs for the points outside.
+def hull_membership_many(vertices, points) -> list[tuple[bool, np.ndarray, float | None]]:
+    """hull_membership for each row of points (B x d): hull LPs on each
+    point's support, then one stack of Farkas LPs for the points outside.
 
     Each verdict is (True, x, None) with x >= 0, sum(x) = 1 and
     vertices @ x = point, or (False, y, margin) with y = (a, c) a Farkas
-    functional: a.v + c <= 0 on every column v while a.point + c = margin >
-    tol, normalised by a in [-1, 1]^d and c in [-d, 1].  Every LP answer must
-    replay (see numkernel.replays) before any is returned; a failed replay
-    raises RuntimeError.
+    functional: a.v + c <= 0 on every column v while a.point + c = margin,
+    normalised by a in [-1, 1]^d and c in [-d, 1].
+
+    A row of vertices with no negative entry at which a point is exactly 0
+    forces zero weight on every column that is positive in that row (a
+    forcing constraint in LP presolve), so those columns and rows leave the
+    point's hull LP.  Points are grouped by the rows they remove, one
+    lp_solve_many stack per group; a point without such a zero solves the
+    full LP.  A point with a nonzero coordinate (or the weight sum) whose
+    row has no column left is outside without a pivot.  The weights are put
+    back to full length with zeros and replayed against the full LP (see
+    numkernel.replays).
+
+    Every point without weights that replay goes to the Farkas LP, which
+    runs over every column, so each functional is valid on all of them.  A
+    functional counts once it replays and its margin exceeds _REPLAY_TOL,
+    the precision it was replayed at; otherwise RuntimeError is raised.
     """
     vertices = _reals(vertices, "hull vertices", (None, None))
     d, k = vertices.shape
@@ -325,19 +340,35 @@ def hull_membership_many(vertices, points, tol: float = 1e-9) -> list[tuple[bool
     rhs = np.hstack([points, np.ones((len(points), 1))])
     ext = np.vstack([vertices, np.ones(k)])
     senses = ("=",) * (d + 1)
-    lp = LinearProgram(c=np.zeros(k), a=ext, senses=senses, b=rhs)
-    solved = lp_solve_many(lp)
-    inside = np.array([res.status == "optimal" for res in solved], dtype=bool)
+    # each point's zero coordinates that force columns out of its LP
+    forcing = (points == 0) & np.all(vertices >= 0, axis=1)
+    groups: dict[bytes, list[int]] = {}
+    for i, zero in enumerate(forcing):
+        groups.setdefault(zero.tobytes(), []).append(i)
+    found = []
+    for members in groups.values():
+        zero = forcing[members[0]]
+        rows, cols = np.append(~zero, True), ~vertices[zero].any(axis=0)
+        a, b = ext[np.ix_(rows, cols)], rhs[np.ix_(members, rows)]
+        # a row left without a column can only hold a zero coordinate
+        reached = np.all(b[:, ~a.any(axis=1)] == 0, axis=1)
+        if not reached.any():
+            continue
+        reduced = LinearProgram(c=np.zeros(a.shape[1]), a=a, senses=senses[: a.shape[0]], b=b[reached])
+        for i, res in zip(np.asarray(members)[reached].tolist(), lp_solve_many(reduced)):
+            if res.status == "optimal":
+                x, y = np.zeros(k), np.zeros(d + 1)
+                x[cols], y[rows] = res.x, res.y
+                found.append((i, x, y))
     verdicts: list = [None] * len(points)
-    if inside.any():
-        weights = [res for res, ok in zip(solved, inside) if ok]
-        held = lp if inside.all() else LinearProgram(c=lp.c, a=ext, senses=senses, b=rhs[inside])
-        if not replays(held, [res.x for res in weights], [res.y for res in weights], _REPLAY_TOL).all():
-            raise RuntimeError("hull weights fail their floating-point replay")
-        for i, res in zip(np.flatnonzero(inside), weights):
-            verdicts[i] = (True, res.x, None)
-    outside = np.flatnonzero(~inside)
-    if outside.size:
+    if found:
+        held, weights, duals = zip(*found)
+        full = LinearProgram(c=np.zeros(k), a=ext, senses=senses, b=rhs[list(held)])
+        for i, x, ok in zip(held, weights, replays(full, weights, duals, _REPLAY_TOL)):
+            if ok:
+                verdicts[i] = (True, x, None)
+    outside = [i for i, v in enumerate(verdicts) if v is None]
+    if outside:
         # The Farkas LP, max y.[p; 1] subject to y.[v; 1] <= 0 on every
         # column with y in [L, U], has one row per column.  Solve its dual
         # instead: min U.mu+ - L.mu- subject to [V; 1] lam + mu+ - mu- =
@@ -358,7 +389,7 @@ def hull_membership_many(vertices, points, tol: float = 1e-9) -> list[tuple[bool
             raise RuntimeError("point outside the hull without a valid Farkas functional")
         for i, b, res in zip(outside, farkas.b, solved):
             margin = float(b @ res.y)
-            if margin <= tol:
+            if margin <= _REPLAY_TOL:
                 raise RuntimeError("point outside the hull without a valid Farkas functional")
             verdicts[i] = (False, res.y, margin)
     return verdicts
@@ -386,12 +417,15 @@ def stab_membership(g: Graph, p, tol: float = 1e-9) -> tuple[bool, dict]:
 
 def stab_membership_many(g: Graph, points, tol: float = 1e-9) -> list[tuple[bool, dict]]:
     """stab_membership for each row of points: the independent sets are
-    listed once, and the points go through hull_membership_many together."""
+    listed once, and the points go through hull_membership_many together.
+    Weights above tol are listed; a functional coefficient within tol of 0
+    is zeroed before the functional is replayed."""
+    tol = _tolerance(tol, "tol")
     p = _reals(points, "coordinates", (None, g.n))
     masks = _independent_set_masks(g)
     bits = np.arange(g.n, dtype=np.uint64)[:, None]
     chi = (np.array(masks, dtype=np.uint64) >> bits & np.uint64(1)).astype(float)
-    hull = hull_membership_many(chi, p, tol)
+    hull = hull_membership_many(chi, p)
     verdicts: list[tuple[bool, dict] | None] = [
         (True, {"weights": {tuple(_bits(masks[j])): float(w[j]) for j in np.flatnonzero(w > tol)}}) if inside else None
         for inside, w, _ in hull
@@ -404,7 +438,7 @@ def stab_membership_many(g: Graph, points, tol: float = 1e-9) -> list[tuple[bool
         y = np.array([hull[i][1] for i in outside])
         y[:, : g.n][np.abs(y[:, : g.n]) <= tol] = 0.0
         margins = [float(np.append(p[i], 1.0) @ yi) for i, yi in zip(outside, y)]
-        if min(margins) <= tol or np.max(y[:, : g.n] @ chi + y[:, g.n :]) > _REPLAY_TOL:
+        if min(margins) <= _REPLAY_TOL or np.max(y[:, : g.n] @ chi + y[:, g.n :]) > _REPLAY_TOL:
             raise RuntimeError("STAB separation fails its replay after zeroing roundoff")
         for i, yi, margin in zip(outside, y, margins):
             verdicts[i] = (False, {"a": [float(v) for v in yi[: g.n]], "beta": 0.0 - float(yi[g.n]), "margin": margin})
@@ -423,6 +457,7 @@ def th_membership_many(g: Graph, points, tol: float = 1e-6) -> list[tuple[bool, 
     with a coordinate below -tol is outside without a solve; the others are
     clipped at 0 and their weighted thetas of the complement are solved
     together, as one stack of programs on one graph."""
+    tol = _tolerance(tol, "tol")
     p = _reals(points, "coordinates", (None, g.n))
     outside = p.min(axis=1) < -tol
     w = np.clip(p[~outside], 0.0, None)
@@ -452,6 +487,7 @@ def qstab_membership_many(g: Graph, points, tol: float = 1e-9) -> list[tuple[boo
     listed once.  A row with a coordinate below -tol names its smallest
     coordinate; otherwise the first clique of greatest total above 1 + tol
     is named, its total summed vertex by vertex in clique order."""
+    tol = _tolerance(tol, "tol")
     p = _reals(points, "coordinates", (None, g.n))
     cliques = maximal_cliques(g)
     # one column per clique, padded with a zero coordinate past the last vertex
@@ -503,6 +539,7 @@ def bounds_report(g: Graph, tol: float = _THETA_TOL) -> BoundsReport:
     the certified midpoint of lovasz_theta carries, and no theta program is
     solved.  Otherwise theta is lovasz_theta(g, tol=tol).
     """
+    tol = _tolerance(tol, "tol")
     alpha, witness = independence_number(g)
     alpha_star = fractional_packing(g)
     theta = float(alpha) if alpha_star - alpha <= tol / 2 else lovasz_theta(g, tol=tol)

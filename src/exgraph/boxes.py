@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import assignment_hull, hull_membership
-from .graph import _index, _reals
+from .graph import _index, _reals, _tolerance
 
 _MAX_TABLE_ENTRIES = 1 << 24
 # a table has one axis per setting and per outcome of each party, and numpy
@@ -62,6 +62,7 @@ class Box:
         self.table = _reals(self.table, "box table", self.scenario.table_shape())
 
     def validate(self, tol: float = 1e-9) -> None:
+        tol = _tolerance(tol, "tol")
         if float(self.table.min()) < -tol:
             raise ValueError(f"negative probability {self.table.min()}")
         p = self.scenario.parties
@@ -119,7 +120,7 @@ def box_from_json_dict(data: dict) -> Box:
         for x_key, inner in data["table"].items():
             x = _table_key(x_key, scn.settings, "settings")
             for a_key, p in inner.items():
-                table[x + _table_key(a_key, scn.outcomes, "outcome")] = p
+                table[x + _table_key(a_key, scn.outcomes, "outcome")] = _reals(p, "box table")
     except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValueError(f"malformed box: {exc}") from exc
     box = Box(scn, table)
@@ -147,6 +148,7 @@ def is_nosignaling(box: Box, tol: float = 1e-9) -> tuple[bool, dict | None]:
     Checks, for each party, that the distribution of the remaining parties'
     outcomes is independent of that party's setting.
     """
+    tol = _tolerance(tol, "tol")
     p = box.scenario.parties
     for i in range(p):
         marg = box.table.sum(axis=p + i)
@@ -167,15 +169,17 @@ def is_local(box: Box, tol: float = 1e-7) -> tuple[bool, dict]:
 
     Returns (True, {"weights": ...}) with a local model, or (False,
     certificate) where the certificate is a Bell functional nonpositive on
-    every deterministic strategy yet positive on the box.
+    every deterministic strategy yet positive on the box.  Weights and
+    coefficients within tol of 0 are left out.
     """
+    tol = _tolerance(tol, "tol")
     scn = box.scenario
     # measurement (party i, setting x_i) is numbered party by party and the
     # contexts are the setting tuples, so the rows are the raveled table
     first = np.cumsum((0,) + scn.settings[:-1])
     sizes = tuple(o for m, o in zip(scn.settings, scn.outcomes) for _ in range(m))
     contexts = [tuple(first + x) for x in itertools.product(*(range(m) for m in scn.settings))]
-    local, y, margin = hull_membership(assignment_hull(sizes, contexts), box.table.ravel(), tol)
+    local, y, margin = hull_membership(assignment_hull(sizes, contexts), box.table.ravel())
     if local:
         cols = np.flatnonzero(y > tol)
         strategies = np.transpose(np.unravel_index(cols, sizes)).tolist()

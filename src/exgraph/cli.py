@@ -356,7 +356,11 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
 
 def _tolerance(text: str) -> float:
     try:
-        return gr._tolerance(text, "--tol")
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a real number, got {text!r}") from None
+    try:
+        return gr._tolerance(tol, "--tol")
     except gr.GraphError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

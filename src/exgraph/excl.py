@@ -78,6 +78,7 @@ def pentagon_eprinciple_bound() -> float:
 def eprinciple_pair_test(g: gr.Graph, p, pbar, tol: float = 1e-9) -> bool:
     """True iff sum_i p_i * pbar_i <= 1 + tol, with pbar read on the
     complement graph (exclusive there means compatible here)."""
+    tol = gr._tolerance(tol, "tol")
     p = gr._reals(p, "p", (g.n,)).tolist()
     pbar = gr._reals(pbar, "pbar", (g.n,)).tolist()
     return sum(a * b for a, b in zip(p, pbar)) <= 1.0 + tol
@@ -118,6 +119,7 @@ def duality_suite(g: gr.Graph, graph_id: str = "graph", tol: float = _THETA_TOL)
     equality (hence the e-principle ceiling n/theta_complement) on
     vertex-transitive graphs, and theta = sqrt(n) on self-complementary
     vertex-transitive ones."""
+    tol = gr._tolerance(tol, "tol")
     gbar = gr.complement(g)
     vt = gr.is_vertex_transitive(g)
     self_comp = gr.is_isomorphic(g, gbar)
@@ -148,6 +150,7 @@ def op_propagation_suite(tol: float = 1e-5, seed: int = 23) -> list[dict]:
     duplication, and any partial twinning double it.  Returns one row per
     (graph, operation) with the computed and expected values.
     """
+    tol = gr._tolerance(tol, "tol")
     rng = random.Random(seed)
     bases = [
         ("C5", gr.cycle_graph(5)),
@@ -221,6 +224,7 @@ _GAP_GRAPH_OFFSETS = {
 def circulant10_suite(tol: float = _THETA_TOL) -> dict:
     """The ten-vertex survey: census bounds, the graphs where the quantum
     maximum exceeds the classical one, and their structural identifications."""
+    tol = gr._tolerance(tol, "tol")
     census = circulant10_census()
     for (na, ga), (nb, gb) in itertools.combinations(census, 2):
         if gr.is_isomorphic(ga, gb):
@@ -304,6 +308,7 @@ def eprinciple_violation_witness(g: gr.Graph, p, tol: float = 1e-6):
     The optimizer of the weighted theta program on the complement yields the
     partner assignment; returns (theta, pbar) where theta = sum p_i pbar_i.
     """
+    tol = gr._tolerance(tol, "tol")
     p = gr._reals(p, "weights", (g.n,), lo=0)
     gbar = gr.complement(g)
     theta, x = lovasz_theta_matrix(gbar, weights=p)

@@ -45,12 +45,16 @@ def _reals(value, what: str, shape=(), lo: float | None = None, hi: float | None
     lo..hi (an end left as None is open); else GraphError, which is a
     ValueError.  Every real number the package takes from a caller or a JSON
     document is read here, before any work is done with it: a NaN passes
-    every comparison, so it would otherwise reach an answer."""
-    # numpy casts a complex array to float by dropping the imaginary part
-    if isinstance(value, np.ndarray | np.generic) and value.dtype.kind == "c":
-        raise GraphError(f"{what} must be real numbers, got {value.dtype}")
+    every comparison, so it would otherwise reach an answer.  A string is
+    refused even when it spells a number, so a JSON number field written
+    as text is an error."""
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(value)
+        # numpy casts a complex array to float by dropping the imaginary
+        # part, and a string to the number it spells
+        if arr.dtype.kind in "cSU" or (arr.dtype.kind == "O" and any(isinstance(v, str | bytes) for v in arr.flat)):
+            raise TypeError(f"got {arr.dtype.name if arr.dtype.kind == 'c' else 'text'}")
+        arr = np.asarray(arr, dtype=float)
     except (TypeError, ValueError) as exc:
         raise GraphError(f"{what} must be real numbers: {exc}") from None
     if arr.ndim != len(shape) or any(s is not None and s != m for s, m in zip(shape, arr.shape)):

@@ -401,6 +401,7 @@ class ProofReport:
 
 
 def verify_multiplicative_proof(spec: OperatorProofSpec, tol: float = 1e-9) -> ProofReport:
+    tol = _tolerance(tol, "tol")
     k = len(spec.operators)
     d = spec.operators[0].shape[0]
     eye = np.eye(d, dtype=complex)

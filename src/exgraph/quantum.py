@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import _MAX_TRIALS, BellScenario, Box, chsh_value
-from .graph import Graph, _index, _reals
+from .graph import Graph, _index, _reals, _tolerance
 from .numkernel import is_hermitian, is_projector, tensor_product
 from .scenarios import EmpiricalModel, Inequality, ncycle_inequality, ncycle_scenario
 
@@ -93,6 +93,7 @@ def orthorep_from_json_dict(data: dict) -> OrthoRep:
 def verify_orthorep(g: Graph, rep: OrthoRep, tol: float = 1e-9) -> tuple[bool, float]:
     """Check that adjacent vertices carry orthogonal vectors; the returned
     value sum |<psi|v_i>|^2 lower-bounds theta(g) when the check passes."""
+    tol = _tolerance(tol, "tol")
     if len(rep.vectors) != g.n:
         raise ValueError(f"{len(rep.vectors)} vectors for {g.n} vertices")
     ok = all(
@@ -136,6 +137,7 @@ class QuantumRealization:
     event_projectors: tuple[np.ndarray, ...]
 
     def validate(self, tol: float = 1e-9) -> None:
+        tol = _tolerance(tol, "tol")
         evals = np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2)
         if evals[0] < -tol:
             raise ValueError(f"state not positive semidefinite ({evals[0]})")

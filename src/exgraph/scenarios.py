@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import assignment_hull, hull_membership
-from .graph import Graph, _index, _reals, from_edges
+from .graph import Graph, _index, _reals, _tolerance, from_edges
 
 # longest cycle whose tight inequalities are listed (2^12 = 4,096 of them):
 # its 2^13 deterministic assignments are the most a hull LP takes
@@ -60,6 +60,7 @@ class EmpiricalModel:
     tables: dict[tuple[str, ...], dict[tuple[int, ...], float]]
 
     def validate(self, tol: float = 1e-9) -> None:
+        tol = _tolerance(tol, "tol")
         outcomes = set(self.scenario.outcomes)
         for ctx in self.scenario.contexts:
             if ctx not in self.tables:
@@ -129,6 +130,7 @@ def model_from_json_dict(data: dict) -> EmpiricalModel:
 
 def check_nondisturbance(model: EmpiricalModel, tol: float = 1e-9) -> tuple[bool, list[dict]]:
     """Do overlapping contexts agree on their shared marginals?"""
+    tol = _tolerance(tol, "tol")
     violations = []
     contexts = model.scenario.contexts
     for i in range(len(contexts)):
@@ -158,8 +160,10 @@ def has_global_section(model: EmpiricalModel, tol: float = 1e-7) -> tuple[bool, 
     Returns (True, {"distribution": {assignment: weight}}) with assignments
     as (measurement, outcome) tuples, or (False, certificate) where the
     certificate is a functional nonpositive on every deterministic
-    assignment but positive on the model.
+    assignment but positive on the model.  Weights and coefficients within
+    tol of 0 are left out.
     """
+    tol = _tolerance(tol, "tol")
     scn = model.scenario
     midx = {m: i for i, m in enumerate(scn.measurements)}
     sizes = (len(scn.outcomes),) * len(scn.measurements)
@@ -170,7 +174,7 @@ def has_global_section(model: EmpiricalModel, tol: float = 1e-7) -> tuple[bool, 
         for outcome in itertools.product(scn.outcomes, repeat=len(ctx))
     ]
     point = [model.prob(ctx, outcome) for ctx, outcome in events]
-    exists, y, margin = hull_membership(vertices, point, tol)
+    exists, y, margin = hull_membership(vertices, point)
     if exists:
         cols = np.flatnonzero(y > tol)
         atoms = np.transpose(np.unravel_index(cols, sizes)).tolist()

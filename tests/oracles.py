@@ -330,3 +330,57 @@ def chain_points_reference(cliques, n, rng):
         clique_max = max(w[list(q)].sum() for q in cliques)
         points.append(w * rng.uniform(0.2, 1.3) / clique_max)
     return points
+
+
+def stab_certificate_holds(n, edges, p, verdict, atol):
+    """Whether a stab_membership verdict is a certificate for p: inside, the
+    listed sets are independent, their weights are positive with a sum of at
+    most 1 and rebuild p within atol; outside, a.p - beta is the margin and
+    is positive, and a.chi <= beta + 1e-9 on every independent set (the
+    heaviest one by subset enumeration, n <= 20)."""
+    inside, cert = verdict
+    if inside:
+        rebuilt = np.zeros(n)
+        for members, w in cert["weights"].items():
+            if w <= 0 or any(j in members for i, j in edges if i in members):
+                return False
+            rebuilt[list(members)] += w
+        return sum(cert["weights"].values()) <= 1 + atol and np.allclose(rebuilt, p, rtol=0, atol=atol)
+    a, beta, margin = cert["a"], cert["beta"], cert["margin"]
+    heaviest, _ = brute_independence(n, edges, a)
+    return margin > 0 and math.isclose(sum(x * y for x, y in zip(a, p)) - beta, margin, abs_tol=1e-12) \
+        and heaviest <= beta + 1e-9
+
+
+def local_certificate_holds(box, verdict, atol):
+    """Whether an is_local verdict is a certificate for box: inside, the
+    listed strategies (one outcome per party and setting) with positive
+    weights summing to at most 1 rebuild the table within atol; outside, the
+    functional's value on the box is its margin and positive, and it is at
+    most 1e-9 on every deterministic strategy, each table built by plain
+    loops."""
+    settings, outcomes = box.scenario.settings, box.scenario.outcomes
+
+    def table_of(strategy):
+        table = np.zeros(box.table.shape)
+        for x in itertools.product(*(range(m) for m in settings)):
+            table[x + tuple(s[xi] for s, xi in zip(strategy, x))] = 1.0
+        return table
+
+    inside, cert = verdict
+    if inside:
+        weights = cert["weights"]
+        rebuilt = sum(w * table_of(s) for s, w in weights.items())
+        return min(weights.values()) > 0 and sum(weights.values()) <= 1 + atol \
+            and np.allclose(rebuilt, box.table, rtol=0, atol=atol)
+
+    def value(table):
+        total = cert["constant"]
+        for xk, inner in cert["coefficients"].items():
+            for ak, coef in inner.items():
+                total += coef * table[tuple(int(t) for t in f"{xk},{ak}".split(","))]
+        return total
+
+    strategies = itertools.product(*(itertools.product(range(o), repeat=m) for m, o in zip(settings, outcomes)))
+    return cert["margin"] > 0 and math.isclose(value(box.table), cert["margin"], abs_tol=1e-12) \
+        and max(value(table_of(s)) for s in strategies) <= 1e-9

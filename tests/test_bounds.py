@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exgraph import acceptance
+from exgraph import acceptance, boxes
 from exgraph import bounds as bd
 from exgraph import excl
 from exgraph import graph as gr
+from exgraph.numkernel import LinearProgram, lp_solve_many
 from oracles import (
     brute_independence,
     brute_maximal_cliques,
@@ -22,7 +23,9 @@ from oracles import (
     cycle_alpha,
     cycle_alpha_star,
     cycle_theta,
+    local_certificate_holds,
     random_graph,
+    stab_certificate_holds,
 )
 
 ROOT5 = math.sqrt(5.0)
@@ -626,9 +629,9 @@ def test_stab_columns_reach_the_top_vertex_bit(monkeypatch):
     seen = []
     hull = bd.hull_membership_many
 
-    def capture(vertices, points, tol):
+    def capture(vertices, points):
         seen.append(vertices)
-        return hull(vertices, points, tol)
+        return hull(vertices, points)
 
     monkeypatch.setattr(bd, "hull_membership_many", capture)
     assert bd.stab_membership(g, np.full(64, 0.01))[0]
@@ -961,6 +964,143 @@ def test_one_skewed_answer_in_a_stack_fails_the_stack(monkeypatch):
     points = [[0.5, 0.5], [0.25, 0.75], [0.0, 1.0]]
     with pytest.raises(RuntimeError):
         bd.hull_membership_many(np.eye(2), points)
+
+
+def _unreduced(vertices, point):
+    """The hull LP over every column and, for a point outside it, the Farkas
+    LP over every column: (inside, x or y, margin) as the kernel states it
+    without its support presolve."""
+    d, k = vertices.shape
+    ext = np.vstack([vertices, np.ones(k)])
+    rhs = np.append(point, 1.0)[None]
+    (res,) = lp_solve_many(LinearProgram(c=np.zeros(k), a=ext, senses=("=",) * (d + 1), b=rhs))
+    if res.status == "optimal":
+        return True, res.x, None
+    eye = np.eye(d + 1)
+    bounds = np.concatenate([np.ones(d + 1), np.ones(d), [float(d)]])
+    farkas = LinearProgram(c=np.concatenate([np.zeros(k), bounds]), a=np.hstack([ext, eye, -eye]),
+                           senses=("=",) * (d + 1), b=rhs)
+    (res,) = lp_solve_many(farkas)
+    return False, res.y, float(rhs[0] @ res.y)
+
+
+@st.composite
+def _supported_points(draw):
+    """A 0/1 vertex matrix and up to four points: mixtures with some zero
+    weights (so some coordinates are exactly 0), some with one coordinate
+    then set to 0 or pushed out of the unit cube."""
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 12))
+    bits = draw(st.lists(st.booleans(), min_size=d * k, max_size=d * k))
+    vertices = np.array(bits, dtype=float).reshape(d, k)
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = np.array(draw(st.lists(st.sampled_from([0.0]) | st.floats(0.01, 1.0), min_size=k, max_size=k)))
+        w[draw(st.integers(0, k - 1))] = 1.0
+        point = vertices @ (w / w.sum())
+        move = draw(st.sampled_from(["none", "zero", "out"]))
+        i = draw(st.integers(0, d - 1))
+        if move == "zero":
+            point[i] = 0.0
+        elif move == "out":
+            point[i] = 1.25 if draw(st.booleans()) else -0.25
+        points.append(point)
+    return vertices, np.array(points)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_supported_points())
+def test_support_presolve_keeps_every_verdict_and_functional(case):
+    vertices, points = case
+    for point, (inside, z, margin) in zip(points, bd.hull_membership_many(vertices, points)):
+        want_inside, want_z, want_margin = _unreduced(vertices, point)
+        assert inside == want_inside
+        if inside:
+            assert margin is None and z.min() >= -1e-9
+            np.testing.assert_allclose(vertices @ z, point, atol=1e-9)
+            assert z.sum() == pytest.approx(1.0, abs=1e-9)
+            # a zero coordinate rules out every column positive there
+            assert not z[vertices[point == 0].any(axis=0)].any()
+        else:
+            assert repr(z) == repr(want_z) and repr(margin) == repr(want_margin)
+
+
+def _hull_lps(monkeypatch):
+    """Every LP that hull_membership_many solves, as (rows, columns)."""
+    solve, shapes = bd.lp_solve_many, []
+
+    def recording(lp):
+        shapes.append(lp.a.shape)
+        return solve(lp)
+
+    monkeypatch.setattr(bd, "lp_solve_many", recording)
+    return shapes
+
+
+def test_the_all_zero_point_is_in_stab_through_the_empty_set():
+    assert bd.stab_membership(gr.cycle_graph(5), np.zeros(5)) == (True, {"weights": {(): 1.0}})
+
+
+def test_a_support_without_a_column_is_outside_before_any_hull_lp(monkeypatch):
+    # every column of the identity is positive at one of the zeros
+    shapes = _hull_lps(monkeypatch)
+    inside, y, margin = bd.hull_membership(np.eye(3), [0.0, 0.0, 0.0])
+    assert not inside and margin > 0
+    assert shapes == [(4, 3 + 2 * 4)]  # the Farkas LP alone, over every column
+    assert (repr(y), repr(margin)) == tuple(map(repr, _unreduced(np.eye(3), np.zeros(3))[1:]))
+
+
+@pytest.mark.parametrize("box", [boxes.pr_box(2, 1.0), boxes.Box(boxes.BellScenario((2, 2), (2, 2)), np.zeros((2,) * 4))],
+                         ids=["pr", "all-zero"])
+def test_a_box_whose_support_fits_no_strategy_is_nonlocal_before_any_hull_lp(monkeypatch, box):
+    shapes = _hull_lps(monkeypatch)
+    verdict = boxes.is_local(box)
+    assert not verdict[0] and local_certificate_holds(box, verdict, atol=0)
+    assert shapes == [(17, 16 + 2 * 17)]  # the Farkas LP alone, over all 16 strategies
+
+
+def test_a_row_with_a_negative_entry_is_not_presolved():
+    # (0, 1) is the midpoint of (1, 1) and (-1, 1); the zero in the first row
+    # must not rule out (1, 1), since (-1, 1) can cancel it
+    inside, x, _ = bd.hull_membership([[1.0, -1.0], [1.0, 1.0]], [0.0, 1.0])
+    assert inside
+    np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1e-6, 1e-7, 1e-8, 3e-9, 1e-9, 1e-10, 1e-11])
+def test_stab_just_past_the_odd_cycle_inequality_gets_a_verdict(d):
+    # sum(p) = 2 + 5d against alpha(C5) = 2: the weights of a point this
+    # close may fail their replay, and the Farkas LP then decides
+    g, p = gr.cycle_graph(5), [0.4 + d] * 5
+    verdict = bd.stab_membership(g, p)
+    assert verdict[0] == (d < 1e-9)
+    assert stab_certificate_holds(5, list(g.edges()), p, verdict, atol=1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: bd.lovasz_theta(_PETERSEN, tol=tol),
+    lambda tol: bd.lovasz_theta_matrix(_PETERSEN, tol=tol),
+    lambda tol: bd.bounds_report(_PETERSEN, tol=tol),
+    lambda tol: bd.stab_membership(_PETERSEN, [0.1] * 10, tol=tol),
+    lambda tol: bd.stab_membership_many(_PETERSEN, [[0.1] * 10], tol=tol),
+    lambda tol: bd.th_membership(_PETERSEN, [0.1] * 10, tol=tol),
+    lambda tol: bd.th_membership_many(_PETERSEN, [[0.1] * 10], tol=tol),
+    lambda tol: bd.qstab_membership(_PETERSEN, [0.1] * 10, tol=tol),
+    lambda tol: bd.qstab_membership_many(_PETERSEN, [[0.1] * 10], tol=tol),
+], ids=["theta", "theta-matrix", "bounds-report", "stab", "stab-many", "th", "th-many", "qstab", "qstab-many"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_a_tolerance_is_checked_before_any_solve(monkeypatch, call, tol):
+    def never(*args, **kwargs):
+        raise AssertionError("solved with an invalid tolerance")
+
+    for solver in ("sdp_solve", "sdp_solve_many", "lp_solve", "lp_solve_many", "_theta_cached",
+                   "independence_number", "maximal_cliques", "_independent_set_masks"):
+        monkeypatch.setattr(bd, solver, never)
+    with pytest.raises(ValueError, match="^tol must be "):
+        call(tol)
+
+
+_PETERSEN = gr.petersen_graph()
 
 
 _C5 = gr.cycle_graph(5)

@@ -28,7 +28,14 @@ from exgraph.boxes import (
     van_dam_ic,
 )
 from exgraph.bounds import assignment_hull
-from oracles import inner_product_mod2, ip_protocol_agreement_reference, ip_protocol_reference, van_dam_reference
+from exgraph.numkernel import lp as lpmod
+from oracles import (
+    inner_product_mod2,
+    ip_protocol_agreement_reference,
+    ip_protocol_reference,
+    local_certificate_holds,
+    van_dam_reference,
+)
 
 
 def test_scenario_and_box_validation():
@@ -365,3 +372,53 @@ def test_samplers_reject_bad_counts_before_drawing(monkeypatch, sampler, args, m
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(ValueError, match=message):
         sampler(*args)
+
+
+@pytest.mark.parametrize("d", [1e-6, 1e-7, 1e-8, 3e-9, 1e-9, 1e-10, 1e-11])
+def test_a_box_just_past_chsh_gets_a_verdict(d):
+    # CHSH = 4(0.5 + d) against the local bound 2: the weights of a box this
+    # close may fail their replay, and the Farkas LP then decides
+    box = pr_box(2, 0.5 + d)
+    verdict = is_local(box)
+    assert verdict[0] == (d < 1e-9)
+    assert local_certificate_holds(box, verdict, atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_mixture_of_five_strategies_takes_few_pivots(monkeypatch, seed):
+    # zeros of the (3,3)/(3,3) table leave few of the 729 strategies; the
+    # full hull LP took 257 pivots on one such box
+    rng = np.random.default_rng(seed)
+    scn = BellScenario((3, 3), (3, 3))
+    strategies = list(itertools.product(itertools.product(range(3), repeat=3), repeat=2))
+    picks = rng.choice(len(strategies), size=5, replace=False)
+    table = sum(w * deterministic_box(scn, strategies[i]).table for w, i in zip(rng.dirichlet(np.ones(5)), picks))
+    box = Box(scn, table)
+    pivot, pivots = lpmod._pivot, []
+
+    def counting(*args):
+        pivots.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr(lpmod, "_pivot", counting)
+    verdict = is_local(box)
+    assert verdict[0] and local_certificate_holds(box, verdict, atol=1e-7 * 5)
+    assert len(pivots) <= 20
+
+
+_PR = pr_box(2, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: _PR.validate(tol=tol),
+    lambda tol: is_nosignaling(_PR, tol=tol),
+    lambda tol: is_local(_PR, tol=tol),
+], ids=["validate", "nosignaling", "local"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_a_box_tolerance_is_checked_before_any_solve(monkeypatch, call, tol):
+    def never(*args, **kwargs):
+        raise AssertionError("solved with an invalid tolerance")
+
+    monkeypatch.setattr(boxes, "hull_membership", never)
+    with pytest.raises(ValueError, match="^tol must be "):
+        call(tol)

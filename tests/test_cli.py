@@ -457,6 +457,11 @@ def test_tol_must_be_positive_and_finite(monkeypatch, capsys, tol):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_a_tol_that_is_not_a_number_names_itself(capsys):
+    assert cli.run(["bounds", "--family", "cycle", "--n", "5", "--tol", "tiny"]) == 2
+    assert "argument --tol: must be a real number, got 'tiny'" in capsys.readouterr().err
+
+
 _TOL_READERS = [["bounds", "--family", "cycle", "--n", "5"], ["membership"], ["duality", "--family", "cycle", "--n", "5"],
                 ["scenario", "check"], ["scenario", "global-section"], ["plotdata", "theta-alpha", "--n", "5"]]
 _TOL_IGNORERS = [["suite", "ops"], ["ks", "check"], ["ks", "multiplicative"], ["scenario", "evaluate"],
@@ -532,6 +537,18 @@ def test_a_non_finite_real_exits_2_with_nothing_printed(tmp_path, capsys, case, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "finite" in captured.err
+
+
+@pytest.mark.parametrize("case", sorted(_REAL_FIELDS))
+def test_a_real_written_as_text_exits_2_with_nothing_printed(tmp_path, capsys, case):
+    # "0.5" spells a valid value of every field, but a JSON string is not a number
+    argv, document, field = _REAL_FIELDS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_with(document, field, "0.5")))
+    assert cli.run(argv + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "must be real numbers: got text" in captured.err
 
 
 def test_a_ray_system_tolerance_must_be_positive(tmp_path, capsys):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from exgraph import cli
+from exgraph import cli, excl
 from exgraph import graph as gr
 from exgraph.bounds import independence_number, lovasz_theta, th_membership
 from exgraph.excl import (
@@ -260,3 +260,25 @@ def test_violation_witness_across_seeded_boundary_points():
             assert not eprinciple_pair_test(g, p, pbar, tol=1e-6)
             count += 1
     assert count == 21
+
+
+_C5 = gr.cycle_graph(5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: duality_suite(_C5, tol=tol),
+    lambda tol: op_propagation_suite(tol=tol),
+    lambda tol: circulant10_suite(tol=tol),
+    lambda tol: eprinciple_pair_test(_C5, [0.4] * 5, [0.4] * 5, tol=tol),
+    lambda tol: eprinciple_violation_witness(_C5, [0.5] * 5, tol=tol),
+], ids=["duality", "ops", "circulant10", "pair-test", "violation-witness"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_a_suite_tolerance_is_checked_before_any_solve(monkeypatch, call, tol):
+    def never(*args, **kwargs):
+        raise AssertionError("solved with an invalid tolerance")
+
+    for name in ("lovasz_theta", "lovasz_theta_matrix", "bounds_report", "circulant10_census"):
+        monkeypatch.setattr(excl, name, never)
+    monkeypatch.setattr(gr, "is_vertex_transitive", never)
+    with pytest.raises(ValueError, match="^tol must be "):
+        call(tol)

@@ -99,7 +99,10 @@ def test_numpy_integer_indices_are_accepted():
 
 def test_reals_reads_scalars_and_arrays_with_free_axes():
     assert gr._reals(1, "x") == 1.0 and type(gr._reals(1, "x")) is float
-    assert gr._reals("0.25", "x") == 0.25
+    # a string that spells a number is still text
+    for text in ("0.25", ["0.25", 0.5], np.array(["0.25"], dtype=object), np.array(["0.25"]), [b"0.25"]):
+        with pytest.raises(gr.GraphError, match="^x must be real numbers: got text$"):
+            gr._reals(text, "x", () if isinstance(text, str) else (None,))
     rows = gr._reals([[1, 2], [3, 4], [5, 6]], "x", (None, 2))
     assert rows.dtype == float and rows.shape == (3, 2)
     assert gr._reals([], "x", (None,), lo=0).shape == (0,)
@@ -136,7 +139,7 @@ def test_reals_refuses_ragged_lists_and_non_numbers(bad):
 def test_tolerances_must_be_positive_and_finite(bad):
     with pytest.raises(gr.GraphError, match="^tol must be "):
         gr._tolerance(bad, "tol")
-    assert gr._tolerance("1e-9", "tol") == 1e-9
+    assert gr._tolerance(1e-9, "tol") == 1e-9
 
 
 def test_json_roundtrip_keeps_labels():

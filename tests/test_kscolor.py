@@ -279,3 +279,9 @@ def test_non_unitary_operator_is_flagged():
     )
     report = verify_multiplicative_proof(bad)
     assert not report.operators_ok
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_a_proof_tolerance_is_checked(tol):
+    with pytest.raises(ValueError, match="^tol must be "):
+        verify_multiplicative_proof(peres_mermin_square(), tol=tol)

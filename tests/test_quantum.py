@@ -251,3 +251,13 @@ def test_hv_sampler_rejects_bad_input_before_drawing(monkeypatch, a0, a_vec, n_v
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(ValueError):
         bell_qubit_hv_expectation(a0, a_vec, n_vec, samples=samples, seed=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: verify_orthorep(gr.cycle_graph(5), kcbs_orthorep(), tol=tol),
+    lambda tol: ncycle_quantum_realization(5).validate(tol=tol),
+], ids=["orthorep", "realization"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_a_quantum_tolerance_is_checked(call, tol):
+    with pytest.raises(ValueError, match="^tol must be "):
+        call(tol)

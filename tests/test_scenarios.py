@@ -261,3 +261,21 @@ def test_event_graph_of_the_even_cycle_is_the_moebius_ladder():
     g = inequality_exclusivity_graph(ineq, scn)
     assert g.n == 8
     assert gr.is_isomorphic(g, gr.moebius_ladder(8))
+
+
+_TRIANGLE = triangle_overlap_model()
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: _TRIANGLE.validate(tol=tol),
+    lambda tol: check_nondisturbance(_TRIANGLE, tol=tol),
+    lambda tol: has_global_section(_TRIANGLE, tol=tol),
+], ids=["validate", "nondisturbance", "global-section"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_a_model_tolerance_is_checked_before_any_solve(monkeypatch, call, tol):
+    def never(*args, **kwargs):
+        raise AssertionError("solved with an invalid tolerance")
+
+    monkeypatch.setattr(scenarios, "hull_membership", never)
+    with pytest.raises(ValueError, match="^tol must be "):
+        call(tol)
