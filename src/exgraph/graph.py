@@ -27,8 +27,11 @@ def _index(value, what: str, lo: int | None = None, hi: int | None = None) -> in
     """value as a Python int in lo..hi (an end left as None is open), else
     GraphError, which is a ValueError.  Every integer the package takes from
     a caller or a JSON document is read here, before anything is built from
-    it: operator.index refuses a float such as 1.7 instead of truncating it."""
+    it: operator.index refuses a float such as 1.7 instead of truncating it,
+    and a bool (a JSON true) is refused too, though Python counts it as 1."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise GraphError(f"{what} must be an integer, got {value!r}") from None
@@ -46,14 +49,19 @@ def _reals(value, what: str, shape=(), lo: float | None = None, hi: float | None
     ValueError.  Every real number the package takes from a caller or a JSON
     document is read here, before any work is done with it: a NaN passes
     every comparison, so it would otherwise reach an answer.  A string is
-    refused even when it spells a number, so a JSON number field written
-    as text is an error."""
+    refused even when it spells a number, and so is a bool, so a JSON
+    number field written as text or as true/false is an error."""
     try:
         arr = np.asarray(value)
         # numpy casts a complex array to float by dropping the imaginary
-        # part, and a string to the number it spells
-        if arr.dtype.kind in "cSU" or (arr.dtype.kind == "O" and any(isinstance(v, str | bytes) for v in arr.flat)):
-            raise TypeError(f"got {arr.dtype.name if arr.dtype.kind == 'c' else 'text'}")
+        # part, a string to the number it spells and a bool to 0 or 1, also
+        # a bool in a list of numbers
+        if arr.dtype.kind == "c":
+            raise TypeError(f"got {arr.dtype.name}")
+        if arr.dtype.kind in "SU" or _holds(value, str | bytes):
+            raise TypeError("got text")
+        if arr.dtype.kind == "b" or _holds(value, bool | np.bool_):
+            raise TypeError("got bool")
         arr = np.asarray(arr, dtype=float)
     except (TypeError, ValueError) as exc:
         raise GraphError(f"{what} must be real numbers: {exc}") from None
@@ -67,6 +75,16 @@ def _reals(value, what: str, shape=(), lo: float | None = None, hi: float | None
     if hi is not None and (arr > hi).any():
         raise GraphError(f"{what} must be at most {hi}, got {arr.max()}")
     return arr if arr.ndim else float(arr)
+
+
+def _holds(value, kinds) -> bool:
+    """Is value, or an entry of it at any depth of nested lists, tuples and
+    object arrays, an instance of kinds?"""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "O":
+        value = value.tolist()
+    if isinstance(value, list | tuple):
+        return any(_holds(v, kinds) for v in value)
+    return isinstance(value, kinds)
 
 
 def _tolerance(value, what: str) -> float:

@@ -9,6 +9,12 @@ Pivoting uses the largest-improvement rule and switches to Bland's rule once
 50 consecutive degenerate pivots occur, which keeps the method finite.  All
 tolerances are absolute; the problems here are well scaled (entries O(1)).
 
+Every row has an artificial column e_i, so every program of a stack has
+the same columns.  An artificial that phase 1 leaves basic at zero stays
+there, and any entry in its row blocks phase 2's ratio test (Bazaraa,
+Jarvis and Sherali, Linear Programming and Network Flows, section 4.3).
+The row duals are minus the reduced costs of the artificial block.
+
 A solve costs pivots x rows x columns on a dense tableau, so callers state
 each LP on its short side (few rows, many columns).  The optimum carries the
 row duals read off the final tableau, so the other side of the LP comes for
@@ -85,9 +91,7 @@ class LpResult:
 def _pivot(tab: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray, f: np.ndarray, at: np.ndarray) -> None:
     """Pivot program i of the stack on (rows[i], cols[i]), for i in at =
     arange(len(tab)); f[i] is program i's column cols[i] as it stands
-    before the pivot, which the pivot overwrites.  A program whose f[i] is
-    the unit vector at rows[i] and whose cols[i] is basic there is left as
-    it is."""
+    before the pivot, which the pivot overwrites."""
     pivot_rows = tab[at, rows]
     pivot_rows /= f[at, rows][:, None]
     # one rank-one update; a multiplier of at most 1e-14 leaves its row as
@@ -99,15 +103,15 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarra
     basis[at, rows] = cols
 
 
-def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, caps: np.ndarray, carry: tuple[np.ndarray, ...]) -> np.ndarray:
+def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, cap: int, carry: tuple[np.ndarray, ...]) -> np.ndarray:
     """Minimise the cost carried in the last tableau row of every program of
     the stack, in lockstep, entering only the first ncols columns.
 
     A program stops when it is optimal or unbounded and then leaves the live
-    front of the stack, which every later pivot skips.  The stack, basis,
-    caps and each array in carry (one entry per program) are permuted in
-    place alike; returns, in the new order, which programs are unbounded.
-    Raises LpError when a program still runs after its cap of pivots.
+    front of the stack, which every later pivot skips.  The stack, basis
+    and each array in carry (one entry per program) are permuted in place
+    alike; returns, in the new order, which programs are unbounded.  Raises
+    LpError when a program still runs after cap pivots.
     """
     k, m = basis.shape
     unbounded = np.zeros(k, dtype=bool)
@@ -116,14 +120,18 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, caps: np.ndarray, c
     # each program's ratio-test minimum at its last DEGENERATE_LIMIT pivots,
     # kept by step modulo the limit: once that many pivots are made, all of
     # them at most 1e-12 is a run of that many degenerate pivots.  No
-    # program makes more pivots than its cap, so no longer window is kept
-    recent = np.zeros((k, min(DEGENERATE_LIMIT, caps.max())))
-    per_program = (tab, basis, caps, unbounded, recent, *carry)
-    live, at, cap = k, np.arange(k), caps.min()
+    # program makes more than cap pivots, so no longer window is kept
+    recent = np.zeros((k, min(DEGENERATE_LIMIT, cap)))
+    per_program = (tab, basis, unbounded, recent, *carry)
+    live, at = k, np.arange(k)
     # the live front: the whole stack until a program stops
     stack, live_basis, live_recent = tab, basis, recent
     cost, rhs = tab[:, -1, :ncols], tab[:, :m, -1]
     no_ratio = np.full((k, m), np.inf)
+    # a row held by a column that may not enter (an artificial phase 1 left
+    # at zero) must stay at zero, so any nonzero entry there blocks the
+    # ratio test; no pivot brings such a column back, so this is decided once
+    held = bool((basis >= ncols).any())
     for step in itertools.count():
         if step >= cap:
             raise LpError(f"degenerate pivot limit: no convergence within {cap} pivots")
@@ -135,8 +143,10 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, caps: np.ndarray, c
             col[bland] = (cost[bland] < -COST_TOL).argmax(axis=1)  # Bland: smallest index
         f = stack[at, :, col]  # each program's column, its reduced cost last
         pos = f[:, :m] > FEAS_TOL
+        if held:  # an artificial at zero leaves on any entry in its row
+            pos |= (live_basis >= ncols) & (np.abs(f[:, :m]) > FEAS_TOL)
         # a program with no eligible column is optimal; one whose column has
-        # no positive entry is unbounded
+        # no entry the ratio test may take is unbounded
         entering = f[:, m] < -COST_TOL
         go = entering & pos.any(axis=1)
         if not go.all():
@@ -151,7 +161,7 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, caps: np.ndarray, c
             stack, live_basis, live_recent = tab[:live], basis[:live], recent[:live]
             cost, rhs = stack[:, -1, :ncols], stack[:, :m, -1]
             col, f, pos = col[go], f[go], pos[go]
-            at, cap = at[:live], caps[:live].min()
+            at = at[:live]
         ratios = np.divide(rhs, f[:, :m], out=no_ratio[:live].copy(), where=pos)
         best = ratios.min(axis=1)
         # break ties on the smallest basis index (anti-cycling with Bland)
@@ -173,13 +183,12 @@ def lp_solve_many(lp: LinearProgram) -> list[LpResult]:
     right-hand sides, pivoting all programs in lockstep.
 
     Every program makes the choices a solve on its own makes (entering
-    column, ratio-test tie, Bland switch, phase-1 drive-out and dropped
-    rows, pivot cap), so each answer equals lp_solve's on that program bit
-    for bit.  A row whose right-hand side is negative is negated, which
-    swaps an inequality's sense and so the column layout, so programs are
-    grouped by layout; each group is solved in chunks whose stacked tableau
-    takes at most an eighth of _STACK_BYTES.  Raises LpError when any
-    program passes its pivot cap.
+    column, ratio-test tie, Bland switch, pivot cap), so each answer equals
+    lp_solve's on that program bit for bit.  A row whose right-hand side is
+    negative is negated, which swaps an inequality's sense; only the sign
+    of its slack changes, so every program has the same columns.  The stack
+    is solved in chunks whose stacked tableau takes at most an eighth of
+    _STACK_BYTES.  Raises LpError when any program passes its pivot cap.
     """
     if lp.b.ndim != 2:
         raise ValueError(f"lp_solve_many takes a (B, m) stack of right-hand sides, got shape {lp.b.shape}")
@@ -191,89 +200,58 @@ def _solve(lp: LinearProgram, rhs: np.ndarray) -> list[LpResult]:
     m, nstruct = lp.a.shape
     # orient rows so every rhs is nonnegative
     row_sign = np.where(rhs < 0, -1.0, 1.0)
-    senses = np.array(lp.senses, dtype="<U2").reshape(m)
-    le = np.where(row_sign < 0, senses == ">=", senses == "<=")
-    ineq = senses != "="
-    layouts: dict[bytes, list[int]] = {}
-    for i, layout in enumerate(le):
-        layouts.setdefault(layout.tobytes(), []).append(i)
-    results: list[LpResult] = [None] * len(rhs)
-    for members in layouts.values():
-        layout = le[members[0]]
-        width = nstruct + np.count_nonzero(ineq) + np.count_nonzero(~layout) + 1
-        chunk = max(1, _STACK_BYTES // (8 * 8 * (m + 1) * width))
-        for start in range(0, len(members), chunk):
-            sel = members[start : start + chunk]
-            sign = row_sign[sel]
-            for i, res in zip(sel, _solve_stack(lp, ineq, layout, sign, rhs[sel] * sign)):
-                results[i] = res
+    width = nstruct + sum(s != "=" for s in lp.senses) + m + 1
+    chunk = max(1, _STACK_BYTES // (8 * 8 * (m + 1) * width))
+    results: list[LpResult] = []
+    for start in range(0, len(rhs), chunk):
+        sign = row_sign[start : start + chunk]
+        results += _solve_stack(lp, sign, rhs[start : start + chunk] * sign)
     return results
 
 
-def _solve_stack(lp: LinearProgram, ineq: np.ndarray, le: np.ndarray, sign: np.ndarray, b: np.ndarray) -> list[LpResult]:
+def _solve_stack(lp: LinearProgram, sign: np.ndarray, b: np.ndarray) -> list[LpResult]:
     """Two-phase simplex on a stack of programs that share lp's c and A up to
-    the row signs sign, with oriented right-hand sides b >= 0 and one
-    layout: row i is an inequality where ineq[i], and "<=" where le[i]."""
+    the row signs sign, with oriented right-hand sides b >= 0."""
     k = len(b)
     m, nstruct = lp.a.shape
+    senses = np.array(lp.senses, dtype="<U2").reshape(m)
+    # row i of program p is "<=" once oriented where le[p, i]
+    le = np.where(sign < 0, senses == ">=", senses == "<=")
     # columns: structural, then one slack per inequality row (+1 on "<=",
-    # -1 on ">="), then one artificial per ">=" or "=" row, each in row order
-    slack_rows = ineq.nonzero()[0]
-    art_rows = (~le).nonzero()[0]
+    # -1 on ">="), then one artificial e_i per row, each in row order
+    slack_rows = (senses != "=").nonzero()[0]
     first_art = nstruct + slack_rows.size
-    ncols = first_art + art_rows.size
-    # the start basis holds each row's unit column e_i: its slack, or its
-    # artificial where there is one (a ">=" slack is -e_i).  The reduced cost
-    # of that column is minus the row's dual
+    ncols = first_art + m
     slack_cols, art_cols = np.arange(nstruct, first_art), np.arange(first_art, ncols)
-    unit_cols = np.empty(m, dtype=np.intp)
-    unit_cols[slack_rows] = slack_cols
-    unit_cols[art_rows] = art_cols
     tab = np.zeros((k, m + 1, ncols + 1))
     tab[:, :m, :nstruct] = lp.a * sign[:, :, None]
-    tab[:, slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
-    tab[:, art_rows, art_cols] = 1.0
+    tab[:, slack_rows, slack_cols] = np.where(le[:, slack_rows], 1.0, -1.0)
+    tab[:, :m, first_art:ncols] = np.eye(m)
     tab[:, :m, -1] = b
-    basis = np.repeat(unit_cols[None], k, axis=0)
+    # the start basis holds each row's unit column e_i: its slack on a "<="
+    # row, else its artificial
+    row_slack = np.zeros(m, dtype=np.intp)
+    row_slack[slack_rows] = slack_cols
+    basis = np.where(le, row_slack, art_cols)
     ids = np.arange(k)
     results = [LpResult("infeasible") for _ in range(k)]
-    # pivot caps, one per program; a row phase 1 drops lowers phase 2's
-    caps = np.full(k, 2000 + 200 * (m + ncols))
+    cap = 2000 + 200 * (m + ncols)  # pivots per phase
 
-    # phase 1: minimize the artificial sum, its cost row reduced by each
-    # artificial's row in row order
-    if art_rows.size:
+    # phase 1: minimise the sum of the artificials, its cost row reduced by
+    # each row whose artificial is basic, in row order (subtracting +0.0 for
+    # the other rows changes no entry)
+    if not le.all():
         tab[:, -1, first_art:ncols] = 1.0
-        tab[:, -1] = np.subtract.reduce(tab[:, np.concatenate(([m], art_rows))], axis=1)
-        if _simplex(tab, basis, ncols, caps, (ids, sign)).any():
+        rows = np.concatenate([tab[:, -1:], tab[:, :m]], axis=1)
+        rows[:, 1:][le] = 0.0
+        tab[:, -1] = np.subtract.reduce(rows, axis=1)
+        if _simplex(tab, basis, ncols, cap, (ids, sign)).any():
             raise LpError("phase 1 reported unbounded")  # cannot happen: the objective is bounded below
         feasible = -tab[:, -1, -1] <= 1e-7
         if not feasible.all():
             if not feasible.any():
                 return results
-            tab, basis, ids, sign, caps = tab[feasible], basis[feasible], ids[feasible], sign[feasible], caps[feasible]
-        # drive leftover artificials out of the basis, row by row, each on
-        # its largest entry among the other columns.  A row with no entry
-        # there is redundant and is dropped: it is zeroed, so no ratio test
-        # picks it and no pivot changes it.  The whole stack pivots at each
-        # such row: a program with nothing to drive out there pivots on its
-        # own basic column with a unit multiplier column, which leaves it
-        # as it is
-        at = np.arange(len(tab))
-        stuck_rows = basis >= first_art
-        for r in stuck_rows.any(axis=0).nonzero()[0]:
-            size = np.abs(tab[:, r, :first_art])
-            cols = size.argmax(axis=1)
-            movers = stuck_rows[:, r] & (size[at, cols] > FEAS_TOL)
-            dropped = stuck_rows[:, r] > movers
-            if dropped.any():
-                tab[dropped, r] = 0.0
-                caps[dropped] -= 200
-            if movers.any():
-                cols = np.where(movers, cols, basis[:, r])
-                f = tab[at, :, cols]
-                f[~movers] = np.arange(m + 1) == r
-                _pivot(tab, basis, np.full(len(tab), r), cols, f, at)
+            tab, basis, ids, sign = tab[feasible], basis[feasible], ids[feasible], sign[feasible]
 
     # phase 2: the real objective, its cost row reduced by each basic
     # structural column's row in row order (a zero cost changes no entry)
@@ -283,16 +261,15 @@ def _solve_stack(lp: LinearProgram, ineq: np.ndarray, le: np.ndarray, sign: np.n
     if coef.any():
         rows = np.concatenate([tab[:, -1:], coef[:, :, None] * tab[:, :m]], axis=1)
         tab[:, -1] = np.subtract.reduce(rows, axis=1)
-    unbounded = _simplex(tab, basis, first_art, caps, (ids, sign))
+    unbounded = _simplex(tab, basis, first_art, cap, (ids, sign))
 
     values = np.zeros((len(tab), ncols))
     values[np.arange(len(tab))[:, None], basis] = tab[:, :m, -1]
     x = values[:, :nstruct] + 0.0  # + 0.0 clears -0.0
-    # the dual of row i is minus the reduced cost of its unit column.  When
-    # phase 1 drops a redundant row, the artificial that was basic there has
-    # a zero column once the row is zeroed, so its row reads 0.  Undo the row
+    # the dual of row i is minus the reduced cost of its artificial e_i
+    # (zero where that artificial is still basic).  Undo the row
     # orientation; 0.0 - v clears -0.0 as + 0.0 does.
-    y = 0.0 - tab[:, -1, unit_cols] * sign
+    y = 0.0 - tab[:, -1, first_art:ncols] * sign
     for i, xi, yi, unb in zip(ids.tolist(), x, y, unbounded.tolist()):
         results[i] = LpResult("unbounded") if unb else LpResult("optimal", float(lp.c @ xi), xi, yi)
     return results

@@ -403,7 +403,7 @@ def test_a_mixture_of_five_strategies_takes_few_pivots(monkeypatch, seed):
     monkeypatch.setattr(lpmod, "_pivot", counting)
     verdict = is_local(box)
     assert verdict[0] and local_certificate_holds(box, verdict, atol=1e-7 * 5)
-    assert len(pivots) <= 20
+    assert len(pivots) <= 11
 
 
 _PR = pr_box(2, 0.5)

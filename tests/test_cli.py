@@ -103,6 +103,49 @@ def test_membership_at_the_quantum_boundary(tmp_path, capsys):
     assert data["theta_complement"] == pytest.approx(1.0, abs=1e-5)
 
 
+def _stdout(tmp_path, capsys, argv, document):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert cli.run(argv + ["--input", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def test_membership_prints_the_odd_cycle_separation(tmp_path, capsys):
+    # C5 at 0.45 is past the odd-cycle inequality sum(p) <= 2 but inside QSTAB
+    out = _stdout(tmp_path, capsys, ["membership", "--family", "cycle", "--n", "5"], {"p": [0.45] * 5})
+    assert out == (
+        '{\n  "qstab": true,\n  "stab": false,\n  "stab_separation": {\n    "a": [\n'
+        + "      1.0,\n" * 4 + '      1.0\n    ],\n    "beta": 2.0\n  },\n  "th": false,\n'
+        '  "theta_complement": 1.00623058437\n}\n'
+    )
+
+
+def test_global_section_prints_the_lp_weights_of_a_model_with_zeros(tmp_path, capsys):
+    # a mixture of four global assignments around a 4-cycle; three tables
+    # have a zero entry, and the LP returns another of its decompositions
+    model = {
+        "measurements": ["M0", "M1", "M2", "M3"], "outcomes": [1, -1],
+        "contexts": [["M0", "M1"], ["M1", "M2"], ["M2", "M3"], ["M3", "M0"]],
+        "tables": {
+            "M0,M1": {"-1,-1": 0.15, "-1,1": 0.25, "1,-1": 0.5, "1,1": 0.1},
+            "M1,M2": {"-1,-1": 0.65, "1,-1": 0.25, "1,1": 0.1},
+            "M2,M3": {"-1,-1": 0.65, "-1,1": 0.25, "1,1": 0.1},
+            "M3,M0": {"-1,-1": 0.15, "-1,1": 0.5, "1,-1": 0.25, "1,1": 0.1},
+        },
+    }
+    out = _stdout(tmp_path, capsys, ["scenario", "global-section"], model)
+    assert out == (
+        '{\n  "distribution": {\n'
+        '    "M0=-1 M1=-1 M2=-1 M3=1": 0.15,\n'
+        '    "M0=-1 M1=1 M2=-1 M3=-1": 0.15,\n'
+        '    "M0=-1 M1=1 M2=1 M3=1": 0.1,\n'
+        '    "M0=1 M1=-1 M2=-1 M3=-1": 0.4,\n'
+        '    "M0=1 M1=-1 M2=-1 M3=1": 0.1,\n'
+        '    "M0=1 M1=1 M2=-1 M3=-1": 0.1\n'
+        '  },\n  "exists": true\n}\n'
+    )
+
+
 def test_membership_requires_p(tmp_path, capsys):
     path = tmp_path / "nop.json"
     path.write_text(json.dumps({"graph": {"n": 3, "edges": []}}))
@@ -549,6 +592,35 @@ def test_a_real_written_as_text_exits_2_with_nothing_printed(tmp_path, capsys, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "must be real numbers: got text" in captured.err
+
+
+@pytest.mark.parametrize("case", sorted(_REAL_FIELDS))
+def test_a_real_written_as_a_boolean_exits_2_with_nothing_printed(tmp_path, capsys, case):
+    # numpy reads a JSON true as 1.0, also inside a list of numbers
+    argv, document, field = _REAL_FIELDS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_with(document, field, True)))
+    assert cli.run(argv + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "must be real numbers: got bool" in captured.err
+
+
+@pytest.mark.parametrize("argv, document, message", [
+    (["membership"], {"graph": {"n": 5, "edges": [[0, 1]]}, "p": [True, False, False, False, False]},
+     "coordinates must be real numbers: got bool"),
+    (["scenario", "evaluate"], dict(_EVALUATE, gamma=[True, 1, 1, 1, -1]), "cycle sign must be an integer, got True"),
+    (["ks", "check"], dict(_KS8_PINNED, d=True), "dimension must be an integer, got True"),
+], ids=["membership p", "evaluate gamma", "ks d"])
+def test_a_boolean_exits_2_with_nothing_printed(tmp_path, capsys, argv, document, message):
+    # an all-boolean list and two integer fields; a box table entry written
+    # as true is a case of the test above
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert cli.run(argv + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_a_ray_system_tolerance_must_be_positive(tmp_path, capsys):

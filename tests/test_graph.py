@@ -112,6 +112,21 @@ def test_reals_reads_scalars_and_arrays_with_free_axes():
         gr._reals([1.0], "x")
 
 
+@pytest.mark.parametrize("flag", [True, np.True_, [True, False], [0.5, True], np.array([1, True], dtype=object),
+                                  np.array([False, True]), [[0.5], [np.False_]]])
+def test_reals_refuses_booleans(flag):
+    # numpy reads a bool as 0 or 1, also inside a list of numbers
+    with pytest.raises(gr.GraphError, match="^x must be real numbers: got bool$"):
+        gr._reals(flag, "x", tuple(None for _ in np.shape(flag)))
+
+
+def test_index_refuses_booleans():
+    for flag in (True, False, np.True_):
+        with pytest.raises(gr.GraphError, match="^d must be an integer, got"):
+            gr._index(flag, "d")
+    assert gr._index(1, "d") == 1 and type(gr._index(np.int64(1), "d")) is int
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None])
 def test_reals_refuses_non_finite_values(bad):
     with pytest.raises(gr.GraphError, match="^weights must be finite$"):

@@ -312,7 +312,7 @@ class TestRankOnePivot(unittest.TestCase):
 @st.composite
 def _lp_stacks(draw):
     """One c, A and senses with a stack of right-hand sides of mixed signs,
-    so a stack mixes column layouts; right-hand sides drawn apart from any
+    so a stack mixes row orientations; right-hand sides drawn apart from any
     x make infeasible programs, and stacks without the bounding row
     unbounded ones.  The degenerate-pivot limit is drawn too, low enough
     that Bland's rule takes over in these small programs."""
@@ -407,8 +407,9 @@ class TestLockstep(unittest.TestCase):
         self.assertGreater(switched, 0)
 
     def test_hull_stacks_with_redundant_rows(self):
-        # repeated rows leave an artificial basic at zero after phase 1:
-        # drive-out pivots and dropped rows, which differ across the stack
+        # repeated rows leave an artificial basic at zero after phase 1,
+        # which blocks the ratio test in its row; which rows are held that
+        # way differs across the stack
         rng = np.random.default_rng(11)
         for _ in range(30):
             d, k = int(rng.integers(2, 6)), int(rng.integers(3, 25))
@@ -420,12 +421,12 @@ class TestLockstep(unittest.TestCase):
             lp = LinearProgram(c=np.zeros(k), a=ext, senses=("=",) * (d + 2), b=rhs)
             self.assert_stack_matches(lp)
 
-    def test_a_drive_out_leaves_the_rest_of_the_stack_as_it_is(self):
+    def test_an_artificial_left_at_zero_blocks_the_ratio_test(self):
         # points at hull vertices end phase 1 with an artificial basic at
-        # zero, which is driven out; the other programs pivot there on their
-        # own basic column with unit multipliers, which leaves them as they
-        # are (that column read off the tableau differs from the unit vector
-        # by roundoff here, and pivoting on it would change their answers)
+        # zero; phase 2 never enters it, and an entering column with a
+        # negative entry in its row pivots there, so it leaves at zero.
+        # One program of this stack does so, while the others pivot on
+        # as usual
         rng = np.random.default_rng(3)
         v = rng.integers(0, 4, size=(5, 10)) / 3.0
         points = rng.dirichlet(np.full(10, 0.3), size=12) @ v.T
@@ -433,16 +434,42 @@ class TestLockstep(unittest.TestCase):
         lp = LinearProgram(c=rng.normal(size=10), a=np.vstack([v, np.ones(10)]), senses=("=",) * 6,
                            b=np.hstack([points, np.ones((12, 1))]))
         pivot = lp_kernel._pivot
-        unit_programs = []
+        blocked = []
 
         def spy(tab, basis, rows, cols, f, at):
-            unit = np.all(f == (np.arange(f.shape[1]) == rows[:, None]), axis=1)
-            unit_programs.append((int(unit.sum()), len(tab)))
+            # the artificials are columns 10 to 15: ten structural columns
+            # and no slacks
+            held = (basis[at, rows] >= 10) & (f[at, rows] < 0.0)
+            blocked.append((int(held.sum()), len(tab)))
             pivot(tab, basis, rows, cols, f, at)
 
+        got = self.assert_stack_matches(lp)
         with unittest.mock.patch.object(lp_kernel, "_pivot", spy):
-            self.assert_stack_matches(lp)
-        self.assertTrue(any(0 < units < size for units, size in unit_programs))
+            lp_solve_many(lp)
+        self.assertEqual(sum(count for count, _ in blocked), 1)
+        self.assertTrue(all(size > 1 for count, size in blocked if count))
+        self.assertEqual([res.status for res in got], ["optimal"] * 12)
+        self.assertTrue(replays(lp, [res.x for res in got], [res.y for res in got], 1e-9).all())
+
+    def test_rows_oriented_both_ways_share_one_tableau(self):
+        # negative right-hand sides turn the "<=" row into ">=" in some
+        # programs and the ">=" row into "<=" in others; the stack is still
+        # one tableau
+        lp = LinearProgram(
+            c=[1.0, -1.0, 2.0],
+            a=[[1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, 1.0]],
+            senses=("<=", ">=", "="),
+            b=[[3.0, 1.0, 1.0], [-1.0, 1.0, 2.0], [2.0, -3.0, 1.0], [-2.0, -1.0, 0.5], [4.0, 0.0, 3.0]],
+        )
+        got = self.assert_stack_matches(lp)
+        with unittest.mock.patch.object(lp_kernel, "_solve_stack", wraps=lp_kernel._solve_stack) as stack:
+            lp_solve_many(lp)
+        self.assertEqual(stack.call_count, 1)
+        self.assertEqual(len(got), 5)
+        optimal = [i for i, res in enumerate(got) if res.status == "optimal"]
+        self.assertGreaterEqual(len(optimal), 2)
+        one = LinearProgram(c=lp.c, a=lp.a, senses=lp.senses, b=lp.b[optimal])
+        self.assertTrue(replays(one, [got[i].x for i in optimal], [got[i].y for i in optimal], 1e-9).all())
 
     def test_empty_stack_and_bad_shapes(self):
         lp = _tight_lp(">=")
