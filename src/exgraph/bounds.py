@@ -302,6 +302,25 @@ def assignment_hull(sizes, contexts) -> np.ndarray:
     return hull
 
 
+def assignment_membership(sizes, contexts, tables, tol) -> tuple[bool, list | tuple]:
+    """Is there a distribution over global assignments that gives context k
+    the table tables[k] (one axis per member, or its ravel) for every k?  The
+    one place that knows the rows and columns of assignment_hull.  Returns
+    (True, [(assignment, weight)]), one outcome index per measurement, or
+    (False, ([(k, outcome indices, coefficient)], constant, margin)), a
+    functional nonpositive on every assignment and margin > 0 on the tables.
+    Weights and coefficients within tol of 0 are left out."""
+    point = np.concatenate([np.zeros(0), *map(np.ravel, tables)])
+    inside, y, margin = hull_membership(assignment_hull(sizes, contexts), point)
+    if inside:
+        cols = np.flatnonzero(y > tol)
+        assignments = np.transpose(np.unravel_index(cols, sizes)).tolist()
+        return True, [(tuple(a), float(y[col])) for col, a in zip(cols, assignments)]
+    events = ((k, idx) for k, ctx in enumerate(contexts) for idx in np.ndindex(*(sizes[m] for m in ctx)))
+    coeffs = [(k, idx, float(c)) for (k, idx), c in zip(events, y[:-1]) if abs(c) > tol]
+    return False, (coeffs, float(y[-1]), margin)
+
+
 def hull_membership(vertices, point) -> tuple[bool, np.ndarray, float | None]:
     """Is point a convex combination of the columns of vertices (d x k)?
     The one-point case of hull_membership_many."""

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import assignment_hull, hull_membership
-from .graph import _index, _reals, _tolerance
+from .bounds import assignment_membership
+from .graph import _index, _key, _reals, _tolerance
 
 _MAX_TABLE_ENTRIES = 1 << 24
 # a table has one axis per setting and per outcome of each party, and numpy
@@ -104,7 +104,7 @@ def _per_party(value, parties: int, name: str) -> tuple[int, ...]:
 def _table_key(key, sizes: tuple[int, ...], what: str) -> tuple[int, ...]:
     """Parse a "i,j,..." table key: one index per party, each in range (a
     negative index would otherwise wrap to the last setting or outcome)."""
-    idx = tuple(int(tok) for tok in str(key).split(","))
+    idx = _key(key, what)
     if len(idx) != len(sizes) or any(not 0 <= i < n for i, n in zip(idx, sizes)):
         raise ValueError(f"{what} key {key!r} is not {len(sizes)} indices below {list(sizes)}")
     return idx
@@ -174,26 +174,19 @@ def is_local(box: Box, tol: float = 1e-7) -> tuple[bool, dict]:
     """
     tol = _tolerance(tol, "tol")
     scn = box.scenario
-    # measurement (party i, setting x_i) is numbered party by party and the
-    # contexts are the setting tuples, so the rows are the raveled table
+    # measurement (party i, setting x_i) is numbered party by party, and the
+    # contexts are the setting tuples
     first = np.cumsum((0,) + scn.settings[:-1])
     sizes = tuple(o for m, o in zip(scn.settings, scn.outcomes) for _ in range(m))
-    contexts = [tuple(first + x) for x in itertools.product(*(range(m) for m in scn.settings))]
-    local, y, margin = hull_membership(assignment_hull(sizes, contexts), box.table.ravel())
+    xs = list(itertools.product(*(range(m) for m in scn.settings)))
+    local, answer = assignment_membership(sizes, [tuple(first + x) for x in xs], [box.table[x] for x in xs], tol)
     if local:
-        cols = np.flatnonzero(y > tol)
-        strategies = np.transpose(np.unravel_index(cols, sizes)).tolist()
-        weights = {tuple(tuple(s[f : f + m]) for f, m in zip(first, scn.settings)): float(y[col])
-                   for col, s in zip(cols, strategies)}
-        return True, {"weights": weights}
+        return True, {"weights": {tuple(s[f : f + m] for f, m in zip(first, scn.settings)): w for s, w in answer}}
     coeffs = {}
-    shape = scn.table_shape()
-    for r, coef in enumerate(y[:-1]):
-        if abs(coef) > tol:
-            idx = np.unravel_index(r, shape)
-            xk = ",".join(str(int(v)) for v in idx[: scn.parties])
-            coeffs.setdefault(xk, {})[",".join(str(int(v)) for v in idx[scn.parties :])] = float(coef)
-    return False, {"coefficients": coeffs, "constant": float(y[-1]), "margin": margin}
+    terms, constant, margin = answer
+    for k, a, coef in terms:
+        coeffs.setdefault(",".join(map(str, xs[k])), {})[",".join(map(str, a))] = coef
+    return False, {"coefficients": coeffs, "constant": constant, "margin": margin}
 
 
 def _require_scenario(box: Box, settings: tuple[int, ...], outcomes: tuple[int, ...], what: str) -> None:

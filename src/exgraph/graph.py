@@ -87,6 +87,16 @@ def _holds(value, kinds) -> bool:
     return isinstance(value, kinds)
 
 
+def _key(text, what: str) -> tuple[int, ...]:
+    """A JSON table key "i,j,..." as its integers, refused unless spelled as
+    str spells them: int() reads "01", "+1" and " 1" as 1 too, so a second
+    spelling of a key would otherwise merge into the first."""
+    idx = tuple(int(tok) for tok in str(text).split(","))
+    if ",".join(map(str, idx)) != str(text):
+        raise GraphError(f"{what} key {text!r} is not spelled {','.join(map(str, idx))!r}")
+    return idx
+
+
 def _tolerance(value, what: str) -> float:
     """A positive tolerance, read through _reals."""
     tol = _reals(value, what)

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import assignment_hull, hull_membership
-from .graph import Graph, _index, _reals, _tolerance, from_edges
+from .bounds import _HULL_MAX_COLUMNS, assignment_membership
+from .graph import Graph, _index, _key, _reals, _tolerance, from_edges
 
 # longest cycle whose tight inequalities are listed (2^12 = 4,096 of them):
-# its 2^13 deterministic assignments are the most a hull LP takes
-# (_HULL_MAX_COLUMNS), so no longer cycle's models can be tested anyway
-_MAX_INEQUALITY_CYCLE = 13
+# its 2^13 deterministic assignments are the most a hull LP takes, so no
+# longer cycle's models can be tested anyway
+_MAX_INEQUALITY_CYCLE = _HULL_MAX_COLUMNS.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,10 @@ class EmpiricalModel:
 
 def model_from_json_dict(data: dict) -> EmpiricalModel:
     try:
+        # a string would otherwise be read as the array of its characters
+        names = (data["measurements"], data["contexts"], *data["contexts"])
+        if not all(isinstance(v, list | tuple) for v in names):
+            raise ValueError("measurements, contexts and each context must be arrays")
         scenario = Scenario(
             tuple(data["measurements"]),
             tuple(_index(o, "outcome") for o in data["outcomes"]),
@@ -119,7 +123,7 @@ def model_from_json_dict(data: dict) -> EmpiricalModel:
         for ctx_key, table in data["tables"].items():
             probs = _reals(list(table.values()), f"probabilities at {ctx_key}", (None,))
             tables[tuple(ctx_key.split(","))] = {
-                tuple(int(tok) for tok in out_key.split(",")): p for out_key, p in zip(table, probs.tolist())
+                _key(out_key, f"{ctx_key} outcome"): p for out_key, p in zip(table, probs.tolist())
             }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model: {exc}") from exc
@@ -166,28 +170,17 @@ def has_global_section(model: EmpiricalModel, tol: float = 1e-7) -> tuple[bool, 
     tol = _tolerance(tol, "tol")
     scn = model.scenario
     midx = {m: i for i, m in enumerate(scn.measurements)}
-    sizes = (len(scn.outcomes),) * len(scn.measurements)
-    vertices = assignment_hull(sizes, [tuple(midx[m] for m in ctx) for ctx in scn.contexts])
-    events = [
-        (ctx, outcome)
-        for ctx in scn.contexts
-        for outcome in itertools.product(scn.outcomes, repeat=len(ctx))
-    ]
-    point = [model.prob(ctx, outcome) for ctx, outcome in events]
-    exists, y, margin = hull_membership(vertices, point)
+    contexts = [tuple(midx[m] for m in ctx) for ctx in scn.contexts]
+    tables = [[model.prob(ctx, o) for o in itertools.product(scn.outcomes, repeat=len(ctx))] for ctx in scn.contexts]
+    exists, answer = assignment_membership((len(scn.outcomes),) * len(midx), contexts, tables, tol)
     if exists:
-        cols = np.flatnonzero(y > tol)
-        atoms = np.transpose(np.unravel_index(cols, sizes)).tolist()
-        dist = {tuple((m, scn.outcomes[o]) for m, o in zip(scn.measurements, atom)): float(y[col])
-                for col, atom in zip(cols, atoms)}
+        dist = {tuple((m, scn.outcomes[o]) for m, o in zip(scn.measurements, atom)): w for atom, w in answer}
         return True, {"distribution": dist}
-    # y is a consistency inequality every global section obeys and the
-    # model breaks
     coeffs = {}
-    for (ctx, outcome), coef in zip(events, y[:-1]):
-        if abs(coef) > tol:
-            coeffs.setdefault(",".join(ctx), {})[",".join(str(o) for o in outcome)] = float(coef)
-    return False, {"coefficients": coeffs, "constant": float(y[-1]), "margin": margin}
+    terms, constant, margin = answer
+    for k, idx, coef in terms:
+        coeffs.setdefault(",".join(scn.contexts[k]), {})[",".join(str(scn.outcomes[i]) for i in idx)] = coef
+    return False, {"coefficients": coeffs, "constant": constant, "margin": margin}
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +220,8 @@ def ncycle_inequality(n: int, gamma) -> Inequality:
         raise ValueError("gamma must be a length-n tuple over {1, -1}")
     if sum(1 for g in gamma if g == -1) % 2 == 0:
         raise ValueError("tight cycle inequalities need an odd number of -1 signs")
-    events = []
-    for i, g in enumerate(gamma):
-        if g == 1:
-            events.append((i, (1, 1)))
-            events.append((i, (-1, -1)))
-        else:
-            events.append((i, (1, -1)))
-            events.append((i, (-1, 1)))
+    # favored: equal outcomes where g = 1, unequal where g = -1
+    events = [(i, (s, s * g)) for i, g in enumerate(gamma) for s in (1, -1)]
     label = "".join("+" if g == 1 else "-" for g in gamma)
     return Inequality(
         name=f"cycle{n}[{label}]",
@@ -251,11 +238,7 @@ def ncycle_inequalities(n: int) -> list[Inequality]:
     """All 2^(n-1) tight correlation inequalities of the n-cycle scenario,
     for 3 <= n <= _MAX_INEQUALITY_CYCLE."""
     n = _index(n, "cycle length", 3, _MAX_INEQUALITY_CYCLE)
-    out = []
-    for gamma in itertools.product((1, -1), repeat=n):
-        if sum(1 for g in gamma if g == -1) % 2 == 1:
-            out.append(ncycle_inequality(n, gamma))
-    return out
+    return [ncycle_inequality(n, gamma) for gamma in itertools.product((1, -1), repeat=n) if gamma.count(-1) % 2]
 
 
 def evaluate_inequality(model: EmpiricalModel, ineq: Inequality, form: str = "correlation") -> float:
@@ -276,19 +259,12 @@ def evaluate_inequality(model: EmpiricalModel, ineq: Inequality, form: str = "co
 def inequality_exclusivity_graph(ineq: Inequality, scenario: Scenario) -> Graph:
     """Graph on the inequality's favored events; edges join events that
     assign different outcomes to a shared measurement."""
-    assignments = []
-    labels = []
-    for ctx_idx, outcome in ineq.events:
-        ctx = scenario.contexts[ctx_idx]
-        assignments.append(dict(zip(ctx, outcome)))
-        labels.append(",".join(ctx) + "|" + ",".join(str(o) for o in outcome))
-    edges = []
-    for i in range(len(assignments)):
-        for j in range(i + 1, len(assignments)):
-            ai, aj = assignments[i], assignments[j]
-            if any(m in aj and aj[m] != o for m, o in ai.items()):
-                edges.append((i, j))
-    return from_edges(len(assignments), edges, labels=tuple(labels))
+    events = [(scenario.contexts[k], outcome) for k, outcome in ineq.events]
+    assignments = [dict(zip(ctx, outcome)) for ctx, outcome in events]
+    edges = [(i, j) for (i, ai), (j, aj) in itertools.combinations(enumerate(assignments), 2)
+             if any(m in aj and aj[m] != o for m, o in ai.items())]
+    labels = tuple(",".join(ctx) + "|" + ",".join(map(str, outcome)) for ctx, outcome in events)
+    return from_edges(len(assignments), edges, labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ communication protocols built on top of noisy PR boxes."""
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from exgraph import boxes
+from exgraph import bounds, boxes
 from exgraph.boxes import (
     BellScenario,
     Box,
@@ -217,6 +218,22 @@ def test_box_table_keys_are_one_index_per_party_in_range(level, key, bad):
         box_from_json_dict(data)
 
 
+@pytest.mark.parametrize("level, key, other", [
+    ("settings", "0,0", "00,0"),
+    ("settings", "0,1", "0, 1"),
+    ("outcome", "1,1", "01,1"),
+    ("outcome", "0,0", "+0,0"),
+])
+def test_a_second_spelling_of_a_table_key_is_refused(level, key, other):
+    # int() reads "01" as 1, so its entries used to merge into those under "1"
+    data = pr_box().to_json_dict()
+    rows = [data["table"]] if level == "settings" else data["table"].values()
+    for row in rows:
+        row[other] = row[key]
+    with pytest.raises(ValueError, match=re.escape(f"{level} key {other!r} is not spelled {key!r}")):
+        box_from_json_dict(data)
+
+
 def test_gyni_local_maximum_is_one_in_sum_form():
     scn = BellScenario((2, 2, 2), (2, 2, 2))
     best = 0.0
@@ -419,6 +436,6 @@ def test_a_box_tolerance_is_checked_before_any_solve(monkeypatch, call, tol):
     def never(*args, **kwargs):
         raise AssertionError("solved with an invalid tolerance")
 
-    monkeypatch.setattr(boxes, "hull_membership", never)
+    monkeypatch.setattr(bounds, "hull_membership", never)
     with pytest.raises(ValueError, match="^tol must be "):
         call(tol)

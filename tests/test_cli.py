@@ -120,6 +120,35 @@ def test_membership_prints_the_odd_cycle_separation(tmp_path, capsys):
     )
 
 
+def test_membership_prints_the_clique_that_qstab_fails(tmp_path, capsys):
+    # C5 at 0.6: every edge is a clique of weight 1.2, and theta(complement)
+    # = sqrt(5) * 0.6 is past 1
+    out = _stdout(tmp_path, capsys, ["membership", "--family", "cycle", "--n", "5"], {"p": [0.6] * 5})
+    assert out == (
+        '{\n  "qstab": false,\n  "qstab_failure": {\n    "clique": [\n      0,\n      1\n    ],\n'
+        '    "kind": "clique",\n    "total": 1.2\n  },\n  "stab": false,\n  "stab_separation": {\n    "a": [\n'
+        + "      1.0,\n" * 4 + '      1.0\n    ],\n    "beta": 2.0\n  },\n  "th": false,\n'
+        '  "theta_complement": 1.34164076702\n}\n'
+    )
+
+
+def test_box_check_prints_where_a_box_signals(tmp_path, capsys):
+    # Alice's outcome is Bob's setting, so her marginal moves with party 1's
+    # setting
+    table = {f"{x},{y}": {f"{a},{b}": 0.5 * (a == y) for a in range(2) for b in range(2)}
+             for x in range(2) for y in range(2)}
+    out = _stdout(tmp_path, capsys, ["box", "check"], {"parties": 2, "settings": 2, "outcomes": 2, "table": table})
+    assert out == (
+        '{\n  "local": false,\n  "nosignaling": false,\n  "signaling_detail": {\n    "max_difference": 1.0,\n'
+        '    "party": 1,\n    "settings_compared": [\n      0,\n      1\n    ]\n  }\n}\n'
+    )
+
+
+def test_box_gyni_of_the_uniform_three_party_box(tmp_path, capsys):
+    document = uniform_box(BellScenario((2, 2, 2), (2, 2, 2))).to_json_dict()
+    assert _stdout(tmp_path, capsys, ["box", "gyni"], document) == '{\n  "value": 0.5\n}\n'
+
+
 def test_global_section_prints_the_lp_weights_of_a_model_with_zeros(tmp_path, capsys):
     # a mixture of four global assignments around a 4-cycle; three tables
     # have a zero entry, and the LP returns another of its decompositions
@@ -226,7 +255,18 @@ def test_ks_check_refuses_a_non_integer_pin(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "integer" in captured.err
 
 
+def _added(document, path, key, value):
+    """document with document[path[0]][path[1]]...[key] = value."""
+    inner = document
+    for step in path:
+        inner = inner[step]
+    inner[key] = value
+    return document
+
+
 _SQUARE = peres_mermin_square().to_json_dict()
+_STRING_MODEL = {"measurements": "ABC", "outcomes": [0, 1], "contexts": ["AB", "BC", "CA"],
+                 "tables": {ctx: {"0,0": 0.5, "1,1": 0.5} for ctx in ("A,B", "B,C", "C,A")}}
 _REFUSED_DOCUMENTS = {
     # each used to run to exit 0 on a truncated value, or to crash
     "ks check d": (["ks", "check"], dict(ks8_vectors().to_json_dict(), d=3.7), "must be an integer"),
@@ -240,6 +280,20 @@ _REFUSED_DOCUMENTS = {
     "scenario evaluate gamma": (["scenario", "evaluate"],
                                 {"model": pentagon_extremal_model().to_json_dict(), "gamma": [1.9, 1, 1, 1, -1]},
                                 "must be an integer"),
+    # "01" and "1" name one index: the second spelling used to merge into the
+    # first (CHSH 4.0 from a row of mass 1.5, a nondisturbing verdict)
+    "box outcome spelling": (["box", "chsh"], _added(pr_box().to_json_dict(), ("table", "0,0"), "01,1", 0.5),
+                             "outcome key '01,1' is not spelled '1,1'"),
+    "box settings spelling": (["box", "check"],
+                              _added(pr_box().to_json_dict(), ("table",), "00,0", {"0,0": 0.5, "1,1": 0.5}),
+                              "settings key '00,0' is not spelled '0,0'"),
+    "scenario outcome spelling": (["scenario", "check"],
+                                  _added(triangle_overlap_model().to_json_dict(), ("tables", "M1,M2"), "01,1", 0.5),
+                                  "M1,M2 outcome key '01,1' is not spelled '1,1'"),
+    # a string used to be read as the list of its characters
+    "scenario measurements string": (["scenario", "global-section"], _STRING_MODEL, "must be arrays"),
+    "scenario context string": (["scenario", "global-section"], dict(_STRING_MODEL, measurements=["A", "B", "C"]),
+                                "must be arrays"),
 }
 
 
@@ -673,6 +727,32 @@ def test_suite_ops_passes(capsys):
     code, data = run_json(capsys, ["suite", "ops"])
     assert code == 0
     assert all(row["ok"] for row in data["rows"])
+
+
+_CIRCULANT10_GAPS = ["Ci10(1,2)", "Ci10(1,2,3)", "Ci10(1,2,3,5)", "Ci10(1,2,5)", "Ci10(1,4)", "Ci10(1,4,5)",
+                     "Ci10(2,5)", "J(5,2)"]
+
+
+def test_suite_circulant10_lists_its_gap_graphs(capsys):
+    code, data = run_json(capsys, ["suite", "circulant10"])
+    assert code == 0
+    assert data["gap_graphs"] == _CIRCULANT10_GAPS
+    assert sorted(row["graph"] for row in data["rows"] if row["gap"]) == _CIRCULANT10_GAPS
+
+
+def test_plotdata_circulant10_has_one_line_per_suite_row(capsys):
+    assert cli.run(["plotdata", "theta-alpha", "--family", "circulant10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "graph,n,alpha,theta,alpha_star,theta_over_alpha"
+    assert len(lines) == 19 and lines[2] == "Ci10(1,2),10,3,3.16718427,3.33333333333,1.05572809"
+    assert lines[-1].startswith("J(5,2),10,2,2.49999")
+
+
+def test_suite_acceptance_passes_all_thirteen_criteria(capsys):
+    code, data = run_json(capsys, ["suite", "acceptance"])
+    assert code == 0 and data["all_passed"] is True
+    assert [c["id"] for c in data["criteria"] if c["passed"]] == [c["id"] for c in data["criteria"]]
+    assert len(data["criteria"]) == 13
 
 
 def test_help_describes_the_json_schema(capsys):

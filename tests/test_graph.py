@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -125,6 +126,15 @@ def test_index_refuses_booleans():
         with pytest.raises(gr.GraphError, match="^d must be an integer, got"):
             gr._index(flag, "d")
     assert gr._index(1, "d") == 1 and type(gr._index(np.int64(1), "d")) is int
+
+
+@pytest.mark.parametrize("text, spelled", [("01", "1"), ("+1,0", "1,0"), ("0, 1", "0,1"), ("1_0", "10"),
+                                           ("-01,1", "-1,1")])
+def test_a_table_key_has_one_spelling(text, spelled):
+    # int() reads each of these, so two spellings of one key used to merge
+    assert gr._key(spelled, "k") == tuple(int(t) for t in spelled.split(","))
+    with pytest.raises(gr.GraphError, match=f"^k key '{re.escape(text)}' is not spelled '{spelled}'$"):
+        gr._key(text, "k")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None])

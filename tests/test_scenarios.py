@@ -3,13 +3,14 @@ inequality family."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from exgraph import graph as gr
-from exgraph import scenarios
-from exgraph.bounds import assignment_hull
+from exgraph import bounds, scenarios
+from exgraph.bounds import assignment_hull, assignment_membership
 from exgraph.boxes import BellScenario, is_local, uniform_box
 from exgraph.scenarios import (
     EmpiricalModel,
@@ -59,6 +60,31 @@ def test_model_json_roundtrip():
     for ctx in model.scenario.contexts:
         for outcome in itertools.product((1, -1), repeat=2):
             assert again.prob(ctx, outcome) == pytest.approx(model.prob(ctx, outcome))
+
+
+@pytest.mark.parametrize("other", ["01,1", "+1,1", "1, 1"])
+def test_a_second_spelling_of_an_outcome_key_is_refused(other):
+    # int() reads "01" as 1, so the entry used to replace the one under "1,1"
+    data = triangle_overlap_model().to_json_dict()
+    data["tables"]["M1,M2"][other] = 0.5
+    with pytest.raises(ValueError, match=re.escape(f"M1,M2 outcome key {other!r} is not spelled '1,1'")):
+        model_from_json_dict(data)
+
+
+_ABC = {
+    "measurements": ["A", "B", "C"], "outcomes": [0, 1], "contexts": [["A", "B"], ["B", "C"], ["C", "A"]],
+    "tables": {ctx: {"0,0": 0.5, "1,1": 0.5} for ctx in ("A,B", "B,C", "C,A")},
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("measurements", "ABC"), ("contexts", ["AB", "BC", "CA"]), ("contexts", "AB"), ("measurements", {"A": 0}),
+])
+def test_measurements_and_contexts_are_read_from_arrays_only(field, value):
+    # a string used to be read as the list of its characters
+    assert has_global_section(model_from_json_dict(_ABC))[0]
+    with pytest.raises(ValueError, match="must be arrays"):
+        model_from_json_dict(dict(_ABC, **{field: value}))
 
 
 def test_marginal_sums():
@@ -162,6 +188,41 @@ def test_assignment_hull_matches_the_event_comprehension(name):
     sizes = (len(scn.outcomes),) * len(scn.measurements)
     hull = assignment_hull(sizes, [tuple(midx[m] for m in ctx) for ctx in scn.contexts])
     assert np.array_equal(hull, global_section_matrix(scn))
+
+
+def test_assignment_membership_names_weights_and_functionals():
+    scn = _HULL_SCENARIOS["three-outcome"]()
+    midx = {m: i for i, m in enumerate(scn.measurements)}
+    sizes = (3,) * 4
+    contexts = [tuple(midx[m] for m in ctx) for ctx in scn.contexts]
+    rng = np.random.default_rng(11)
+    picks = rng.integers(3, size=(5, 4))
+    tables = [np.zeros((3,) * len(ctx)) for ctx in contexts]
+    for w, a in zip(rng.dirichlet(np.ones(5)), picks):
+        for table, ctx in zip(tables, contexts):
+            table[tuple(a[list(ctx)])] += w
+    inside, weights = assignment_membership(sizes, contexts, tables, 1e-9)
+    assert inside
+    rebuilt = [np.zeros_like(t) for t in tables]
+    for a, w in weights:
+        assert len(a) == 4 and all(type(o) is int for o in a) and w > 1e-9
+        for table, ctx in zip(rebuilt, contexts):
+            table[tuple(a[m] for m in ctx)] += w
+    for table, expected in zip(rebuilt, tables):
+        np.testing.assert_allclose(table, expected, atol=1e-9)
+    # the single-member context D now sits on its least likely outcome, which
+    # the context (B, C, D) gives at most a third of the mass
+    tables[2] = np.eye(3)[np.argmin(tables[2])]
+    inside, (terms, constant, margin) = assignment_membership(sizes, contexts, tables, 1e-9)
+    assert not inside and margin > 0
+    functional = [np.zeros_like(t) for t in tables]
+    for k, idx, coef in terms:
+        assert abs(coef) > 1e-9
+        functional[k][idx] = coef
+    row = np.concatenate([f.ravel() for f in functional])
+    assert np.all(row @ assignment_hull(sizes, contexts) + constant <= 1e-8)
+    point = np.concatenate([t.ravel() for t in tables])
+    assert row @ point + constant == pytest.approx(margin, abs=1e-8)
 
 
 def test_global_section_distribution_reproduces_tables():
@@ -276,6 +337,6 @@ def test_a_model_tolerance_is_checked_before_any_solve(monkeypatch, call, tol):
     def never(*args, **kwargs):
         raise AssertionError("solved with an invalid tolerance")
 
-    monkeypatch.setattr(scenarios, "hull_membership", never)
+    monkeypatch.setattr(bounds, "hull_membership", never)
     with pytest.raises(ValueError, match="^tol must be "):
         call(tol)
