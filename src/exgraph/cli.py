@@ -18,7 +18,7 @@ import numpy as np
 
 from . import acceptance, boxes, excl, kscolor, scenarios
 from . import graph as gr
-from .bounds import _THETA_TOL, bounds_report, qstab_membership, stab_membership, th_membership
+from .bounds import bounds_report, qstab_membership, stab_membership, th_membership
 from .numkernel import LpError, SdpError
 
 
@@ -63,16 +63,32 @@ def _emit_csv(header: list[str], rows: list[list], output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, refused if a key repeats: json would keep the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _tol(args) -> dict:
+    """The tol keyword when --tol was given; otherwise the callee's
+    default holds."""
+    return {} if args.tol is None else {"tol": args.tol}
 
 
 def _parse(data, key: str, parse, what: str):
@@ -121,7 +137,7 @@ def _graph_from_args(args, data=None) -> tuple[gr.Graph, str]:
 
 def _cmd_bounds(args) -> int:
     g, _ = _graph_from_args(args)
-    rep = bounds_report(g, tol=args.tol or _THETA_TOL)
+    rep = bounds_report(g, **_tol(args))
     _emit(rep.to_json_dict(), args.output)
     return 0
 
@@ -135,7 +151,7 @@ def _cmd_membership(args) -> int:
     g, _ = _graph_from_args(args, data)
     p = data["p"]
     in_stab, stab_cert = stab_membership(g, p)
-    in_th, theta_c = th_membership(g, p, tol=args.tol or 1e-6)
+    in_th, theta_c = th_membership(g, p, **_tol(args))
     in_qstab, qstab_cert = qstab_membership(g, p)
     out = {
         "stab": in_stab,
@@ -156,7 +172,7 @@ def _cmd_membership(args) -> int:
 
 def _cmd_duality(args) -> int:
     g, name = _graph_from_args(args)
-    rep = excl.duality_suite(g, graph_id=name, tol=args.tol or _THETA_TOL)
+    rep = excl.duality_suite(g, graph_id=name, **_tol(args))
     _emit(rep.to_json_dict(), args.output)
     return 0
 
@@ -180,11 +196,20 @@ def _cmd_suite(args) -> int:
     return 0 if payload["all_passed"] else 1
 
 
+def _pin(key: str) -> int:
+    """A pin key as the one ray index it spells: "00", "+0" or " 0" would
+    name ray 0 a second time."""
+    idx = gr._key(key, "pin")
+    if len(idx) != 1:
+        raise ValueError(f"pin key {key!r} must name one ray")
+    return idx[0]
+
+
 def _cmd_ks_check(args) -> int:
     data = _load_json(args.input)
     try:
         vs = kscolor.vector_system_from_json_dict(data)
-        pins = {int(k): v for k, v in (data.get("pins") or {}).items()}
+        pins = {_pin(k): v for k, v in (data.get("pins") or {}).items()}
         problem = kscolor.coloring_problem(vs, pins)
     except (AttributeError, TypeError) as exc:
         raise ValueError(str(exc)) from exc
@@ -224,11 +249,11 @@ def _cmd_scenario(args) -> int:
     data = _load_json(args.input)
     model = _parse(data, "model", scenarios.model_from_json_dict, "model")
     if args.which == "check":
-        ok, violations = scenarios.check_nondisturbance(model, tol=args.tol or 1e-9)
+        ok, violations = scenarios.check_nondisturbance(model, **_tol(args))
         _emit({"nondisturbing": ok, "violations": violations}, args.output)
         return 0
     if args.which == "global-section":
-        exists, cert = scenarios.has_global_section(model, tol=args.tol or 1e-7)
+        exists, cert = scenarios.has_global_section(model, **_tol(args))
         out = {"exists": exists}
         if exists:
             out["distribution"] = {
@@ -340,7 +365,7 @@ def _cmd_plotdata(args) -> int:
             if args.family == "moebius" and n % 2:
                 continue
             g = builders[args.family](n)
-            rep = bounds_report(g, tol=args.tol or _THETA_TOL)
+            rep = bounds_report(g, **_tol(args))
             rows.append([f"{args.family}({n})", g.n, rep.alpha, rep.theta,
                          rep.alpha_star, rep.theta / rep.alpha])
     _emit_csv(["graph", "n", "alpha", "theta", "alpha_star", "theta_over_alpha"], rows, args.output)

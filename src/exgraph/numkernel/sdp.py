@@ -34,10 +34,14 @@ positive-definiteness check, and each of the two directions of an iteration
 is then one linear solve against it.  The two sides take different paths
 (HKM is not symmetric in X and S), so their iteration counts can differ.
 
-After every step the solver extracts a certified theta pair, whichever side
-it steps: the primal candidate (X on the edge side, S on the other) is
-projected onto the affine constraints (zero the edge entries, shift the
-diagonal by (1 - tr)/m), and the dual candidate (S on the edge side; on the
+A program's certified gap is its duality gap <X, S> widened by the
+projection and any PSD correction below (up to roundoff), so no program can
+finish before <X, S> <= tol.  The solver therefore certifies the stack only
+after a step that leaves some program there, reading the same sum <X, S>
+that the next step's mu is made from.  A certify call extracts a theta
+pair, whichever side is stepped: the primal candidate (X on the edge side,
+S on the other) is projected onto the affine constraints (zero the edge
+entries, shift the diagonal by (1 - tr)/m), and the dual candidate (S on the edge side; on the
 other, Z with y_0 = (tr Z + tr C) / m, projected onto the dual's affine
 set).  Both are then checked in this order:
 
@@ -59,7 +63,8 @@ graph, many weight vectors) in lockstep, so that every factorization or
 eigenvalue problem of a given size is one stacked numpy.linalg call for the
 whole stack.  Each program keeps its own mu, sigma, step lengths and
 certified pair, so its iterates are those of a solve on its own; it leaves
-the stack as soon as its certified gap is at most tol.  `sdp_solve` is the
+the stack with the lower bound, upper bound and primal of the certify call
+that proved its gap at most tol, one iterate's pair.  `sdp_solve` is the
 stack of one.
 """
 
@@ -76,7 +81,8 @@ _UNDERFLOW = 2.0**-1074
 
 
 class SdpError(RuntimeError):
-    """Iteration cap or numerical breakdown; carries the best certified bounds."""
+    """Iteration cap or numerical breakdown; carries the certified bounds of
+    the last iterate."""
 
     def __init__(self, message: str, lower: float | None = None, upper: float | None = None):
         super().__init__(message)
@@ -134,7 +140,7 @@ def sdp_solve(c: np.ndarray, edges, tol: float = 5e-7, max_iter: int = 100) -> S
 
     `edges` is a pair of index arrays (i, j).  Returns once the certified gap
     drops below tol; raises SdpError at the iteration cap or on a numerical
-    breakdown, with the best bounds attached.
+    breakdown, with the certified bounds of the last iterate attached.
     """
     cost = np.asarray(c, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -147,7 +153,7 @@ def sdp_solve_many(costs: np.ndarray, edges, tol: float = 5e-7, max_iter: int = 
 
     Returns one SdpResult per program, in order.  If any program reaches the
     iteration cap or a factorization breaks down, raises SdpError with the
-    certified bounds of an unfinished program.
+    certified bounds of an unfinished program's last iterate.
     """
     cost, edge = _prepare(costs, edges)
     m = edge.shape[0]
@@ -271,7 +277,8 @@ def _solve(cost: np.ndarray, edge: np.ndarray, non_edge: bool, tol: float, max_i
         return (cost * xf).sum(axis=(1, 2)), y0, xf
 
     s = adjoint(y) - c
-    best_lb, best_ub, best_x = certify(x, y, s)
+    # m mu: the duality gap <X, S> of each program
+    gap = (x * s).sum(axis=(1, 2))
     # row r of the stack is program idx[r]; finished programs leave the stack
     idx = np.arange(cost.shape[0])
     results: list[SdpResult | None] = [None] * idx.size
@@ -309,7 +316,7 @@ def _solve(cost: np.ndarray, edge: np.ndarray, non_edge: bool, tol: float, max_i
                 ap, ad = _max_steps(li, np.array((dx, ds)))[..., None, None]
                 return dx, dy, ds, ap, ad
 
-            mu = (x * s).sum(axis=(1, 2))[:, None, None] / m
+            mu = gap[:, None, None] / m
             dx, dy, ds, ap, ad = direction(-x)
             mu_aff = ((x + ap * dx) * (s + ad * ds)).sum(axis=(1, 2))[:, None, None] / m
             sigma = (mu_aff / mu) ** 3
@@ -318,24 +325,22 @@ def _solve(cost: np.ndarray, edge: np.ndarray, non_edge: bool, tol: float, max_i
             y = y + ad[:, 0] * dy
             s = adjoint(y) - c
             it += 1
-
+            gap = (x * s).sum(axis=(1, 2))
+            # a certified gap is <X, S> widened by the projection and any
+            # PSD correction, so no program can finish before <X, S> <= tol
+            if not (gap <= tol).any():
+                continue
             lb, ub, xf = certify(x, y, s)
-            better = lb > best_lb
-            best_lb = np.where(better, lb, best_lb)
-            best_x[better] = xf[better]
-            best_ub = np.minimum(best_ub, ub)
-            done = best_ub - best_lb <= tol
-            if done.any():
-                for r in np.flatnonzero(done):
-                    results[idx[r]] = SdpResult(float(best_lb[r]), float(best_ub[r]), best_x[r].copy(), it)
-                live = ~done
-                x, y, s, c, b, cost, best_lb, best_ub, best_x, idx = (
-                    a[live] for a in (x, y, s, c, b, cost, best_lb, best_ub, best_x, idx)
-                )
+            done = ub - lb <= tol
+            for r in np.flatnonzero(done):
+                results[idx[r]] = SdpResult(float(lb[r]), float(ub[r]), xf[r].copy(), it)
+            live = ~done
+            x, y, s, c, b, cost, gap, idx = (a[live] for a in (x, y, s, c, b, cost, gap, idx))
         if not idx.size:
             return results
         reason = f"no convergence in {max_iter} iterations"
     except np.linalg.LinAlgError as exc:
         reason = f"numerical breakdown after {it} iterations ({exc})"
-    lower, upper = float(best_lb[0]), float(best_ub[0])
+    lb, ub, _ = certify(x, y, s)
+    lower, upper = float(lb[0]), float(ub[0])
     raise SdpError(f"{reason} (certified bounds [{lower:.9g}, {upper:.9g}])", lower, upper)

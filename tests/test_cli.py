@@ -688,6 +688,46 @@ def test_a_ray_system_tolerance_must_be_positive(tmp_path, capsys):
         assert captured.out == "" and "tol must be positive" in captured.err
 
 
+def _repeating(document, key):
+    """JSON text of document with its top-level `key` written twice, with
+    the same value both times."""
+    return "{" + f"{json.dumps(key)}: {json.dumps(document[key])}, " + json.dumps(document)[1:]
+
+
+_PR_TEXT = json.dumps(pr_box().to_json_dict())
+_REPEATED_KEYS = {
+    # json keeps the last of two equal keys: this row read "0,1": 0.0 and
+    # printed CHSH 4.0
+    "box row": (["box", "chsh"], _PR_TEXT.replace('"0,1": 0.0', '"0,1": 0.5, "0,1": 0.0', 1), "'0,1'"),
+    "box": (["box", "check"], _repeating(pr_box().to_json_dict(), "table"), "'table'"),
+    "model": (["scenario", "check"], _repeating(triangle_overlap_model().to_json_dict(), "outcomes"), "'outcomes'"),
+    "graph": (["bounds"], '{"n": 5, "edges": [[0, 1]], "n": 4}', "'n'"),
+    "ray system": (["ks", "check"], _repeating(_KS8_PINNED, "pins"), "'pins'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPEATED_KEYS))
+def test_a_repeated_key_exits_2_with_nothing_printed(tmp_path, capsys, case):
+    argv, text, key = _REPEATED_KEYS[case]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert cli.run(argv + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"repeated key {key}" in captured.err
+
+
+@pytest.mark.parametrize("key", ["00", "+0", " 0", "0,1", "0 "])
+def test_a_pin_key_spells_one_ray_index(tmp_path, capsys, key):
+    # int() reads "00" as 0, so {"0": 1, "00": 0} used to pin ray 0 to 0
+    path = tmp_path / "ks8.json"
+    path.write_text(json.dumps(dict(_KS8_PINNED, pins={"0": 1, key: 0})))
+    assert cli.run(["ks", "check", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and repr(key) in captured.err
+
+
 def test_box_ic_vandam_and_determinism(tmp_path):
     one = tmp_path / "a.json"
     two = tmp_path / "b.json"

@@ -9,6 +9,7 @@ pentagon value sqrt(5), and a stack of SDPs against separate solves.
 
 import itertools
 import math
+import sys
 import unittest
 import unittest.mock
 
@@ -563,6 +564,14 @@ class TestSdp(unittest.TestCase):
         self.assertIn("3 iterations", str(exc))
         self.assertLessEqual(exc.lower, exc.upper)
 
+    def test_iteration_cap_certifies_the_current_iterate(self):
+        # the bounds of an unfinished solve are certified, not estimated
+        with self.assertRaises(SdpError) as ctx:
+            sdp_solve(np.ones((5, 5)), PENTAGON_EDGES, max_iter=3)
+        exc = ctx.exception
+        self.assertLessEqual(exc.lower, math.sqrt(5.0))
+        self.assertGreaterEqual(exc.upper, math.sqrt(5.0))
+
     def test_breakdown_raises_with_bounds(self):
         # a factorization that fails mid-iteration surfaces as SdpError
         # carrying the certified pair of the starting point
@@ -746,15 +755,16 @@ class TestSdpStack(unittest.TestCase):
         self.assertGreaterEqual(exc.upper, 6.0 - 1e-9)
 
     def test_breakdown_raises_with_an_unfinished_program(self):
-        # one Cholesky call certifies the starting point and three run per
-        # iteration: the 20th is the first of iteration 7, which only the
-        # third program reaches
+        # two Cholesky calls run per iteration and one proves the certified
+        # pair after iteration 6, the first step to leave a gap <X, S> <= tol:
+        # the 14th is the first of iteration 7, which only the third program
+        # reaches
         real = np.linalg.cholesky
         calls = []
 
         def failing(a):
             calls.append(1)
-            if len(calls) == 20:
+            if len(calls) == 14:
                 raise np.linalg.LinAlgError("injected")
             return real(a)
 
@@ -766,6 +776,13 @@ class TestSdpStack(unittest.TestCase):
         self.assertTrue(math.isfinite(exc.lower) and math.isfinite(exc.upper))
         self.assertLessEqual(exc.lower, 6.0 + 1e-9)
         self.assertGreaterEqual(exc.upper, 6.0 - 1e-9)
+
+    def test_results_share_no_memory(self):
+        # the first two programs finish on the same step, from one certify
+        # call
+        res = sdp_solve_many(_stack(STAGGERED), PENTAGON_EDGES)
+        for p, q in itertools.combinations(res, 2):
+            self.assertFalse(np.shares_memory(p.x, q.x))
 
     def test_stack_validation(self):
         self.assertEqual(sdp_solve_many(np.zeros((0, 3, 3)), NO_EDGES), [])
@@ -848,18 +865,45 @@ class TestPdProof(unittest.TestCase):
         w = np.linspace(0.2, 1.0, 10)
         cases = [(np.ones((1, 5, 5)), PENTAGON_EDGES), (np.sqrt(np.outer(w, w))[None], prism),
                  (_stack(STAGGERED), PENTAGON_EDGES)]
-        for costs, edges in cases:
+        for (costs, edges), certified in zip(cases, (1, 1, 2)):
             proved = sdp_solve_many(costs, edges)
             with unittest.mock.patch.object(sdp, "_rump_shift", lambda a: 2.0 * a.trace(axis1=-2, axis2=-1)), \
                     unittest.mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
                 fallback = sdp_solve_many(costs, edges)
             # two step-length calls per iteration, one certify call per
-            # certified point, the start included
+            # certified step: the last of a single program, and iterations
+            # 6 and 7 of STAGGERED
             iterations = max(r.iterations for r in fallback)
-            self.assertEqual(eigvalsh.call_count, 3 * iterations + 1)
+            self.assertEqual(eigvalsh.call_count, 2 * iterations + certified)
             for p, q in zip(proved, fallback):
                 self.assertEqual((p.iterations, p.lower, p.upper), (q.iterations, q.lower, q.upper))
                 np.testing.assert_array_equal(p.x, q.x)
+
+    def test_proof_runs_once_the_gap_can_close(self):
+        # a certified gap is <X, S> widened by the projection, so the proof
+        # runs only after a step leaves some program with <X, S> <= tol, and
+        # once per solve of one program
+        ring = np.arange(5)
+        prism = (np.concatenate([ring, ring + 5, ring]), np.concatenate([(ring + 1) % 5, (ring + 1) % 5 + 5, ring + 5]))
+        w = np.linspace(0.2, 1.0, 10)
+        singles = [(np.ones((1, 5, 5)), PENTAGON_EDGES), (np.sqrt(np.outer(w, w))[None], prism)]
+        singles += [(cost[None], PENTAGON_EDGES) for cost in _stack(STAGGERED)]
+        real = sdp._proved_pd
+        for costs, edges in singles + [(_stack(STAGGERED), PENTAGON_EDGES)]:
+            gaps = []
+
+            def proof(a):
+                frame = sys._getframe(1)
+                while frame.f_code is not sdp._solve.__code__:
+                    frame = frame.f_back
+                gaps.append(frame.f_locals["gap"].min())
+                return real(a)
+
+            with unittest.mock.patch.object(sdp, "_proved_pd", proof):
+                sdp_solve_many(costs, edges)
+            self.assertLessEqual(max(gaps), 5e-7)
+            if costs.shape[0] == 1:
+                self.assertEqual(len(gaps), 1)
 
 
 class TestComplexHelpers(unittest.TestCase):
