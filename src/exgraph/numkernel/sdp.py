@@ -41,9 +41,9 @@ after a step that leaves some program there, reading the same sum <X, S>
 that the next step's mu is made from.  A certify call extracts a theta
 pair, whichever side is stepped: the primal candidate (X on the edge side,
 S on the other) is projected onto the affine constraints (zero the edge
-entries, shift the diagonal by (1 - tr)/m), and the dual candidate (S on the edge side; on the
-other, Z with y_0 = (tr Z + tr C) / m, projected onto the dual's affine
-set).  Both are then checked in this order:
+entries, shift the diagonal by (1 - tr)/m), and the dual candidate (S on
+the edge side; on the other, Z with y_0 = (tr Z + tr C) / m, projected
+onto the dual's affine set).  Both are then checked in this order:
 
 1. One stacked Cholesky factorization of each candidate minus Rump's shift
    (Rump, BIT Numer. Math. 2006; a multiple of the unit roundoff times the
