@@ -779,10 +779,13 @@ class TestSdpStack(unittest.TestCase):
 
     def test_results_share_no_memory(self):
         # the first two programs finish on the same step, from one certify
-        # call
+        # call; each primal is copied out of the stack, so it does not keep
+        # the other programs' matrices alive
         res = sdp_solve_many(_stack(STAGGERED), PENTAGON_EDGES)
         for p, q in itertools.combinations(res, 2):
             self.assertFalse(np.shares_memory(p.x, q.x))
+        for r in res:
+            self.assertTrue(r.x.flags.owndata)
 
     def test_stack_validation(self):
         self.assertEqual(sdp_solve_many(np.zeros((0, 3, 3)), NO_EDGES), [])
@@ -824,6 +827,16 @@ def _near_singular_matrices(draw):
     return scale * (a + delta * np.eye(m))
 
 
+def _proof_cases():
+    """The pentagon, the prism over C5 with weights 0.2 .. 1.0, and the
+    STAGGERED stack."""
+    ring = np.arange(5)
+    prism = (np.concatenate([ring, ring + 5, ring]), np.concatenate([(ring + 1) % 5, (ring + 1) % 5 + 5, ring + 5]))
+    w = np.linspace(0.2, 1.0, 10)
+    return [(np.ones((1, 5, 5)), PENTAGON_EDGES), (np.sqrt(np.outer(w, w))[None], prism),
+            (_stack(STAGGERED), PENTAGON_EDGES)]
+
+
 class TestPdProof(unittest.TestCase):
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_near_singular_matrices())
@@ -860,12 +873,7 @@ class TestPdProof(unittest.TestCase):
         # factorization fail, so certify reads eigvalsh; on these programs
         # eigvalsh finds every certified iterate PD, so the certified numbers
         # must equal those of the Cholesky proof
-        ring = np.arange(5)
-        prism = (np.concatenate([ring, ring + 5, ring]), np.concatenate([(ring + 1) % 5, (ring + 1) % 5 + 5, ring + 5]))
-        w = np.linspace(0.2, 1.0, 10)
-        cases = [(np.ones((1, 5, 5)), PENTAGON_EDGES), (np.sqrt(np.outer(w, w))[None], prism),
-                 (_stack(STAGGERED), PENTAGON_EDGES)]
-        for (costs, edges), certified in zip(cases, (1, 1, 2)):
+        for (costs, edges), certified in zip(_proof_cases(), (1, 1, 2)):
             proved = sdp_solve_many(costs, edges)
             with unittest.mock.patch.object(sdp, "_rump_shift", lambda a: 2.0 * a.trace(axis1=-2, axis2=-1)), \
                     unittest.mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
@@ -883,13 +891,9 @@ class TestPdProof(unittest.TestCase):
         # a certified gap is <X, S> widened by the projection, so the proof
         # runs only after a step leaves some program with <X, S> <= tol, and
         # once per solve of one program
-        ring = np.arange(5)
-        prism = (np.concatenate([ring, ring + 5, ring]), np.concatenate([(ring + 1) % 5, (ring + 1) % 5 + 5, ring + 5]))
-        w = np.linspace(0.2, 1.0, 10)
-        singles = [(np.ones((1, 5, 5)), PENTAGON_EDGES), (np.sqrt(np.outer(w, w))[None], prism)]
-        singles += [(cost[None], PENTAGON_EDGES) for cost in _stack(STAGGERED)]
+        rows = [(cost[None], PENTAGON_EDGES) for cost in _stack(STAGGERED)]
         real = sdp._proved_pd
-        for costs, edges in singles + [(_stack(STAGGERED), PENTAGON_EDGES)]:
+        for costs, edges in _proof_cases() + rows:
             gaps = []
 
             def proof(a):
