@@ -311,30 +311,54 @@ def subset_intersection_graph(q: int, s: int) -> Graph:
     return Graph(g.n, g.rows)
 
 
-def build_family(family: str, **params) -> Graph:
-    """Build a named family graph from CLI-style parameters."""
-    try:
-        if family == "cycle":
-            return cycle_graph(params["n"])
-        if family == "path":
-            return path_graph(params["n"])
-        if family == "complete":
-            return complete_graph(params["n"])
-        if family == "prism":
-            return prism_graph(params["n"])
-        if family == "moebius":
-            return moebius_ladder(params["n"])
-        if family == "circulant":
-            return circulant_graph(params["n"], params["offsets"])
-        if family == "johnson_gqs":
-            return subset_intersection_graph(params["q"], params["s"])
-        if family == "johnson":
-            return johnson_graph(params["m"], params["k"])
-        if family == "petersen":
-            return petersen_graph()
-    except KeyError as exc:
-        raise GraphError(f"family '{family}' is missing parameter {exc}") from exc
-    raise GraphError(f"unknown graph family '{family}'")
+# Each named family: its builder and the builder's parameters, in order.  On
+# the command line --n gives "n" and --offsets the others: all of its
+# integers to "offsets", one each to any other name.
+FAMILIES = {
+    "cycle": (cycle_graph, ("n",)),
+    "path": (path_graph, ("n",)),
+    "complete": (complete_graph, ("n",)),
+    "prism": (prism_graph, ("n",)),
+    "moebius": (moebius_ladder, ("n",)),
+    "circulant": (circulant_graph, ("n", "offsets")),
+    "petersen": (petersen_graph, ()),
+    "johnson": (johnson_graph, ("m", "k")),
+    "johnson_gqs": (subset_intersection_graph, ("q", "s")),
+}
+
+# The families that a sweep over n can walk: the first n that the builder
+# takes, the step to the next, and the vertices per unit of n.
+SWEEPS = {"cycle": (3, 1, 1), "prism": (3, 1, 2), "moebius": (4, 2, 1)}
+
+
+def _offset_params(family: str) -> list[str]:
+    """The parameters that --offsets gives: ["offsets"] when the builder
+    takes the whole list, else one name per integer."""
+    return [p for p in FAMILIES[family][1] if p != "n"]
+
+
+def offsets_help() -> str:
+    """What --offsets lists for each family that takes it."""
+    return "; ".join(f"{family} offsets" if rest == ["offsets"] else f"{','.join(rest)} for {family}"
+                     for family in FAMILIES if (rest := _offset_params(family)))
+
+
+def build_family(family: str, n=None, offsets=None) -> Graph:
+    """A named family graph from the values of --n and --offsets (None when
+    a flag is not given), read as FAMILIES says.  A flag that the family
+    does not take, one that it needs and lacks, or the wrong number of
+    offsets is refused."""
+    if family not in FAMILIES:
+        raise GraphError(f"unknown graph family '{family}'")
+    builder, params = FAMILIES[family]
+    takes_n, rest = "n" in params, _offset_params(family)
+    values = ([n] if takes_n else []) + ([offsets] if rest == ["offsets"] else list(offsets or ()))
+    if takes_n != (n is not None) or bool(rest) != (offsets is not None) or len(values) != len(params):
+        flags = ["--n"] if takes_n else []
+        if rest:
+            flags.append("--offsets" if rest == ["offsets"] else f"--offsets {','.join(rest)}")
+        raise GraphError(f"family '{family}' takes " + (" and ".join(flags) or "neither --n nor --offsets"))
+    return builder(*values)
 
 
 # -- operations -------------------------------------------------------------

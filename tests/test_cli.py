@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in process through cli.run."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -14,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exgraph import bounds, cli
+from exgraph import graph as gr
+from exgraph.acceptance import CriterionResult
 from exgraph.boxes import BellScenario, pr_box, uniform_box
 from exgraph.kscolor import ks8_vectors, peres_mermin_square
 from exgraph.scenarios import EmpiricalModel, ncycle_scenario, pentagon_extremal_model, triangle_overlap_model
@@ -88,6 +91,109 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     data = json.loads(target.read_text())
     assert data["alpha"] == 1 and data["theta"] == pytest.approx(1.0, abs=1e-5)
+
+
+def _leaves(parser, prefix=()):
+    """The argv prefix of every leaf subcommand under parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, prefix + (name,))
+            return
+    yield prefix
+
+
+_WRITER_CASES = {
+    # leaf: (flags, --input document or None), each cheap
+    ("bounds",): (["--family", "cycle", "--n", "5"], None),
+    ("membership",): (["--family", "cycle", "--n", "5"], {"p": [0.45] * 5}),
+    ("duality",): (["--family", "cycle", "--n", "5"], None),
+    ("suite", "ops"): ([], None),
+    ("suite", "circulant10"): ([], None),
+    ("suite", "acceptance"): ([], None),
+    ("ks", "check"): ([], ks8_vectors().to_json_dict()),
+    ("ks", "multiplicative"): (["--builtin", "square"], None),
+    ("scenario", "check"): ([], triangle_overlap_model().to_json_dict()),
+    ("scenario", "global-section"): ([], triangle_overlap_model().to_json_dict()),
+    ("scenario", "evaluate"): ([], {"model": pentagon_extremal_model().to_json_dict(), "gamma": [1, 1, 1, 1, -1]}),
+    ("box", "check"): ([], pr_box().to_json_dict()),
+    ("box", "chsh"): ([], pr_box().to_json_dict()),
+    ("box", "gyni"): ([], uniform_box(BellScenario((2, 2, 2), (2, 2, 2))).to_json_dict()),
+    ("box", "lo"): ([], None),
+    ("box", "ic-vandam"): (["--seed", "1", "--trials", "10"], None),
+    ("box", "ic-nested"): (["--n", "3"], None),
+    ("box", "ip-protocol"): (["--seed", "1", "--trials", "5", "--n", "4"], None),
+    ("plotdata", "theta-alpha"): (["--n", "5"], None),
+}
+
+
+@pytest.mark.parametrize("leaf", sorted(_leaves(cli.build_parser())), ids=" ".join)
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, leaf):
+    # a leaf subcommand without a case fails here
+    flags, document = _WRITER_CASES[leaf]
+    argv = [*leaf, *flags]
+    if document is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        argv += ["--input", str(path)]
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    target = tmp_path / "out"
+    assert cli.run(argv + ["--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out and target.read_bytes() == out.encode()
+
+
+def test_a_failing_battery_is_written_and_exits_1(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda: [CriterionResult(1, "fails", False, "on purpose")])
+    assert cli.run(["suite", "acceptance"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["all_passed"] is False
+    target = tmp_path / "out.json"
+    assert cli.run(["suite", "acceptance", "--output", str(target)]) == 1
+    assert capsys.readouterr().out == "" and target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--family", "cycle", "--n", "5"], ["plotdata", "theta-alpha", "--n", "4"]],
+                         ids=["json", "csv"])
+def test_an_unwritable_output_exits_2(tmp_path, capsys, argv):
+    # it used to end in a FileNotFoundError traceback
+    target = tmp_path / "missing" / "out"
+    assert cli.run(argv + ["--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot write {target}: ")
+
+
+_FAMILY_FLAGS = {
+    # each but the missing ones used to exit 0 with the flag ignored, and
+    # johnson --offsets 5 failed to unpack
+    "cycle --offsets": (["cycle", "--n", "5", "--offsets", "2"], "--n"),
+    "path --offsets": (["path", "--n", "4", "--offsets", "1"], "--n"),
+    "complete --offsets": (["complete", "--n", "4", "--offsets", "1"], "--n"),
+    "prism --offsets": (["prism", "--n", "5", "--offsets", "1"], "--n"),
+    "moebius --offsets": (["moebius", "--n", "6", "--offsets", "1"], "--n"),
+    "circulant no --n": (["circulant", "--offsets", "1,2"], "--n and --offsets"),
+    "circulant no --offsets": (["circulant", "--n", "7"], "--n and --offsets"),
+    "petersen --n": (["petersen", "--n", "7"], "neither --n nor --offsets"),
+    "petersen --offsets": (["petersen", "--offsets", "1"], "neither --n nor --offsets"),
+    "johnson --n": (["johnson", "--n", "3", "--offsets", "5,2"], "--offsets m,k"),
+    "johnson one offset": (["johnson", "--offsets", "5"], "--offsets m,k"),
+    "johnson_gqs --n": (["johnson_gqs", "--n", "3", "--offsets", "2,1"], "--offsets q,s"),
+    "johnson_gqs three offsets": (["johnson_gqs", "--offsets", "3,1,1"], "--offsets q,s"),
+}
+
+
+def test_every_family_has_a_refused_flag_case():
+    assert {flags[0] for flags, _ in _FAMILY_FLAGS.values()} == set(gr.FAMILIES)
+
+
+@pytest.mark.parametrize("command", ["bounds", "duality"])
+@pytest.mark.parametrize("case", sorted(_FAMILY_FLAGS))
+def test_a_family_flag_the_family_does_not_take_exits_2(capsys, command, case):
+    flags, takes = _FAMILY_FLAGS[case]
+    assert cli.run([command, "--family", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: family '{flags[0]}' takes {takes}\n"
 
 
 def test_membership_at_the_quantum_boundary(tmp_path, capsys):
@@ -786,6 +892,23 @@ def test_plotdata_circulant10_has_one_line_per_suite_row(capsys):
     assert lines[0] == "graph,n,alpha,theta,alpha_star,theta_over_alpha"
     assert len(lines) == 19 and lines[2] == "Ci10(1,2),10,3,3.16718427,3.33333333333,1.05572809"
     assert lines[-1].startswith("J(5,2),10,2,2.49999")
+
+
+def test_plotdata_circulant10_reads_tol_and_refuses_n(monkeypatch, capsys):
+    calls = []
+
+    def recorded(**kwargs):
+        calls.append(kwargs)
+        return {"rows": []}
+
+    monkeypatch.setattr(cli.excl, "circulant10_suite", recorded)
+    assert cli.run(["plotdata", "theta-alpha", "--family", "circulant10", "--tol", "0.5"]) == 0
+    assert cli.run(["plotdata", "theta-alpha", "--family", "circulant10"]) == 0
+    assert calls == [{"tol": 0.5}, {}]
+    capsys.readouterr()
+    assert cli.run(["plotdata", "theta-alpha", "--family", "circulant10", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert len(calls) == 2 and captured.out == "" and "takes no --n" in captured.err
 
 
 def test_suite_acceptance_passes_all_thirteen_criteria(capsys):
